@@ -12,7 +12,7 @@ algorithm, so the study is evidence rather than proof).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,6 +106,7 @@ class BurstDiagnostics:
     exponent_fit: float
     cauchy_gaps: tuple[float, ...]
     background_drift: float
+    runs: tuple[Trajectory, ...] = field(default=(), compare=False, repr=False)
 
 
 def _signed_time(s: BurstScenario, t: float) -> float:
@@ -181,29 +182,20 @@ def convergence_study(s: BurstScenario,
 
     Successive runs are compared in the sup norm over a shared log-spaced
     time grid; decreasing gaps are the numerical evidence that the seeded
-    runs converge to a limiting burst among the background vortices.
+    runs converge to a limiting burst among the background vortices.  The
+    trajectories come back in the `runs` field, in t_ini order.
     """
     if len(s.t_ini_sequence) < 3:
         raise DomainError("need at least three t_ini values")
     if s.time_reversed:
         raise DomainError("convergence study is defined on the burst orientation")
     runs = [run_burst(s, t_ini, cfg) for t_ini in s.t_ini_sequence]
-    t_lo = s.t_ini_sequence[0]
-    grid = np.geomspace(t_lo, s.horizon, n_grid)
-    gaps = []
-    for (tr_a, _), (tr_b, _) in zip(runs, runs[1:]):
-        worst = 0.0
-        for t in grid:
-            za = tr_a.eval(float(t))
-            zb = tr_b.eval(float(t))
-            worst = max(worst, float(np.max(np.abs(za - zb))))
-        gaps.append(worst)
-    last_traj, last_diag = runs[-1]
-    return BurstDiagnostics(
-        exponent_fit=last_diag.exponent_fit,
-        cauchy_gaps=tuple(gaps),
-        background_drift=last_diag.background_drift,
-    )
+    trajs = tuple(traj for traj, _ in runs)
+    grid = [float(t) for t in np.geomspace(s.t_ini_sequence[0], s.horizon, n_grid)]
+    gaps = tuple(max(float(np.max(np.abs(a.eval(t) - b.eval(t)))) for t in grid)
+                 for a, b in zip(trajs, trajs[1:]))
+    # exponent and drift come from the run closest to the singular time
+    return replace(runs[-1][1], cauchy_gaps=gaps, runs=trajs)
 
 
 def collapse_scenario(s: BurstScenario) -> BurstScenario:

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .burstsim import BurstScenario, convergence_study, run_burst
+from .burstsim import BurstScenario, convergence_study
 from .integrator import IntegratorConfig, Status, integrate, integrate_collapse
 from .kernel import ALPHA_GUARD, DomainError, VortexState
 from .selfsimilar import Classification, TripleConfig, center, classify
@@ -145,12 +145,9 @@ def cmd_burst(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     icfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.rel_tol * 1e-3)
-    outputs = []
-    for t_ini in scenario.t_ini_sequence:
-        traj, _ = run_burst(scenario, t_ini, icfg)
-        outputs.append(_write(out_dir / f"trajectory_tini_{t_ini:.6g}.csv",
-                              traj.to_csv()))
     diag = convergence_study(scenario, icfg)
+    outputs = [_write(out_dir / f"trajectory_tini_{t_ini:.6g}.csv", traj.to_csv())
+               for t_ini, traj in zip(scenario.t_ini_sequence, diag.runs)]
     outputs.append(_write(out_dir / "diagnostics.json", json.dumps({
         "exponent_fit": diag.exponent_fit,
         "cauchy_gaps": list(diag.cauchy_gaps),

@@ -9,13 +9,15 @@ guard radius instead of grinding the step size to zero.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .kernel import SingularityError, VortexState, conserved, rhs
+from .kernel import (SingularityError, VortexState, coupling_constant,
+                     make_conserved, make_rhs, min_pair_distance, rhs)
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -47,6 +49,10 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Tolerances, step budget and collapse radius of `integrate`.
+    `max_steps` counts attempted steps: accepted and rejected steps, and
+    retries after a SingularityError."""
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     max_steps: int = 1_000_000
@@ -74,6 +80,9 @@ class _Segment:
         r = self.rcont
         return r[0] + s * (r[1] + s1 * (r[2] + s * (r[3] + s1 * r[4])))
 
+    def covers(self, t: float) -> bool:
+        return -1e-12 <= (t - self.t0) / self.h <= 1.0 + 1e-12
+
 
 @dataclass
 class Trajectory:
@@ -87,35 +96,33 @@ class Trajectory:
     t_event: float | None = None      # collapse or failure time
     segments: list[_Segment] = field(default_factory=list, repr=False)
 
-    @property
-    def samples(self) -> list[tuple[float, VortexState]]:
-        return [
-            (float(t), VortexState(t=float(t), z=z, xi=self.xi, alpha=self.alpha))
-            for t, z in zip(self.times, self.positions)
-        ]
-
     def final_state(self) -> VortexState:
         return VortexState(t=float(self.times[-1]), z=self.positions[-1],
                            xi=self.xi, alpha=self.alpha)
 
+    @functools.cached_property
+    def _starts(self) -> np.ndarray:
+        return np.array([seg.t0 for seg in self.segments])
+
     def eval(self, t: float) -> np.ndarray:
-        """Dense-output positions at time t inside the covered span."""
+        """Dense-output positions at time t inside the covered span.  A
+        step boundary belongs to the earlier step."""
         if not self.segments:
             raise ValueError("trajectory carries no dense output")
         lo, hi = self.times[0], self.times[-1]
         if not (min(lo, hi) - 1e-12 <= t <= max(lo, hi) + 1e-12):
             raise ValueError(f"t={t} outside trajectory span [{lo}, {hi}]")
-        for seg in self.segments:
-            s = (t - seg.t0) / seg.h
-            if -1e-12 <= s <= 1.0 + 1e-12:
-                return seg.eval(t)
-        return self.segments[-1].eval(t)
+        segs = self.segments
+        sign = np.sign(segs[0].h)   # starts increase along sign * time
+        # last step starting at or before t, then back to the earliest
+        # step that still covers t
+        k = max(int(np.searchsorted(sign * self._starts, sign * t, side="right")) - 1, 0)
+        while k > 0 and segs[k - 1].covers(t):
+            k -= 1
+        return (segs[k] if segs[k].covers(t) else segs[-1]).eval(t)
 
     def min_distances(self) -> np.ndarray:
-        n = self.positions.shape[1]
-        iu = np.triu_indices(n, 1)
-        d = np.abs(self.positions[:, :, None] - self.positions[:, None, :])
-        return np.min(d[:, iu[0], iu[1]], axis=1)
+        return min_pair_distance(self.positions)
 
     def to_csv(self) -> str:
         """t, per-vortex positions and the conserved quantities, at 17
@@ -127,23 +134,15 @@ class Trajectory:
         cols += ["H", "L", "C_re", "C_im"]
         buf = io.StringIO()
         buf.write(",".join(cols) + "\n")
+        q = make_conserved(self.xi, self.alpha, coupling_constant(self.alpha))
         for t, z in zip(self.times, self.positions):
-            st = VortexState(t=float(t), z=z, xi=self.xi, alpha=self.alpha)
-            c = conserved(st)
+            c = q(z)
             vals = [t]
             for zj in z:
                 vals += [zj.real, zj.imag]
             vals += [c.H, c.Lmom, c.C.real, c.C.imag]
             buf.write(",".join(f"{v:.17g}" for v in vals) + "\n")
         return buf.getvalue()
-
-
-def _min_dist(z: np.ndarray) -> float:
-    n = len(z)
-    if n < 2:
-        return np.inf
-    iu = np.triu_indices(n, 1)
-    return float(np.min(np.abs(z[:, None] - z[None, :])[iu]))
 
 
 def _error_norm(err: np.ndarray, z0: np.ndarray, z1: np.ndarray,
@@ -170,15 +169,15 @@ def integrate(state0: VortexState, t1: float,
     underflows / the step budget is exhausted without a near-collision.
     """
     t0 = state0.t
+    if not np.isfinite(t1):
+        raise ValueError(f"t1 must be finite, got {t1}")
     if t1 == t0:
         raise ValueError("t1 must differ from the initial time")
     direction = 1.0 if t1 > t0 else -1.0
     xi, alpha = state0.xi.copy(), state0.alpha
-    d_init = _min_dist(state0.z)
+    d_init = state0.min_distance()
     dmin = max(1e-6 * d_init, state0.dmin()) if cfg.dmin is None else cfg.dmin
-
-    def f(z):
-        return rhs(VortexState(t=0.0, z=z, xi=xi, alpha=alpha), dmin=dmin * 0.5)
+    f = make_rhs(xi, alpha, state0.c_alpha, dmin * 0.5)
 
     t = t0
     z = state0.z.astype(complex).copy()
@@ -201,7 +200,7 @@ def integrate(state0: VortexState, t1: float,
         if abs(h) < h_floor * max(abs(t), 1.0):
             # step underflow next to a heavy contraction is the collapse
             # signature even when the exact guard radius was not reached
-            if _min_dist(z) < max(1e3 * dmin, 1e-2 * d_init):
+            if min_pair_distance(z) < max(1e3 * dmin, 1e-2 * d_init):
                 status, t_event = Status.COLLAPSE_DETECTED, t
             else:
                 status, t_event = Status.STEP_FAILURE, t
@@ -235,7 +234,7 @@ def integrate(state0: VortexState, t1: float,
         segments.append(_Segment(t0=t, h=h, rcont=rcont))
 
         t_new = t + h
-        md = _min_dist(z1)
+        md = min_pair_distance(z1)
         if md < dmin:
             # locate the guard crossing inside the step by bisection on
             # the dense output (the interpolant stays parameterized by the
@@ -244,7 +243,7 @@ def integrate(state0: VortexState, t1: float,
             seg = segments[-1]
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if _min_dist(seg.eval(t + mid * h)) < dmin:
+                if min_pair_distance(seg.eval(t + mid * h)) < dmin:
                     hi = mid
                 else:
                     lo = mid

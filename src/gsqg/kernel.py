@@ -67,12 +67,14 @@ class VortexState:
         xi = np.asarray(self.xi, dtype=float)
         if z.ndim != 1 or xi.shape != z.shape:
             raise DomainError("z and xi must be 1-d arrays of equal length")
+        if not (np.isfinite(self.t) and np.isfinite(z).all() and np.isfinite(xi).all()):
+            raise DomainError("t, z and xi must be finite")
         if np.any(xi == 0.0):
             raise DomainError("all intensities must be nonzero")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "c_alpha", coupling_constant(self.alpha))
-        if len(z) > 1 and self.min_distance() == 0.0:
+        if self.min_distance() == 0.0:
             raise DomainError("positions must be pairwise distinct")
 
     @property
@@ -80,16 +82,10 @@ class VortexState:
         return len(self.z)
 
     def min_distance(self) -> float:
-        if self.n < 2:
-            return np.inf
-        d = np.abs(self.z[:, None] - self.z[None, :])
-        return float(np.min(d[np.triu_indices(self.n, 1)]))
+        return float(min_pair_distance(self.z))
 
     def diameter(self) -> float:
-        if self.n < 2:
-            return 0.0
-        d = np.abs(self.z[:, None] - self.z[None, :])
-        return float(np.max(d))
+        return float(np.abs(self.z[:, None] - self.z[None, :]).max(initial=0.0))
 
     def dmin(self) -> float:
         return DMIN_FACTOR * self.diameter()
@@ -109,11 +105,37 @@ class ConservedQuantities:
     Lmom: float
 
 
-def _pair_sums(z: np.ndarray, xi: np.ndarray, alpha: float, j: int) -> complex:
-    """sum_{k != j} xi_k |z_j - z_k|^(alpha-2) / (z_j - z_k)."""
-    d = z[j] - np.delete(z, j)
-    w = np.delete(xi, j)
-    return complex(np.sum(w * np.abs(d) ** (alpha - 2.0) / d))
+def min_pair_distance(z: np.ndarray):
+    """Smallest |z_j - z_k| over j != k along the last axis of z (one value
+    per configuration; inf for fewer than two points)."""
+    d = np.abs(z[..., :, None] - z[..., None, :])
+    j = np.arange(z.shape[-1])
+    d[..., j, j] = np.inf
+    return d.min(axis=(-2, -1), initial=np.inf)
+
+
+def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guard: float):
+    """`rhs` as a function of the positions alone, for fixed intensities,
+    exponent and guard distance; it builds no per-call objects."""
+    xi_c = xi.astype(complex)
+    ic = 1j * c_alpha
+    p = alpha - 2.0
+    diag = np.diag_indices(len(xi))
+
+    def f(z: np.ndarray) -> np.ndarray:
+        diff = z[:, None] - z[None, :]
+        dist = np.abs(diff)
+        dist[diag] = np.inf
+        closest = dist.min()
+        if closest < guard:
+            raise SingularityError(f"pairwise distance {closest:.3e} "
+                                   f"below guard {guard:.3e}")
+        dist[diag] = 1.0   # avoid 0**negative on the diagonal
+        kern = dist**p / np.where(diff == 0, 1.0, diff)
+        kern[diag] = 0.0
+        return np.conj(ic * (kern @ xi_c))
+
+    return f
 
 
 def rhs(state: VortexState, dmin: float | None = None) -> np.ndarray:
@@ -122,23 +144,8 @@ def rhs(state: VortexState, dmin: float | None = None) -> np.ndarray:
     Raises SingularityError when any pairwise distance is below `dmin`
     (defaults to the state's own guard distance).
     """
-    z, xi, alpha = state.z, state.xi, state.alpha
-    n = len(z)
-    if n == 1:
-        return np.zeros(1, dtype=complex)
     guard = state.dmin() if dmin is None else dmin
-    diff = z[:, None] - z[None, :]
-    dist = np.abs(diff)
-    iu = np.triu_indices(n, 1)
-    if np.min(dist[iu]) < guard:
-        raise SingularityError(
-            f"pairwise distance {np.min(dist[iu]):.3e} below guard {guard:.3e}"
-        )
-    np.fill_diagonal(dist, 1.0)   # avoid 0**negative on the diagonal
-    kern = dist ** (alpha - 2.0) / np.where(diff == 0, 1.0, diff)
-    np.fill_diagonal(kern, 0.0)
-    vbar = 1j * state.c_alpha * (kern @ xi.astype(complex))
-    return np.conj(vbar)
+    return make_rhs(state.xi, state.alpha, state.c_alpha, guard)(state.z)
 
 
 def velocity(state: VortexState, j: int, dmin: float | None = None) -> complex:
@@ -148,19 +155,29 @@ def velocity(state: VortexState, j: int, dmin: float | None = None) -> complex:
     return complex(rhs(state, dmin=dmin)[j])
 
 
+def make_conserved(xi: np.ndarray, alpha: float, c_alpha: float):
+    """`conserved` as a function of the positions alone, for fixed
+    intensities and exponent (the pair table is built once)."""
+    i, k = np.triu_indices(len(xi), 1)
+    pair = xi[i] * xi[k]
+    p = alpha - 2.0
+
+    def q(z: np.ndarray) -> ConservedQuantities:
+        C = complex(np.sum(xi * z))
+        if len(xi) < 2:
+            return ConservedQuantities(C=C, H=0.0, Lmom=0.0)
+        d = np.abs(z[i] - z[k])
+        # sums run over ordered pairs j != k: twice the upper triangle
+        H = 2.0 * float(np.sum(pair * d**p)) / c_alpha
+        Lmom = 2.0 * float(np.sum(pair * d**2))
+        return ConservedQuantities(C=C, H=H, Lmom=Lmom)
+
+    return q
+
+
 def conserved(state: VortexState) -> ConservedQuantities:
     """Evaluate the three conserved quantities of the dynamics."""
-    z, xi, alpha = state.z, state.xi, state.alpha
-    C = complex(np.sum(xi * z))
-    if state.n < 2:
-        return ConservedQuantities(C=C, H=0.0, Lmom=0.0)
-    diff = np.abs(z[:, None] - z[None, :])
-    iu = np.triu_indices(state.n, 1)
-    pair = xi[:, None] * xi[None, :]
-    # sums run over ordered pairs j != k: twice the upper triangle
-    H = 2.0 * float(np.sum(pair[iu] * diff[iu] ** (alpha - 2.0))) / state.c_alpha
-    Lmom = 2.0 * float(np.sum(pair[iu] * diff[iu] ** 2))
-    return ConservedQuantities(C=C, H=H, Lmom=Lmom)
+    return make_conserved(state.xi, state.alpha, state.c_alpha)(state.z)
 
 
 def signed_area(z1: complex, z2: complex, z3: complex) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import ALPHA_GUARD, DomainError, coupling_constant
-from .selfsimilar import Classification, TripleConfig
+from .selfsimilar import Classification, TripleConfig, check_H_L_zero
 from .stability import HypothesisReport, hypothesis_a_check
 
 EPS_Y = 1e-6
@@ -158,17 +158,10 @@ def reduced_config(p: ReducedParams, check_tol: float = 1e-10) -> TripleConfig:
     cfg = TripleConfig(a=np.array([0.5, -0.5, a3]), xi=np.array([1.0, 1.0, xi3]),
                        alpha=alpha)
     if checked:
-        H, L = _quick_H_L(cfg)
+        H, L = check_H_L_zero(cfg)
         if abs(H) > 1e-8 or abs(L) > 1e-8:
             raise DomainError(f"constructed configuration has H={H:.2e}, L={L:.2e} != 0")
     return cfg
-
-
-def _quick_H_L(cfg: TripleConfig) -> tuple[float, float]:
-    from .kernel import conserved
-
-    c = conserved(cfg.state())
-    return c.H, c.Lmom
 
 
 def oriented_config(alpha: float, x: float, y: float | None = None,

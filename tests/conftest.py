@@ -57,3 +57,13 @@ def random_state(seed: int, n: int, alpha: float, min_sep: float = 0.35) -> gsqg
         if st.min_distance() >= min_sep:
             return st
     raise RuntimeError("rejection sampling failed")
+
+
+def lattice_state(n: int, alpha: float, seed: int = 0) -> gsqg.VortexState:
+    """n vortices on a jittered square lattice of unit spacing."""
+    rng = np.random.default_rng(seed)
+    side = int(np.ceil(np.sqrt(n)))
+    k = np.arange(n)
+    z = (k % side + 1j * (k // side)) + rng.uniform(-0.25, 0.25, n) * (1 + 1j)
+    xi = rng.uniform(0.4, 1.6, n) * rng.choice([-1.0, 1.0], n)
+    return gsqg.VortexState(t=0.0, z=z, xi=xi, alpha=alpha)

@@ -143,6 +143,34 @@ def test_burst_command(tmp_path):
     assert len(list(out_dir.glob("trajectory_tini_*.csv"))) == 3
 
 
+def test_burst_integrates_each_t_ini_once(tmp_path, monkeypatch):
+    cfg = gsqg.oriented_config(1.0, THM_X)
+    scen = gsqg.BurstScenario(triple=cfg, background=((1.0 + 0j, 1.0),),
+                              t_ini_sequence=(1e-4, 5e-5, 2.5e-5), horizon=5e-4)
+    spath = tmp_path / "scenario.json"
+    spath.write_text(scen.to_json())
+    # the scenario and tolerances exactly as the CLI reads and sets them
+    scen = gsqg.BurstScenario.from_json(spath.read_text())
+    icfg = gsqg.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-9 * 1e-3)
+    expect = [gsqg.run_burst(scen, t_ini, icfg)[0].to_csv()
+              for t_ini in scen.t_ini_sequence]
+    calls = []
+    integrate = gsqg.burstsim.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].t)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(gsqg.burstsim, "integrate", counting)
+    out_dir = tmp_path / "runs"
+    assert main(["burst", "--scenario", str(spath), "--rel-tol", "1e-9",
+                 "--out", str(out_dir)]) == 0
+    assert calls == list(scen.t_ini_sequence)
+    # the CSVs are the study's own runs, byte for byte
+    for t_ini, csv in zip(scen.t_ini_sequence, expect):
+        assert (out_dir / f"trajectory_tini_{t_ini:.6g}.csv").read_text() == csv
+
+
 def test_manifest_reproducibility(tmp_path):
     out1 = tmp_path / "s1.csv"
     out2 = tmp_path / "s2.csv"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import gsqg
-from gsqg.integrator import Status
+from gsqg.integrator import Status, Trajectory, _Segment
 
-from conftest import random_state
+from conftest import lattice_state, random_state
 
 
 def pair_state(alpha=1.0):
@@ -172,6 +172,77 @@ def test_csv_header_and_precision():
     assert len(first) == 9
     assert float(first[1]) == 0.5   # 17 significant digits round-trip
     assert abs(float(lines[-1].split(",")[5]) - gsqg.conserved(pair_state()).H) <= 1e-9
+
+
+@pytest.mark.parametrize("make_state,t1", [
+    (lambda: random_state(5, 3, 1.5), 0.3),
+    (lambda: lattice_state(99, 1.0), 0.05),
+])
+def test_csv_conserved_columns_are_exact(make_state, t1):
+    st = make_state()
+    traj = gsqg.integrate(st, t1, gsqg.IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9))
+    rows = traj.to_csv().splitlines()[1:]
+    assert len(rows) == len(traj.times) > 2
+    for row, t, z in zip(rows, traj.times, traj.positions):
+        c = gsqg.conserved(gsqg.VortexState(t=float(t), z=z, xi=st.xi, alpha=st.alpha))
+        assert [float(v) for v in row.split(",")[-4:]] == [c.H, c.Lmom, c.C.real,
+                                                           c.C.imag]
+
+
+def _scan_index(traj, t):
+    """The step a linear scan picks: the first one covering t."""
+    for k, seg in enumerate(traj.segments):
+        if -1e-12 <= (t - seg.t0) / seg.h <= 1.0 + 1e-12:
+            return k
+    return len(traj.segments) - 1
+
+
+def _probe_times(traj):
+    """Step boundaries, a few ulps either side of them, interior points and
+    the span ends pushed out to the edge of the tolerance."""
+    ts = list(traj.times)
+    ts += [np.nextafter(t, np.inf) for t in traj.times]
+    ts += [np.nextafter(t, -np.inf) for t in traj.times]
+    ts += list(0.5 * (traj.times[1:] + traj.times[:-1]))
+    ts += list(traj.times[:-1] + 1e-3 * np.diff(traj.times))
+    lo, hi = sorted((traj.times[0], traj.times[-1]))
+    ts += [lo - 5e-13, hi + 5e-13]
+    return ts
+
+
+@pytest.mark.parametrize("run", ["forward", "backward", "collapse"])
+def test_eval_picks_the_step_a_scan_picks(run, thm_centered, thm_motion):
+    if run == "forward":
+        traj = gsqg.integrate(random_state(17, 3, 1.5), 0.8,
+                              gsqg.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11))
+    elif run == "backward":
+        st = random_state(17, 3, 1.5)
+        traj = gsqg.integrate(gsqg.VortexState(t=0.8, z=st.z, xi=st.xi, alpha=st.alpha),
+                              0.0, gsqg.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11))
+        assert np.all(np.diff(traj.times) < 0)
+    else:
+        t0 = gsqg.reference_time(thm_motion)
+        st = gsqg.VortexState(t=-t0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
+        traj = gsqg.integrate(st, 0.5, gsqg.IntegratorConfig(
+            rel_tol=1e-8, abs_tol=1e-11, dmin=1e-4 * st.min_distance()))
+        assert traj.status is Status.COLLAPSE_DETECTED
+    # the same step layout with each step's interpolant replaced by its index
+    marked = Trajectory(
+        times=traj.times, positions=traj.positions, xi=traj.xi, alpha=traj.alpha,
+        status=traj.status,
+        segments=[_Segment(t0=seg.t0, h=seg.h,
+                           rcont=np.array([[k], [0], [0], [0], [0]], dtype=complex))
+                  for k, seg in enumerate(traj.segments)])
+    for t in _probe_times(traj):
+        k = _scan_index(traj, t)
+        assert marked.eval(t)[0] == k
+        assert np.array_equal(traj.eval(t), traj.segments[k].eval(t))
+
+
+@pytest.mark.parametrize("t1", [np.nan, np.inf, -np.inf])
+def test_non_finite_end_time_rejected(t1):
+    with pytest.raises(ValueError):
+        gsqg.integrate(pair_state(), t1)
 
 
 def test_config_validation():

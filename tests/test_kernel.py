@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsqg
-from gsqg.kernel import DomainError
+from gsqg.kernel import DomainError, make_rhs
 
-from conftest import THM_A, THM_B, random_state
+from conftest import THM_A, THM_B, lattice_state, random_state
 
 
 # ---------------------------------------------------------------- coupling
@@ -83,6 +83,37 @@ def test_velocity_singularity_guard():
                            xi=np.array([1.0, 1.0]), alpha=1.0)
     with pytest.raises(gsqg.SingularityError):
         gsqg.rhs(st_, dmin=1e-6)
+
+
+def plain_rhs(st_: gsqg.VortexState) -> np.ndarray:
+    """The defining sum, one vortex and one partner at a time."""
+    out = []
+    for j in range(st_.n):
+        s = sum(st_.xi[k] * abs(st_.z[j] - st_.z[k]) ** (st_.alpha - 2.0)
+                / (st_.z[j] - st_.z[k]) for k in range(st_.n) if k != j)
+        out.append(np.conj(1j * st_.c_alpha * s))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.5])
+@pytest.mark.parametrize("n", [2, 3, 99])
+def test_rhs_matches_plain_sum(n, alpha):
+    st_ = lattice_state(n, alpha, seed=n)
+    expect = plain_rhs(st_)
+    assert np.max(np.abs(gsqg.rhs(st_) - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def test_singularity_guard_threshold():
+    # the closest pair is (1, 2), off the first row of the distance matrix
+    st_ = gsqg.VortexState(t=0.0, z=np.array([0.0, 1.0, 1.0 + 1e-3j]),
+                           xi=np.array([1.0, 1.0, -0.5]), alpha=1.5)
+    assert st_.min_distance() == pytest.approx(1e-3, rel=1e-12)
+    with pytest.raises(gsqg.SingularityError):
+        gsqg.rhs(st_, dmin=1.001e-3)
+    with pytest.raises(gsqg.SingularityError):
+        make_rhs(st_.xi, st_.alpha, st_.c_alpha, 1.001e-3)(st_.z)
+    assert np.array_equal(gsqg.rhs(st_, dmin=0.999e-3),
+                          make_rhs(st_.xi, st_.alpha, st_.c_alpha, 0.999e-3)(st_.z))
 
 
 # ---------------------------------------------------------------- conserved
@@ -208,6 +239,21 @@ def test_state_validation():
     with pytest.raises(DomainError):
         gsqg.VortexState(t=0.0, z=np.array([0.0, 1.0], dtype=complex),
                          xi=np.array([1.0, 0.0]), alpha=1.0)
+
+
+@pytest.mark.parametrize("field,value", [("t", np.nan), ("z", np.inf),
+                                         ("z", complex(0.0, np.nan)),
+                                         ("xi", np.nan), ("xi", -np.inf)])
+def test_state_rejects_non_finite(field, value):
+    data = {"t": 0.0, "z": np.array([0.5, -0.5], dtype=complex),
+            "xi": np.array([1.0, 1.0])}
+    if field == "t":
+        data["t"] = value
+    else:
+        data[field] = data[field].copy()
+        data[field][1] = value
+    with pytest.raises(DomainError):
+        gsqg.VortexState(alpha=1.0, **data)
 
 
 def test_rate_magnitude_cross_checked(thm_centered):
