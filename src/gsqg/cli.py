@@ -43,6 +43,16 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
+def _read_input(kind: str, path: str, parse):
+    """Parse an input file; a missing or malformed one is a usage error."""
+    try:
+        return parse(Path(path).read_text())
+    except OSError as e:
+        raise DomainError(f"cannot read {kind} {path}: {e.strerror}") from e
+    except (ValueError, KeyError, TypeError, IndexError) as e:
+        raise DomainError(f"malformed {kind} {path}: {e!r}") from e
+
+
 def _manifest(command: str, params: dict, outputs: list[Path], t0: float) -> None:
     base = outputs[0] if outputs else Path(f"{command}.out")
     man = {
@@ -117,7 +127,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     t_start = time.monotonic()
-    cfg = TripleConfig.from_json(Path(args.config).read_text())
+    cfg = _read_input("config", args.config, TripleConfig.from_json)
     cen = center(cfg)
     state0 = VortexState(t=args.t0, z=cen.a, xi=cen.xi, alpha=cen.alpha)
     icfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.rel_tol * 1e-3)
@@ -141,7 +151,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_burst(args) -> int:
     t_start = time.monotonic()
-    scenario = BurstScenario.from_json(Path(args.scenario).read_text())
+    scenario = _read_input("scenario", args.scenario, BurstScenario.from_json)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     icfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.rel_tol * 1e-3)

@@ -296,6 +296,11 @@ def collapse_time_fit(traj: Trajectory) -> tuple[float, float]:
         window = (t_star - t <= 10.0 * gap_last) & (t_star - t > 0) & (d > 0)
         if window.sum() >= 4:
             sel = window
+    # samples at or after a fitted t* have no log(t* - t)
+    sel = sel & (t_star - t > 0)
+    if sel.sum() < 4:
+        raise ValueError(f"only {sel.sum()} samples precede the fitted collapse time "
+                         f"t* = {t_star:.6g}: too few to fit the exponent")
     span = t_star - t[sel]
     slope, _ = np.polyfit(np.log(span), np.log(d[sel]), 1)
     return float(t_star), float(slope)

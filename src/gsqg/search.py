@@ -30,6 +30,8 @@ from .stability import HypothesisReport, hypothesis_a_check
 
 EPS_Y = 1e-6
 YMAX = 10.0
+# bisection levels per batched _margin_grid call in boundary refinement
+REFINE_DEPTH = 5
 
 
 class NoRootError(DomainError):
@@ -229,7 +231,9 @@ def _margin_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
 
     margin > 0 exactly where `admissible` passes; -inf marks geometric
     rejection.  Mirrors the scalar pipeline: construct, center, rates on
-    the burst branch, linearization, quartic inequalities.
+    the burst branch, linearization, quartic inequalities.  Each element
+    is computed from its own x alone, so a margin has the same bits in any
+    batch it is evaluated in.
     """
     ca = coupling_constant(alpha)
     xs = np.asarray(xs, dtype=float)
@@ -250,28 +254,33 @@ def _margin_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
         shift = xi3 * a3 / (2.0 + xi3)
         c1_, c2_, c3_ = z1 - shift, z2 - shift, a3 - shift
 
-        def kern(d):
-            return np.abs(d) ** (alpha - 2.0) / d
+        def pair(d):
+            # |d|^(alpha-2)/d, its value at -d, and the bracket
+            # (alpha-2)|d|^(alpha-4) - |d|^(alpha-2)/d^2, which is even in d
+            r = np.abs(d)
+            p = r ** (alpha - 2.0)
+            return p / d, p / -d, (alpha - 2.0) * r ** (alpha - 4.0) - p / d**2
 
-        d12, d13, d23 = c1_ - c2_, c1_ - c3_, c2_ - c3_
-        vb1 = 1j * ca * (ximat[1] * kern(d12) + ximat[2] * kern(d13))
-        vb2 = 1j * ca * (ximat[0] * kern(-d12) + ximat[2] * kern(d23))
-        vb3 = 1j * ca * (ximat[0] * kern(-d13) + ximat[1] * kern(-d23))
+        k12, k21, br12 = pair(c1_ - c2_)
+        k13, k31, br13 = pair(c1_ - c3_)
+        k23, k32, br23 = pair(c2_ - c3_)
+        vb1 = 1j * ca * (ximat[1] * k12 + ximat[2] * k13)
+        vb2 = 1j * ca * (ximat[0] * k21 + ximat[2] * k23)
+        vb3 = 1j * ca * (ximat[0] * k31 + ximat[1] * k32)
+        del k12, k21, k13, k31, k23, k32    # keeps the peak memory of a grid down
         q = (vb1 / np.conj(c1_) + vb2 / np.conj(c2_) + vb3 / np.conj(c3_)) / 3.0
         b = -np.imag(q)       # branch-independent
         # eigenvalue-condition coefficients at the centered positions
         pre = -1j * ca / np.abs(c1_) ** 2
+        c1sq = c1_**2
 
-        def term(m, d):
-            br = (alpha - 2.0) * np.abs(d) ** (alpha - 4.0) - np.abs(d) ** (alpha - 2.0) / d**2
-            return pre * np.conj(c1_**2 * m * br)
+        def term(m, br):
+            return pre * np.conj(c1sq * m * br)
 
-        L13 = term(ximat[2], c2_ - c3_) + term(ximat[0], c2_ - c1_) \
-            + (c2_ / c1_) * term(ximat[1], c1_ - c2_)
-        L14 = term(ximat[2], c2_ - c3_) + (c2_ / c1_) * term(ximat[2], c1_ - c3_)
-        L23 = term(ximat[1], c3_ - c2_) + (c3_ / c1_) * term(ximat[1], c1_ - c2_)
-        L24 = term(ximat[1], c3_ - c2_) + term(ximat[0], c3_ - c1_) \
-            + (c3_ / c1_) * term(ximat[1], c1_ - c3_)
+        L13 = term(ximat[2], br23) + term(ximat[0], br12) + (c2_ / c1_) * term(ximat[1], br12)
+        L14 = term(ximat[2], br23) + (c2_ / c1_) * term(ximat[2], br13)
+        L23 = term(ximat[1], br23) + (c3_ / c1_) * term(ximat[1], br12)
+        L24 = term(ximat[1], br23) + term(ximat[0], br13) + (c3_ / c1_) * term(ximat[1], br13)
         c1c = np.abs(L13) ** 2 + np.abs(L24) ** 2 + 2.0 * np.real(L23 * np.conj(L14))
         c2c = (np.abs(L13) ** 2 * np.abs(L24) ** 2 + np.abs(L23) ** 2 * np.abs(L14) ** 2
                - 2.0 * np.real(L14 * np.conj(L13) * L23 * np.conj(L24)))
@@ -299,52 +308,141 @@ class SweepRecord:
         return self.status == "empty"
 
 
-def _refine_boundary(alpha: float, x_in: float, x_out: float, tol: float) -> float:
-    """Bisect the admissibility predicate between an admissible point x_in
-    and an inadmissible point x_out, to interval width tol."""
-    f_in = _margin_grid(alpha, np.array([x_in]))[0] > 0.0
-    assert f_in
-    while abs(x_out - x_in) > tol:
-        mid = 0.5 * (x_in + x_out)
-        if _margin_grid(alpha, np.array([mid]))[0] > 0.0:
-            x_in = mid
+def _midpoint(a: float, b: float, tol: float) -> float | None:
+    """Next bisection point of the bracket (a, b), or None where bisection
+    stops: at width tol, or where the midpoint rounds onto an endpoint
+    because a and b are adjacent floats."""
+    if abs(b - a) <= tol:
+        return None
+    mid = 0.5 * (a + b)
+    return None if mid == a or mid == b else mid
+
+
+def _bisection_tree(x_in: float, x_out: float, tol: float, depth: int,
+                    out: list[float]) -> None:
+    """Append every midpoint that the next `depth` bisection steps on the
+    bracket (x_in, x_out) may evaluate."""
+    mid = _midpoint(x_in, x_out, tol) if depth > 0 else None
+    if mid is not None:
+        out.append(mid)
+        _bisection_tree(x_in, mid, tol, depth - 1, out)
+        _bisection_tree(mid, x_out, tol, depth - 1, out)
+
+
+def _refine_boundary(alpha: float, brackets, tol: float) -> list[float]:
+    """Bisect the admissibility predicate on each bracket (x_in, x_out),
+    from an admissible x_in to an inadmissible x_out, to width tol.
+
+    Each _margin_grid call evaluates, for every open bracket, the midpoint
+    tree of the next REFINE_DEPTH bisection levels, and the bisection then
+    follows its path through those margins.  The midpoints are those of
+    one-point-per-call bisection and margins do not depend on their batch,
+    so the boundaries are bit-identical to it.  The admissibility of each
+    x_in is checked in the first call.
+    """
+    brackets = [(float(x_in), float(x_out)) for x_in, x_out in brackets]
+    pts = [x_in for x_in, _ in brackets]
+    first = True
+    while True:
+        for x_in, x_out in brackets:
+            _bisection_tree(x_in, x_out, tol, REFINE_DEPTH, pts)
+        if not pts:
+            break
+        inside = dict(zip(pts, _margin_grid(alpha, np.array(pts)) > 0.0))
+        if first and not all(inside[x_in] for x_in, _ in brackets):
+            raise ValueError(f"bracket start not admissible at alpha={alpha}: "
+                             f"{[x for x, _ in brackets if not inside[x]]}")
+        first = False
+        for k, (x_in, x_out) in enumerate(brackets):
+            for _ in range(REFINE_DEPTH):
+                mid = _midpoint(x_in, x_out, tol)
+                if mid is None:
+                    break
+                if inside[mid]:
+                    x_in = mid
+                else:
+                    x_out = mid
+            brackets[k] = (x_in, x_out)
+        pts = []
+    return [0.5 * (x_in + x_out) for x_in, x_out in brackets]
+
+
+def _golden_section(lo: float, hi: float, stop: float):
+    """Golden-section search for a positive margin on [lo, hi], to width
+    `stop`.  A generator: it yields the points whose margins it needs
+    next, is sent those margins, and returns an admissible x or None."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a_, b_ = lo, hi
+    c_ = b_ - invphi * (b_ - a_)
+    d_ = a_ + invphi * (b_ - a_)
+    if not b_ - a_ > stop:
+        return None
+    fc, fd = yield c_, d_
+    while True:
+        if fc > 0.0:
+            return float(c_)
+        if fd > 0.0:
+            return float(d_)
+        if fc > fd:
+            b_, d_, fd = d_, c_, fc
+            c_ = b_ - invphi * (b_ - a_)
+            if not b_ - a_ > stop:
+                return None
+            (fc,) = yield (c_,)
         else:
-            x_out = mid
-    return 0.5 * (x_in + x_out)
+            a_, c_, fc = c_, d_, fd
+            d_ = a_ + invphi * (b_ - a_)
+            if not b_ - a_ > stop:
+                return None
+            (fd,) = yield (d_,)
 
 
 def _peak_rescue(alpha: float, xs: np.ndarray, margin: np.ndarray,
                  tol: float) -> float | None:
     """Golden-section search for a positive margin around the best
     near-miss grid points; catches admissible windows thinner than the
-    grid pitch.  Returns an admissible x or None."""
+    grid pitch.  Returns an admissible x or None.
+
+    The searches of the three candidates run in lockstep, one _margin_grid
+    call per round, and the first candidate in order that succeeds wins,
+    as if they had run one after another.
+    """
     finite = np.where(np.isfinite(margin))[0]
     if len(finite) == 0:
         return None
     order = finite[np.argsort(margin[finite])[::-1][:3]]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    for i in order:
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, len(xs) - 1)]
-        a_, b_ = lo, hi
-        c_ = b_ - invphi * (b_ - a_)
-        d_ = a_ + invphi * (b_ - a_)
-        fc = _margin_grid(alpha, np.array([c_]))[0]
-        fd = _margin_grid(alpha, np.array([d_]))[0]
-        while b_ - a_ > max(tol * 0.1, 1e-13):
-            if fc > 0.0:
-                return float(c_)
-            if fd > 0.0:
-                return float(d_)
-            if fc > fd:
-                b_, d_, fd = d_, c_, fc
-                c_ = b_ - invphi * (b_ - a_)
-                fc = _margin_grid(alpha, np.array([c_]))[0]
-            else:
-                a_, c_, fc = c_, d_, fd
-                d_ = a_ + invphi * (b_ - a_)
-                fd = _margin_grid(alpha, np.array([d_]))[0]
-    return None
+    stop = max(tol * 0.1, 1e-13)
+    searches = [_golden_section(xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], stop)
+                for i in order]
+    asks: dict[int, tuple] = {}       # points each running search waits for
+    results: dict[int, float | None] = {}
+
+    def resume(k, sent):
+        try:
+            asks[k] = searches[k].send(sent)
+        except StopIteration as end:
+            asks.pop(k, None)
+            results[k] = end.value
+
+    for k in range(len(searches)):
+        resume(k, None)
+    while True:
+        # searches after the first success can no longer be returned
+        hit = min((k for k, x in results.items() if x is not None), default=len(searches))
+        waiting = sorted(k for k in asks if k < hit)
+        if not waiting:
+            return results.get(hit)
+        pts = [x for k in waiting for x in asks[k]]
+        values = iter(_margin_grid(alpha, np.array(pts)))
+        for k in waiting:
+            resume(k, tuple(next(values) for _ in asks[k]))
+
+
+def _check_grid(coarse: float, refine_tol: float) -> None:
+    if not 0.0 < coarse < 1.0:
+        raise DomainError(f"coarse x grid pitch must lie in (0, 1), got {coarse}")
+    if not 0.0 < refine_tol < np.inf:
+        raise DomainError(f"refine_tol must be finite and positive, got {refine_tol}")
 
 
 def x_interval(alpha: float, coarse: float = 1e-4,
@@ -357,29 +455,28 @@ def x_interval(alpha: float, coarse: float = 1e-4,
     disjoint runs appear, all are recorded and the widest is reported.
     """
     coupling_constant(alpha)
+    _check_grid(coarse, refine_tol)
     xs = np.arange(coarse, 1.0, coarse)
     margin = _margin_grid(alpha, xs)
-    adm = margin > 0.0
-    runs: list[tuple[float, float]] = []
-    idx = np.where(adm)[0]
+    idx = np.where(margin > 0.0)[0]
     if len(idx) == 0:
         x_star = _peak_rescue(alpha, xs, margin, refine_tol)
         if x_star is None:
             return SweepRecord(alpha, None, None, "empty")
-        lo = _refine_boundary(alpha, x_star, max(x_star - coarse, coarse * 0.5), refine_tol)
-        hi = _refine_boundary(alpha, x_star, min(x_star + coarse, 1.0 - 1e-12), refine_tol)
-        runs.append((lo, hi))
+        brackets = [(x_star, max(x_star - coarse, coarse * 0.5)),
+                    (x_star, min(x_star + coarse, 1.0 - 1e-12))]
     else:
         breaks = np.where(np.diff(idx) > 1)[0]
         starts = np.concatenate([[0], breaks + 1])
         ends = np.concatenate([breaks, [len(idx) - 1]])
+        brackets = []
         for s, e in zip(starts, ends):
             i0, i1 = idx[s], idx[e]
             lo_out = xs[i0 - 1] if i0 > 0 else coarse * 0.5
             hi_out = xs[i1 + 1] if i1 + 1 < len(xs) else 1.0 - 1e-12
-            lo = _refine_boundary(alpha, xs[i0], lo_out, refine_tol)
-            hi = _refine_boundary(alpha, xs[i1], hi_out, refine_tol)
-            runs.append((lo, hi))
+            brackets += [(xs[i0], lo_out), (xs[i1], hi_out)]
+    bounds = _refine_boundary(alpha, brackets, refine_tol)
+    runs = list(zip(bounds[0::2], bounds[1::2]))
     if len(runs) > 1:
         warnings.warn(
             f"admissible set at alpha={alpha} looks disconnected "
@@ -411,6 +508,11 @@ def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
     """
     if alpha_min > alpha_max:
         raise DomainError("alpha_min must not exceed alpha_max")
+    if not 0.0 < alpha_step < np.inf:
+        raise DomainError(f"alpha_step must be finite and positive, got {alpha_step}")
+    _check_grid(coarse, refine_tol)
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     n = int(round((alpha_max - alpha_min) / alpha_step))
     alphas = [alpha_min + k * alpha_step for k in range(n + 1)]
     alphas = [a for a in alphas if 0.0 < a < 3.0 and abs(a - 2.0) > ALPHA_GUARD]
@@ -444,8 +546,7 @@ def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
 
 def _bisect_alpha(a_empty: float, a_full: float, probe, width: float) -> float:
     """Bisect between an empty and a nonempty alpha to the given width."""
-    while abs(a_full - a_empty) > width:
-        mid = 0.5 * (a_empty + a_full)
+    while (mid := _midpoint(a_empty, a_full, width)) is not None:
         if probe(mid):
             a_full = mid
         else:

@@ -182,3 +182,20 @@ def test_manifest_reproducibility(tmp_path):
     man1 = json.loads(out1.with_suffix(".csv.manifest.json").read_text())
     assert man1["command"] == "sweep"
     assert "tool_version" in man1 and "wall_time_s" in man1
+
+
+@pytest.mark.parametrize("command, flag", [("simulate", "--config"), ("burst", "--scenario")])
+@pytest.mark.parametrize("content, cause", [(None, "cannot read"),
+                                            ('{"alpha": 1.0}', "malformed"),
+                                            ("not json", "malformed")])
+def test_missing_or_malformed_input_exits_one(tmp_path, capsys, command, flag,
+                                              content, cause):
+    src = tmp_path / "input.json"
+    if content is not None:
+        src.write_text(content)
+    extra = ["--t0", "0", "--t1", "1"] if command == "simulate" else []
+    out = tmp_path / "out"
+    assert main([command, flag, str(src), *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"gsqg {command}: {cause}" in err and "Traceback" not in err
+    assert not out.exists()

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,28 @@ def test_collapse_final_sample_sits_at_guard_radius(thm_centered, thm_motion):
     assert traj.status is Status.COLLAPSE_DETECTED
     assert traj.min_distances()[-1] == pytest.approx(dmin, rel=1e-6)
     assert traj.times[-1] == traj.t_event
+
+
+def test_collapse_fit_at_loose_tolerance(thm_centered, thm_motion):
+    # at rel_tol 1e-8 the first linear fit puts t* before the last samples
+    t0 = gsqg.reference_time(thm_motion)
+    st = gsqg.VortexState(t=-t0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
+    traj, t_star = gsqg.integrate_collapse(
+        st, gsqg.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11))
+    assert traj.status is Status.COLLAPSE_DETECTED
+    assert t_star < traj.times[-1]
+    assert abs(t_star - 0.0) <= 1e-4 * t0
+    _, expo = gsqg.collapse_time_fit(traj)
+    assert np.isfinite(expo)
+
+
+def test_collapse_fit_needs_four_samples_before_t_star():
+    # only the last three samples are usable and the fitted t* is not
+    # preceded by enough of them
+    d = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 1.0]) ** (1.0 / 3.0)
+    traj = SimpleNamespace(times=np.arange(8.0), alpha=1.0, min_distances=lambda: d)
+    with pytest.raises(ValueError, match="too few to fit"):
+        gsqg.collapse_time_fit(traj)
 
 
 def test_relative_equilibrium_never_collapses():

@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import gsqg
-from gsqg.kernel import DomainError
-from gsqg.search import NoRootError, _margin_grid
+from gsqg import search
+from gsqg.cli import main
+from gsqg.kernel import DomainError, coupling_constant
+from gsqg.search import (NoRootError, _bisect_alpha, _margin_grid, _refine_boundary,
+                         _y_solve_grid)
 from gsqg.selfsimilar import Classification
 
 from conftest import THM_X, THM_Y, THM_XI3
@@ -198,3 +207,286 @@ def test_sweep_curve_continuity():
     for a, b in zip(recs, recs[1:]):
         assert abs(a.x_minus - b.x_minus) < 10 * 1e-3
         assert abs(a.x_plus - b.x_plus) < 10 * 1e-3
+
+
+# ---------------------------------------------------------------- sequential oracles
+#
+# The search before batching: one-point bisection, golden-section searches
+# run one after another, and the margin grid with every pair term computed
+# where it is used.  The batched search must reproduce them bit for bit.
+
+def _seq_margin_grid(alpha, xs):
+    ca = coupling_constant(alpha)
+    xs = np.asarray(xs, dtype=float)
+    y, valid = _y_solve_grid(xs, alpha)
+    with np.errstate(all="ignore"):
+        valid &= y > 1.0 - xs
+        im2 = y**2 - (xs**2 - y**2 - 1.0) ** 2 / 4.0
+        valid &= im2 > 0.0
+        xi3 = -1.0 / (xs**2 + y**2)
+        valid &= xi3 > -2.0
+        im = np.sqrt(np.where(valid, im2, 1.0))
+        a3 = (y**2 - xs**2) / 2.0 - 1j * im
+        z1 = np.full_like(a3, 0.5)
+        z2 = np.full_like(a3, -0.5)
+        ximat = np.stack([np.ones_like(xs), np.ones_like(xs), xi3])
+        shift = xi3 * a3 / (2.0 + xi3)
+        c1_, c2_, c3_ = z1 - shift, z2 - shift, a3 - shift
+
+        def kern(d):
+            return np.abs(d) ** (alpha - 2.0) / d
+
+        d12, d13, d23 = c1_ - c2_, c1_ - c3_, c2_ - c3_
+        vb1 = 1j * ca * (ximat[1] * kern(d12) + ximat[2] * kern(d13))
+        vb2 = 1j * ca * (ximat[0] * kern(-d12) + ximat[2] * kern(d23))
+        vb3 = 1j * ca * (ximat[0] * kern(-d13) + ximat[1] * kern(-d23))
+        q = (vb1 / np.conj(c1_) + vb2 / np.conj(c2_) + vb3 / np.conj(c3_)) / 3.0
+        b = -np.imag(q)
+        pre = -1j * ca / np.abs(c1_) ** 2
+
+        def term(m, d):
+            br = (alpha - 2.0) * np.abs(d) ** (alpha - 4.0) - np.abs(d) ** (alpha - 2.0) / d**2
+            return pre * np.conj(c1_**2 * m * br)
+
+        L13 = term(ximat[2], c2_ - c3_) + term(ximat[0], c2_ - c1_) \
+            + (c2_ / c1_) * term(ximat[1], c1_ - c2_)
+        L14 = term(ximat[2], c2_ - c3_) + (c2_ / c1_) * term(ximat[2], c1_ - c3_)
+        L23 = term(ximat[1], c3_ - c2_) + (c3_ / c1_) * term(ximat[1], c1_ - c2_)
+        L24 = term(ximat[1], c3_ - c2_) + term(ximat[0], c3_ - c1_) \
+            + (c3_ / c1_) * term(ximat[1], c1_ - c3_)
+        c1c = np.abs(L13) ** 2 + np.abs(L24) ** 2 + 2.0 * np.real(L23 * np.conj(L14))
+        c2c = (np.abs(L13) ** 2 * np.abs(L24) ** 2 + np.abs(L23) ** 2 * np.abs(L14) ** 2
+               - 2.0 * np.real(L14 * np.conj(L13) * L23 * np.conj(L24)))
+        disc = c1c * c1c - 4.0 * c2c
+        m2 = 2.0 * b * b - c1c - np.sqrt(np.where(disc > 0.0, disc, 0.0))
+        m = np.minimum(disc, m2)
+        return np.where(valid & np.isfinite(m), m, -np.inf)
+
+
+def _seq_refine_boundary(alpha, x_in, x_out, tol):
+    assert _seq_margin_grid(alpha, np.array([x_in]))[0] > 0.0
+    while abs(x_out - x_in) > tol:
+        mid = 0.5 * (x_in + x_out)
+        if _seq_margin_grid(alpha, np.array([mid]))[0] > 0.0:
+            x_in = mid
+        else:
+            x_out = mid
+    return 0.5 * (x_in + x_out)
+
+
+def _seq_peak_rescue(alpha, xs, margin, tol):
+    finite = np.where(np.isfinite(margin))[0]
+    if len(finite) == 0:
+        return None
+    order = finite[np.argsort(margin[finite])[::-1][:3]]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    for i in order:
+        a_, b_ = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+        c_ = b_ - invphi * (b_ - a_)
+        d_ = a_ + invphi * (b_ - a_)
+        fc = _seq_margin_grid(alpha, np.array([c_]))[0]
+        fd = _seq_margin_grid(alpha, np.array([d_]))[0]
+        while b_ - a_ > max(tol * 0.1, 1e-13):
+            if fc > 0.0:
+                return float(c_)
+            if fd > 0.0:
+                return float(d_)
+            if fc > fd:
+                b_, d_, fd = d_, c_, fc
+                c_ = b_ - invphi * (b_ - a_)
+                fc = _seq_margin_grid(alpha, np.array([c_]))[0]
+            else:
+                a_, c_, fc = c_, d_, fd
+                d_ = a_ + invphi * (b_ - a_)
+                fd = _seq_margin_grid(alpha, np.array([d_]))[0]
+    return None
+
+
+def _seq_x_interval(alpha, coarse, refine_tol):
+    """(x_minus, x_plus, runs) of x_interval, searched sequentially."""
+    xs = np.arange(coarse, 1.0, coarse)
+    margin = _seq_margin_grid(alpha, xs)
+    idx = np.where(margin > 0.0)[0]
+    runs = []
+    if len(idx) == 0:
+        x_star = _seq_peak_rescue(alpha, xs, margin, refine_tol)
+        if x_star is None:
+            return None, None, ()
+        lo = _seq_refine_boundary(alpha, x_star, max(x_star - coarse, coarse * 0.5),
+                                  refine_tol)
+        hi = _seq_refine_boundary(alpha, x_star, min(x_star + coarse, 1.0 - 1e-12),
+                                  refine_tol)
+        runs.append((lo, hi))
+    else:
+        breaks = np.where(np.diff(idx) > 1)[0]
+        starts = np.concatenate([[0], breaks + 1])
+        ends = np.concatenate([breaks, [len(idx) - 1]])
+        for s, e in zip(starts, ends):
+            i0, i1 = idx[s], idx[e]
+            lo_out = xs[i0 - 1] if i0 > 0 else coarse * 0.5
+            hi_out = xs[i1 + 1] if i1 + 1 < len(xs) else 1.0 - 1e-12
+            runs.append((_seq_refine_boundary(alpha, xs[i0], lo_out, refine_tol),
+                         _seq_refine_boundary(alpha, xs[i1], hi_out, refine_tol)))
+    widest = max(runs, key=lambda r: r[1] - r[0])
+    return widest[0], widest[1], tuple(runs)
+
+
+def _bits(v):
+    """Exact bit pattern of a float, or of nested tuples of floats."""
+    if v is None:
+        return None
+    if isinstance(v, tuple):
+        return tuple(_bits(w) for w in v)
+    return float(v).hex()
+
+
+# interior alphas, the empty alphas on either side of alpha_- = 0.9708 and
+# alpha_+ = 2.1343, and the sub-pitch window at alpha = 0.98
+_ORACLE_CASES = (
+    [(a, 1e-4, 1e-7) for a in (0.9, 0.96, 0.969, 0.9705, 0.9708, 0.971, 0.972,
+                               0.975, 1.0, 1.25, 1.5, 1.75, 1.99, 2.01, 2.1,
+                               2.133, 2.134, 2.1343, 2.135, 2.14, 2.2, 2.5)]
+    + [(a, 1e-3, 1e-7) for a in (0.95, 0.97, 0.98, 0.99, 1.1, 1.4, 1.9, 2.05,
+                                 2.13, 2.137, 2.3)]
+    + [(a, 5e-4, 1e-6) for a in (0.9712, 1.2, 1.6, 2.12, 2.1345)]
+    + [(1.5, 1e-3, 3e-9), (0.98, 2e-3, 1e-8)]
+)
+
+
+@pytest.mark.parametrize("alpha, coarse, tol", _ORACLE_CASES)
+def test_x_interval_matches_sequential_search_bitwise(alpha, coarse, tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rec = gsqg.x_interval(alpha, coarse=coarse, refine_tol=tol)
+    x_minus, x_plus, runs = _seq_x_interval(alpha, coarse, tol)
+    assert rec.empty == (x_minus is None)
+    assert _bits((rec.x_minus, rec.x_plus)) == _bits((x_minus, x_plus))
+    assert _bits(rec.runs) == _bits(runs)
+
+
+def test_oracle_cases_cross_both_exponents():
+    for alpha in (0.969, 0.9705, 2.135, 2.14):
+        assert gsqg.x_interval(alpha).empty
+    for alpha in (0.971, 2.133):
+        assert not gsqg.x_interval(alpha).empty
+
+
+def test_batched_brackets_match_sequential_bisection_bitwise():
+    # one batched call over brackets of different widths, orientations and
+    # distances from the boundary, against one bisection per bracket
+    alpha, tol = 1.5, 1e-7
+    rec = gsqg.x_interval(alpha, coarse=1e-3, refine_tol=1e-6)
+    lo, hi = rec.x_minus + 1e-4, rec.x_plus - 1e-4
+    brackets = [(lo, rec.x_minus - 1e-4), (hi, 0.999), (lo, 0.05), (hi, rec.x_plus + 3e-7),
+                (0.5 * (lo + hi), rec.x_minus - 0.3), (lo, rec.x_minus - 1e-4)]
+    got = _refine_boundary(alpha, brackets, tol)
+    want = [_seq_refine_boundary(alpha, a, b, tol) for a, b in brackets]
+    assert [_bits(g) for g in got] == [_bits(w) for w in want]
+
+
+@pytest.mark.parametrize("alpha", [0.9, 0.9708, 1.0, 1.5, 2.1343, 2.5])
+def test_margin_grid_matches_sequential_form_bitwise(alpha):
+    xs = np.arange(1e-4, 1.0, 1e-4)
+    got, want = _margin_grid(alpha, xs), _seq_margin_grid(alpha, xs)
+    assert len(xs) == 9999
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _count_grid_calls(monkeypatch):
+    sizes = []
+    inner = search._margin_grid
+
+    def counted(alpha, xs):
+        sizes.append(len(xs))
+        if len(sizes) > 200:
+            raise RuntimeError("runaway search")
+        return inner(alpha, xs)
+
+    monkeypatch.setattr(search, "_margin_grid", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("alpha, max_calls", [(1.5, 3), (1.0, 3), (0.9705, 25), (2.14, 25)])
+def test_margin_grid_calls_per_x_interval(monkeypatch, alpha, max_calls):
+    # one grid scan, then two refinement rounds for an interval or one
+    # lockstep golden-section round per step for an empty alpha; sequential
+    # search took 23 and about 67 calls, nearly all of one point
+    sizes = _count_grid_calls(monkeypatch)
+    gsqg.x_interval(alpha)
+    assert sizes[0] == 9999
+    assert len(sizes) <= max_calls
+    assert min(sizes) > 1
+
+
+# ---------------------------------------------------------------- validation and termination
+
+@pytest.mark.parametrize("kw", [dict(coarse=0.0), dict(coarse=1.0), dict(coarse=-1e-3),
+                                dict(coarse=np.nan), dict(refine_tol=0.0),
+                                dict(refine_tol=-1e-7), dict(refine_tol=np.nan),
+                                dict(refine_tol=np.inf)])
+def test_x_interval_rejects_bad_grid(kw):
+    with pytest.raises(DomainError):
+        gsqg.x_interval(1.0, **kw)
+
+
+@pytest.mark.parametrize("kw", [dict(alpha_step=0.0), dict(alpha_step=-1e-3),
+                                dict(alpha_step=np.nan), dict(alpha_step=np.inf),
+                                dict(coarse=0.0), dict(refine_tol=0.0), dict(jobs=0)])
+def test_sweep_rejects_bad_parameters(kw):
+    with pytest.raises(DomainError):
+        gsqg.sweep(1.4, 1.5, **kw)
+
+
+@pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-2"], ["--alpha-step", "0"],
+                                   ["--x-coarse", "nan"], ["--refine-tol", "-1"]])
+def test_cli_sweep_rejects_bad_parameters(tmp_path, capsys, flags):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha-min", "1.4", "--alpha-max", "1.5", *flags,
+                 "--out", str(out)]) == 1
+    assert "gsqg sweep:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_refinement_to_zero_width_stops_at_adjacent_floats(monkeypatch):
+    sizes = _count_grid_calls(monkeypatch)
+    rec = gsqg.x_interval(1.5, coarse=1e-3, refine_tol=1e-6)
+    x_in = 0.5 * (rec.x_minus + rec.x_plus)
+    x_out = rec.x_plus + 1e-3
+    (x,) = _refine_boundary(1.5, [(x_in, x_out)], 0.0)
+    # x is one of the two adjacent floats that straddle the boundary
+    around = np.array([np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)])
+    assert list(_margin_grid(1.5, around) > 0.0) in ([True, True, False], [True, False, False])
+    assert len(sizes) < 40
+
+
+def test_alpha_bisection_to_zero_width_stops_at_adjacent_floats():
+    probes = []
+
+    def probe(a):
+        probes.append(a)
+        assert len(probes) < 2000
+        return a > 0.3
+
+    a = _bisect_alpha(0.0, 1.0, probe, 0.0)
+    assert a in (0.3, np.nextafter(0.3, 1.0))
+    assert len(probes) < 100
+
+
+def test_refinement_rejects_inadmissible_start():
+    with pytest.raises(ValueError, match="not admissible"):
+        _refine_boundary(1.5, [(0.05, 0.5)], 1e-7)
+
+
+def test_refinement_precondition_survives_optimize_flag():
+    code = ("import sys; from gsqg.search import _refine_boundary\n"
+            "assert sys.flags.optimize\n"
+            "try:\n"
+            "    _refine_boundary(1.5, [(0.05, 0.5)], 1e-7)\n"
+            "except ValueError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(3)\n")
+    src = Path(gsqg.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-O", "-c", code], timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
