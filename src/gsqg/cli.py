@@ -79,6 +79,8 @@ def cmd_find_config(args) -> int:
         x = 0.5 * (rec.x_minus + rec.x_plus)
     else:
         x = args.x
+        if not 0.0 < x < 1.0:
+            raise DomainError(f"--x must lie in (0, 1), got {x}")
     try:
         cfg = oriented_config(args.alpha, x)
     except DomainError as e:
@@ -152,9 +154,9 @@ def cmd_simulate(args) -> int:
 def cmd_burst(args) -> int:
     t_start = time.monotonic()
     scenario = _read_input("scenario", args.scenario, BurstScenario.from_json)
+    icfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.rel_tol * 1e-3)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    icfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.rel_tol * 1e-3)
     diag = convergence_study(scenario, icfg)
     outputs = [_write(out_dir / f"trajectory_tini_{t_ini:.6g}.csv", traj.to_csv())
                for t_ini, traj in zip(scenario.t_ini_sequence, diag.runs)]
@@ -175,7 +177,6 @@ def build_parser() -> _Parser:
     p = _Parser(prog="gsqg", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    default_jobs = int(os.environ.get("GSQG_JOBS", "1"))
 
     fc = sub.add_parser("find-config", help="construct and check one triple")
     fc.add_argument("--alpha", type=float, required=True)
@@ -193,7 +194,9 @@ def build_parser() -> _Parser:
     sw.add_argument("--alpha-step", type=float, default=1e-3)
     sw.add_argument("--x-coarse", type=float, default=1e-4)
     sw.add_argument("--refine-tol", type=float, default=1e-7)
-    sw.add_argument("--jobs", type=int, default=default_jobs)
+    # a string default is converted by `type` only when sweep runs without --jobs
+    sw.add_argument("--jobs", type=int, default=os.environ.get("GSQG_JOBS", "1"),
+                    help="worker processes (default: $GSQG_JOBS, else 1)")
     sw.add_argument("--split-at-2", action="store_true",
                     help="allow ranges straddling the alpha=2 guard band")
     sw.add_argument("--out", type=str, required=True)

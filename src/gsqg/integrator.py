@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernel import (SingularityError, VortexState, coupling_constant,
+from .kernel import (DomainError, SingularityError, VortexState, coupling_constant,
                      make_conserved, make_rhs, min_pair_distance, rhs)
 
 # Dormand-Prince 5(4) tableau
@@ -63,9 +63,9 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-2 and 0.0 < self.abs_tol <= 1e-2):
-            raise ValueError("tolerances must lie in (0, 1e-2]")
+            raise DomainError("tolerances must lie in (0, 1e-2]")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+            raise DomainError("max_steps must be >= 1")
 
 
 @dataclass
@@ -170,9 +170,9 @@ def integrate(state0: VortexState, t1: float,
     """
     t0 = state0.t
     if not np.isfinite(t1):
-        raise ValueError(f"t1 must be finite, got {t1}")
+        raise DomainError(f"t1 must be finite, got {t1}")
     if t1 == t0:
-        raise ValueError("t1 must differ from the initial time")
+        raise DomainError("t1 must differ from the initial time")
     direction = 1.0 if t1 > t0 else -1.0
     xi, alpha = state0.xi.copy(), state0.alpha
     d_init = state0.min_distance()

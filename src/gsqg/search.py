@@ -25,8 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import ALPHA_GUARD, DomainError, coupling_constant
-from .selfsimilar import Classification, TripleConfig, check_H_L_zero
-from .stability import HypothesisReport, hypothesis_a_check
+from .selfsimilar import (Classification, TripleConfig, center, centered, check_H_L_zero,
+                          pair_terms, selfsimilar_rate, vortex_rates)
+from .stability import (HypothesisReport, hypothesis_a_check, l_terms, quartic_coefficients,
+                        quartic_margin)
 
 EPS_Y = 1e-6
 YMAX = 10.0
@@ -137,6 +139,22 @@ class ReducedParams:
             raise DomainError("branch must be +1 or -1")
 
 
+def _reduced_triple(x: np.ndarray, y: np.ndarray, branch: int) -> tuple[np.ndarray, ...]:
+    """Normalized triples for arrays of sides x and y, vortex axis first:
+    positions (1/2, -1/2, a_3) with sign(Im a_3) = branch, intensities
+    (1, 1, xi_3), and the mask of proper triangles with xi_3 > -2."""
+    with np.errstate(all="ignore"):
+        valid = y > 1.0 - x
+        im2 = y**2 - (x**2 - y**2 - 1.0) ** 2 / 4.0
+        valid &= im2 > 0.0
+        xi3 = -1.0 / (x**2 + y**2)
+        valid &= xi3 > -2.0
+        a3 = (y**2 - x**2) / 2.0 + branch * 1j * np.sqrt(np.where(valid, im2, 1.0))
+    z = np.stack([np.full_like(a3, 0.5), np.full_like(a3, -0.5), a3])
+    xi = np.stack([np.ones_like(x), np.ones_like(x), xi3])
+    return z, xi, valid
+
+
 def reduced_config(p: ReducedParams, check_tol: float = 1e-10) -> TripleConfig:
     """Build the normalized triple from reduced parameters.
 
@@ -150,15 +168,12 @@ def reduced_config(p: ReducedParams, check_tol: float = 1e-10) -> TripleConfig:
         resid = abs(x ** (alpha - 2.0) + y ** (alpha - 2.0) - x**2 - y**2)
         if resid > check_tol * max(1.0, x**2 + y**2):
             raise DomainError(f"side-length equation violated (residual {resid:.2e})")
-    im2 = y**2 - (x**2 - y**2 - 1.0) ** 2 / 4.0
-    if im2 <= 0.0:
+    z, xi, valid = _reduced_triple(np.array([x]), np.array([y]), p.branch)
+    if not valid[0]:
+        if xi[2, 0] <= -2.0:
+            raise DomainError(f"xi_3 = {xi[2, 0]} <= -2: nonpositive total intensity")
         raise DomainError("collinear configuration (vanishing height)")
-    xi3 = -1.0 / (x**2 + y**2)
-    if xi3 <= -2.0:
-        raise DomainError(f"xi_3 = {xi3} <= -2: nonpositive total intensity")
-    a3 = (y**2 - x**2) / 2.0 + p.branch * 1j * np.sqrt(im2)
-    cfg = TripleConfig(a=np.array([0.5, -0.5, a3]), xi=np.array([1.0, 1.0, xi3]),
-                       alpha=alpha)
+    cfg = TripleConfig(a=z[:, 0], xi=xi[:, 0], alpha=alpha)
     if checked:
         H, L = check_H_L_zero(cfg)
         if abs(H) > 1e-8 or abs(L) > 1e-8:
@@ -175,8 +190,6 @@ def oriented_config(alpha: float, x: float, y: float | None = None,
     branch gives a > 0.  For alpha < 2 the burst branch has Im(a_3) < 0;
     the sign flips across alpha = 2 together with the coupling constant.
     """
-    from .selfsimilar import center, selfsimilar_rate
-
     if want not in (Classification.BURST, Classification.COLLAPSE):
         raise DomainError("orientation must be burst or collapse")
     if y is None:
@@ -219,9 +232,8 @@ def admissible(x: float, alpha: float) -> Admissibility:
     if not (report.selfsimilar_ok and report.a_positive):
         return Admissibility(False, f"no burst orientation: {report.details}",
                              -np.inf, x, alpha, y, cfg, report)
-    disc = report.c1**2 - 4.0 * report.c2
-    m2 = 2.0 * report.b_rate**2 - report.c1 - np.sqrt(max(disc, 0.0))
-    margin = min(disc, m2)
+    margin = float(quartic_margin(*(np.array([v]) for v in
+                                    (report.b_rate, report.c1, report.c2)))[0])
     return Admissibility(report.passed, report.mu.failure or "eigenvalue condition holds",
                          margin, x, alpha, y, cfg, report)
 
@@ -230,65 +242,21 @@ def _margin_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
     """Vectorized admissibility margin on an x grid.
 
     margin > 0 exactly where `admissible` passes; -inf marks geometric
-    rejection.  Mirrors the scalar pipeline: construct, center, rates on
-    the burst branch, linearization, quartic inequalities.  Each element
-    is computed from its own x alone, so a margin has the same bits in any
-    batch it is evaluated in.
+    rejection.  Runs the scalar pipeline's functions on the whole grid, so
+    a margin has the bits of `admissible(x, alpha).margin`, in any batch.
     """
     ca = coupling_constant(alpha)
     xs = np.asarray(xs, dtype=float)
     y, valid = _y_solve_grid(xs, alpha)
-    margin = np.full_like(xs, -np.inf)
+    # branch Im(a3) < 0; the other branch only flips the sign of a
+    z, xi, shaped = _reduced_triple(xs, y, -1)
     with np.errstate(all="ignore"):
-        valid &= y > 1.0 - xs
-        im2 = y**2 - (xs**2 - y**2 - 1.0) ** 2 / 4.0
-        valid &= im2 > 0.0
-        xi3 = -1.0 / (xs**2 + y**2)
-        valid &= xi3 > -2.0
-        im = np.sqrt(np.where(valid, im2, 1.0))
-        # branch Im(a3) < 0 first; the other branch only flips the sign of a
-        a3 = (y**2 - xs**2) / 2.0 - 1j * im
-        z1 = np.full_like(a3, 0.5)
-        z2 = np.full_like(a3, -0.5)
-        ximat = np.stack([np.ones_like(xs), np.ones_like(xs), xi3])
-        shift = xi3 * a3 / (2.0 + xi3)
-        c1_, c2_, c3_ = z1 - shift, z2 - shift, a3 - shift
-
-        def pair(d):
-            # |d|^(alpha-2)/d, its value at -d, and the bracket
-            # (alpha-2)|d|^(alpha-4) - |d|^(alpha-2)/d^2, which is even in d
-            r = np.abs(d)
-            p = r ** (alpha - 2.0)
-            return p / d, p / -d, (alpha - 2.0) * r ** (alpha - 4.0) - p / d**2
-
-        k12, k21, br12 = pair(c1_ - c2_)
-        k13, k31, br13 = pair(c1_ - c3_)
-        k23, k32, br23 = pair(c2_ - c3_)
-        vb1 = 1j * ca * (ximat[1] * k12 + ximat[2] * k13)
-        vb2 = 1j * ca * (ximat[0] * k21 + ximat[2] * k23)
-        vb3 = 1j * ca * (ximat[0] * k31 + ximat[1] * k32)
-        del k12, k21, k13, k31, k23, k32    # keeps the peak memory of a grid down
-        q = (vb1 / np.conj(c1_) + vb2 / np.conj(c2_) + vb3 / np.conj(c3_)) / 3.0
-        b = -np.imag(q)       # branch-independent
-        # eigenvalue-condition coefficients at the centered positions
-        pre = -1j * ca / np.abs(c1_) ** 2
-        c1sq = c1_**2
-
-        def term(m, br):
-            return pre * np.conj(c1sq * m * br)
-
-        L13 = term(ximat[2], br23) + term(ximat[0], br12) + (c2_ / c1_) * term(ximat[1], br12)
-        L14 = term(ximat[2], br23) + (c2_ / c1_) * term(ximat[2], br13)
-        L23 = term(ximat[1], br23) + (c3_ / c1_) * term(ximat[1], br12)
-        L24 = term(ximat[1], br23) + term(ximat[0], br13) + (c3_ / c1_) * term(ximat[1], br13)
-        c1c = np.abs(L13) ** 2 + np.abs(L24) ** 2 + 2.0 * np.real(L23 * np.conj(L14))
-        c2c = (np.abs(L13) ** 2 * np.abs(L24) ** 2 + np.abs(L23) ** 2 * np.abs(L14) ** 2
-               - 2.0 * np.real(L14 * np.conj(L13) * L23 * np.conj(L24)))
-        disc = c1c * c1c - 4.0 * c2c
-        m2 = 2.0 * b * b - c1c - np.sqrt(np.where(disc > 0.0, disc, 0.0))
-        m = np.minimum(disc, m2)
-        margin = np.where(valid & np.isfinite(m), m, -np.inf)
-    return margin
+        z = centered(z, xi)
+        kern, bracket = pair_terms(z, alpha)
+        b = -np.imag(vortex_rates(z, xi, ca, kern)[1])       # branch-independent
+        del kern    # keeps the peak memory of a grid down
+        m = quartic_margin(b, *quartic_coefficients(*l_terms(z, xi, ca, bracket)))
+    return np.where(valid & shaped & np.isfinite(m), m, -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +474,8 @@ def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
     deterministically ordered by alpha) and refines the critical exponents
     alpha_-/alpha_+ by bisection on interval emptiness to width alpha_step.
     """
-    if alpha_min > alpha_max:
-        raise DomainError("alpha_min must not exceed alpha_max")
+    if not -np.inf < alpha_min <= alpha_max < np.inf:
+        raise DomainError(f"need finite alpha_min <= alpha_max, got [{alpha_min}, {alpha_max}]")
     if not 0.0 < alpha_step < np.inf:
         raise DomainError(f"alpha_step must be finite and positive, got {alpha_step}")
     _check_grid(coarse, refine_tol)

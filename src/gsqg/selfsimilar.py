@@ -54,6 +54,8 @@ class TripleConfig:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "xi", xi)
         coupling_constant(self.alpha)  # validates alpha
+        if not (np.isfinite(a).all() and np.isfinite(xi).all()):
+            raise DomainError("positions and intensities must be finite")
         if np.any(xi == 0.0):
             raise DomainError("all intensities must be nonzero")
         d = [abs(a[0] - a[1]), abs(a[0] - a[2]), abs(a[1] - a[2])]
@@ -62,10 +64,6 @@ class TripleConfig:
 
     def state(self, t: float = 0.0) -> VortexState:
         return VortexState(t=t, z=self.a.copy(), xi=self.xi.copy(), alpha=self.alpha)
-
-    def is_centered(self, tol: float = 1e-12) -> bool:
-        scale = np.max(np.abs(self.a)) * np.max(np.abs(self.xi))
-        return abs(np.sum(self.xi * self.a)) <= tol * max(scale, 1.0)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -112,13 +110,45 @@ class SelfSimilarMotion:
                    theta0=o["theta0"], alpha=o["alpha"])
 
 
+# Array forms of the triple pipeline, vortex axis first: z[j] and xi[j]
+# hold vortex j over any batch shape, and one triple is a batch of one.
+# The admissibility grid and the scalar checks share them, and each
+# element depends on its own triple alone, so both get the same bits.
+
+def centered(z: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Positions shifted so the center of vorticity sits at the origin."""
+    return z - (xi[0] * z[0] + xi[1] * z[1] + xi[2] * z[2]) / (xi[0] + xi[1] + xi[2])
+
+
+def pair_terms(z: np.ndarray, alpha: float) -> tuple[dict, dict]:
+    """Pair values, once per pair j < k: kern[j, k] = |d|^(alpha-2) / d at
+    d = z_j - z_k, kern[k, j] its value at -d, and the bracket
+    (alpha-2) |d|^(alpha-4) - |d|^(alpha-2) / d^2, which is even in d."""
+    kern, bracket = {}, {}
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        d = z[j] - z[k]
+        r = np.abs(d)
+        p = r ** (alpha - 2.0)
+        kern[j, k], kern[k, j] = p / d, p / -d
+        bracket[j, k] = (alpha - 2.0) * r ** (alpha - 4.0) - p / d**2
+    return kern, bracket
+
+
+def vortex_rates(z: np.ndarray, xi: np.ndarray, c_alpha: float,
+                 kern: dict) -> tuple[list, np.ndarray]:
+    """q_j = (i c_alpha sum_{k != j} xi_k kern[j, k]) / conj(z_j) for each
+    vortex of a centered triple, and their mean a - i b."""
+    q = [1j * c_alpha * (xi[k] * kern[j, k] + xi[m] * kern[j, m]) / np.conj(z[j])
+         for j, k, m in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    return q, (q[0] + q[1] + q[2]) / 3.0
+
+
 def center(cfg: TripleConfig) -> TripleConfig:
     """Translate so the center of vorticity sits at the origin."""
-    total = float(np.sum(cfg.xi))
-    if total == 0.0:
+    if float(np.sum(cfg.xi)) == 0.0:
         raise DomainError("zero total intensity: vorticity-weighted center undefined")
-    shift = np.sum(cfg.xi * cfg.a) / total
-    return TripleConfig(a=cfg.a - shift, xi=cfg.xi, alpha=cfg.alpha)
+    return TripleConfig(a=centered(cfg.a[:, None], cfg.xi[:, None])[:, 0],
+                        xi=cfg.xi, alpha=cfg.alpha)
 
 
 def selfsimilar_rate(cfg: TripleConfig) -> tuple[float, float, float]:
@@ -131,17 +161,10 @@ def selfsimilar_rate(cfg: TripleConfig) -> tuple[float, float, float]:
     """
     if np.any(cfg.a == 0.0):
         raise DomainError("vortex at the origin: q_j undefined")
-    ca = coupling_constant(cfg.alpha)
-    a, xi, alpha = cfg.a, cfg.xi, cfg.alpha
-    q = np.empty(3, dtype=complex)
-    for j in range(3):
-        d = a[j] - np.delete(a, j)
-        w = np.delete(xi, j)
-        vbar = 1j * ca * np.sum(w * np.abs(d) ** (alpha - 2.0) / d)
-        q[j] = vbar / np.conj(a[j])
-    mean = complex(np.mean(q))
-    residual = float(np.max(np.abs(q - mean)))
-    return mean.real, -mean.imag, residual
+    z, xi = cfg.a[:, None], cfg.xi[:, None]
+    q, mean = vortex_rates(z, xi, coupling_constant(cfg.alpha), pair_terms(z, cfg.alpha)[0])
+    residual = max(float(np.abs(qj - mean)[0]) for qj in q)
+    return float(mean.real[0]), float(-mean.imag[0]), residual
 
 
 def check_H_L_zero(cfg: TripleConfig) -> tuple[float, float]:
@@ -152,12 +175,10 @@ def check_H_L_zero(cfg: TripleConfig) -> tuple[float, float]:
 
 def classify(cfg: TripleConfig) -> Classification:
     """Classify a centered triple by the self-similarity relation."""
-    a_rate, _, residual = selfsimilar_rate(cfg)
+    a_rate, b_rate, residual = selfsimilar_rate(cfg)
     if residual > SS_TOL:
         return Classification.NOT_SELF_SIMILAR
-    if abs(a_rate) <= RATE_TOL:
-        return Classification.RELATIVE_EQUILIBRIUM
-    return Classification.BURST if a_rate > 0 else Classification.COLLAPSE
+    return SelfSimilarMotion(a_rate, b_rate, 0.0, 0.0, cfg.alpha).classification()
 
 
 def zeta(motion: SelfSimilarMotion, t: float) -> complex:

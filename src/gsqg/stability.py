@@ -29,7 +29,8 @@ import numpy as np
 import scipy.linalg
 
 from .kernel import DomainError, SingularityError, coupling_constant
-from .selfsimilar import RATE_TOL, SS_TOL, TripleConfig, center, selfsimilar_rate
+from .selfsimilar import (RATE_TOL, SS_TOL, TripleConfig, center, pair_terms,
+                          selfsimilar_rate)
 
 EIG_TOL = 1e-8
 
@@ -106,10 +107,12 @@ class HypothesisReport:
         return json.dumps(obj, indent=2)
 
 
-def l_matrix(cfg: TripleConfig, a_rate: float, b_rate: float) -> StabilityMatrix:
-    """Assemble the linearization matrix at the triple's positions.
+def l_terms(z: np.ndarray, xi: np.ndarray, c_alpha: float,
+            br: dict) -> tuple[np.ndarray, ...]:
+    """Off-diagonal coefficients (L13, L14, L23, L24) of a centered triple
+    given vortex axis first, with brackets `br` from `pair_terms`.
 
-    The four off-diagonal coefficients are sums of terms
+    Each is a sum of terms
 
         -(i c_alpha / |a1|^2) conj(a1^2 xi_m ((alpha-2)|d|^(alpha-4)
                                               - |d|^(alpha-2) / d^2))
@@ -117,56 +120,66 @@ def l_matrix(cfg: TripleConfig, a_rate: float, b_rate: float) -> StabilityMatrix
     over the interactions that perturb each shape coordinate, with a2/a1
     or a3/a1 prefactors on the contributions routed through vortex 1.
     """
-    ca = coupling_constant(cfg.alpha)
-    alpha = cfg.alpha
-    a1, a2, a3 = cfg.a
-    dmin = 1e-12 * max(abs(a1 - a2), abs(a1 - a3), abs(a2 - a3))
-    pre = -1j * ca / abs(a1) ** 2
+    pre = -1j * c_alpha / np.abs(z[0]) ** 2
+    z1sq = z[0] ** 2
 
-    def term(m: float, d: complex) -> complex:
-        if abs(d) < dmin:
-            raise SingularityError(f"coincident vortices in linearization: |d|={abs(d):.3e}")
-        bracket = (alpha - 2.0) * abs(d) ** (alpha - 4.0) - abs(d) ** (alpha - 2.0) / d**2
-        return pre * np.conj(a1**2 * m * bracket)
+    def term(m, bracket):
+        return pre * np.conj(z1sq * m * bracket)
 
-    xi1, xi2, xi3 = cfg.xi
-    L13 = term(xi3, a2 - a3) + term(xi1, a2 - a1) + (a2 / a1) * term(xi2, a1 - a2)
-    L14 = term(xi3, a2 - a3) + (a2 / a1) * term(xi3, a1 - a3)
-    L23 = term(xi2, a3 - a2) + (a3 / a1) * term(xi2, a1 - a2)
-    L24 = term(xi2, a3 - a2) + term(xi1, a3 - a1) + (a3 / a1) * term(xi2, a1 - a3)
-
-    d1 = -a_rate - 1j * b_rate
-    d2 = -a_rate + 1j * b_rate
-    M = np.array(
-        [
-            [d1, 0.0, L13, L14],
-            [0.0, d1, L23, L24],
-            [np.conj(L13), np.conj(L14), d2, 0.0],
-            [np.conj(L23), np.conj(L24), 0.0, d2],
-        ],
-        dtype=complex,
-    )
-    return StabilityMatrix(entries=M, a_rate=a_rate, b_rate=b_rate,
-                           off=(complex(L13), complex(L14), complex(L23), complex(L24)))
+    r2, r3 = z[1] / z[0], z[2] / z[0]
+    L13 = term(xi[2], br[1, 2]) + term(xi[0], br[0, 1]) + r2 * term(xi[1], br[0, 1])
+    L14 = term(xi[2], br[1, 2]) + r2 * term(xi[2], br[0, 2])
+    L23 = term(xi[1], br[1, 2]) + r3 * term(xi[1], br[0, 1])
+    L24 = term(xi[1], br[1, 2]) + term(xi[0], br[0, 2]) + r3 * term(xi[1], br[0, 2])
+    return L13, L14, L23, L24
 
 
-def mu_coefficients(M: StabilityMatrix) -> tuple[float, float]:
-    """Coefficients (c1, c2) of the eigenvalue quartic.
+def quartic_coefficients(L13, L14, L23, L24) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (c1, c2) of the eigenvalue quartic, in real arithmetic:
 
     c1 = |L13|^2 + |L24|^2 + 2 Re(L23 conj(L14)),
     c2 = |L13|^2 |L24|^2 + |L23|^2 |L14|^2 - 2 Re(L14 conj(L13) L23 conj(L24)).
-    Both are manifestly real; computed in complex arithmetic as a guard.
     """
-    L13, L14, L23, L24 = M.off
-    c1 = L13 * np.conj(L13) + L24 * np.conj(L24) + L23 * np.conj(L14) + L14 * np.conj(L23)
-    c2 = (L13 * np.conj(L13) * L24 * np.conj(L24)
-          + L23 * np.conj(L23) * L14 * np.conj(L14)
-          - L14 * np.conj(L13) * L23 * np.conj(L24)
-          - L13 * np.conj(L14) * L24 * np.conj(L23))
-    scale = max(abs(c1), abs(c2), 1.0)
-    if abs(c1.imag) > 1e-12 * scale or abs(c2.imag) > 1e-12 * scale:
-        raise ArithmeticError(f"mu coefficients not real: {c1}, {c2}")
-    return float(c1.real), float(c2.real)
+    c1 = np.abs(L13) ** 2 + np.abs(L24) ** 2 + 2.0 * np.real(L23 * np.conj(L14))
+    c2 = (np.abs(L13) ** 2 * np.abs(L24) ** 2 + np.abs(L23) ** 2 * np.abs(L14) ** 2
+          - 2.0 * np.real(L14 * np.conj(L13) * L23 * np.conj(L24)))
+    return c1, c2
+
+
+def quartic_mu2(b, c1, c2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """disc = c1^2 - 4 c2 and twice the roots in mu^2, 2 b^2 - c1 -+ sqrt(disc)
+    (with sqrt(disc) read as 0 where disc <= 0)."""
+    disc = c1 * c1 - 4.0 * c2
+    base = 2.0 * b * b - c1
+    s = np.sqrt(np.where(disc > 0.0, disc, 0.0))
+    return disc, base - s, base + s
+
+
+def quartic_margin(b, c1, c2) -> np.ndarray:
+    """min(disc, 2 b^2 - c1 - sqrt(disc)): positive exactly at four distinct real mu."""
+    disc, lo2, _ = quartic_mu2(b, c1, c2)
+    return np.minimum(disc, lo2)
+
+
+def l_matrix(cfg: TripleConfig, a_rate: float, b_rate: float) -> StabilityMatrix:
+    """Assemble the linearization matrix at the triple's positions."""
+    a = cfg.a
+    d = np.abs(a[[0, 0, 1]] - a[[1, 2, 2]])
+    if d.min() < 1e-12 * d.max():
+        raise SingularityError(f"coincident vortices in linearization: |d|={d.min():.3e}")
+    z = a[:, None]
+    off = tuple(complex(v[0]) for v in l_terms(z, cfg.xi[:, None], coupling_constant(cfg.alpha),
+                                                 pair_terms(z, cfg.alpha)[1]))
+    D = np.diag([-a_rate - 1j * b_rate] * 2)
+    T = np.array(off).reshape(2, 2)
+    M = np.block([[D, T], [T.conj(), D.conj()]])
+    return StabilityMatrix(entries=M, a_rate=a_rate, b_rate=b_rate, off=off)
+
+
+def mu_coefficients(M: StabilityMatrix) -> tuple[float, float]:
+    """Coefficients (c1, c2) of the eigenvalue quartic (`quartic_coefficients`)."""
+    c1, c2 = quartic_coefficients(*(np.array([v]) for v in M.off))
+    return float(c1[0]), float(c2[0])
 
 
 def mu_roots(b_rate: float, c1: float, c2: float) -> MuRoots:
@@ -176,17 +189,13 @@ def mu_roots(b_rate: float, c1: float, c2: float) -> MuRoots:
     so four distinct real mu exist exactly when c1^2 - 4 c2 > 0 and
     2 b^2 - c1 - sqrt(c1^2 - 4 c2) > 0.  Failure is a value, not an error.
     """
-    disc = c1 * c1 - 4.0 * c2
+    disc, lo2, hi2 = (float(v[0]) for v in
+                      quartic_mu2(np.array([b_rate]), np.array([c1]), np.array([c2])))
     if disc <= 0.0:
         return MuRoots(None, failure=f"complex mu^2: c1^2 - 4 c2 = {disc:.6e} <= 0")
-    s = np.sqrt(disc)
-    lo = (2.0 * b_rate**2 - c1 - s) / 2.0
-    if lo <= 0.0:
-        return MuRoots(
-            None, failure=f"negative mu^2: 2 b^2 - c1 - sqrt(disc) = {2*lo:.6e} <= 0"
-        )
-    hi = (2.0 * b_rate**2 - c1 + s) / 2.0
-    r = np.sqrt([lo, hi])
+    if lo2 <= 0.0:
+        return MuRoots(None, failure=f"negative mu^2: 2 b^2 - c1 - sqrt(disc) = {lo2:.6e} <= 0")
+    r = np.sqrt([lo2 / 2.0, hi2 / 2.0])
     return MuRoots(np.array([-r[1], -r[0], r[0], r[1]]))
 
 
@@ -224,20 +233,17 @@ def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
     c1, c2 = mu_coefficients(M)
     mu = mu_roots(b_rate, c1, c2)
     eigs = eigen4(M)
-    if not mu.ok:
-        return HypothesisReport(
-            selfsimilar_ok=True, a_positive=True, mu=mu, eigen_ok=False,
-            distinct=False, details=mu.failure or "", a_rate=a_rate,
-            b_rate=b_rate, matrix=M, c1=c1, c2=c2, eigenvalues=eigs,
-        )
-    # oracle agreement: eigenvalues must be -a + i mu_j
-    predicted = -a_rate + 1j * mu.roots
-    order_p = np.argsort(predicted.imag)
-    order_e = np.argsort(eigs.imag)
-    mismatch = float(np.max(np.abs(predicted[order_p] - eigs[order_e])))
-    eig_ok = bool(mismatch <= EIG_TOL and np.max(np.abs(eigs.real + a_rate)) <= EIG_TOL)
-    distinct = mu_distinct(mu.roots)
-    detail = f"max |eig - (-a + i mu)| = {mismatch:.3e}"
+    eig_ok = distinct = False
+    detail = mu.failure
+    if mu.ok:
+        # oracle agreement: eigenvalues must be -a + i mu_j
+        predicted = -a_rate + 1j * mu.roots
+        order_p = np.argsort(predicted.imag)
+        order_e = np.argsort(eigs.imag)
+        mismatch = float(np.max(np.abs(predicted[order_p] - eigs[order_e])))
+        eig_ok = bool(mismatch <= EIG_TOL and np.max(np.abs(eigs.real + a_rate)) <= EIG_TOL)
+        distinct = mu_distinct(mu.roots)
+        detail = f"max |eig - (-a + i mu)| = {mismatch:.3e}"
     return HypothesisReport(
         selfsimilar_ok=True, a_positive=True, mu=mu, eigen_ok=eig_ok,
         distinct=distinct, details=detail, a_rate=a_rate, b_rate=b_rate,

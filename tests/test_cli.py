@@ -199,3 +199,43 @@ def test_missing_or_malformed_input_exits_one(tmp_path, capsys, command, flag,
     err = capsys.readouterr().err
     assert f"gsqg {command}: {cause}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_gsqg_jobs_is_read_only_by_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GSQG_JOBS", "x")
+    cfg = tmp_path / "cfg.json"
+    assert main(["find-config", "--alpha", "1.0", "--x", str(THM_X), "--out", str(cfg)]) == 0
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--alpha-min", "1.3", "--alpha-max", "1.3", "--x-coarse", "1e-3",
+            "--out", str(out)]
+    with pytest.raises(SystemExit) as e:
+        main(args)
+    assert e.value.code == 1
+    assert "gsqg sweep: error: argument --jobs: invalid int value: 'x'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["--jobs", "1"]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["find-config", "--alpha", "1.0", "--x", "1.5"],
+    ["find-config", "--alpha", "1.0", "--x", "nan"],
+    ["simulate", "--config", "{cfg}", "--t0", "0", "--t1", "nan"],
+    ["simulate", "--config", "{cfg}", "--t0", "0", "--t1", "1", "--rel-tol", "0"],
+    ["simulate", "--config", "{nan_cfg}", "--t0", "0", "--t1", "1"],
+    ["burst", "--scenario", "{scenario}", "--rel-tol", "0"],
+    ["sweep", "--alpha-min", "nan", "--alpha-max", "1.0"],
+])
+def test_bad_number_exits_one(tmp_path, capsys, args):
+    cfg = gsqg.oriented_config(1.0, THM_X)
+    paths = {name: tmp_path / f"{name}.json" for name in ("cfg", "nan_cfg", "scenario")}
+    paths["cfg"].write_text(cfg.to_json())
+    paths["nan_cfg"].write_text(cfg.to_json().replace('"intensities": [1.0', '"intensities": [NaN'))
+    paths["scenario"].write_text(gsqg.BurstScenario(
+        triple=cfg, background=((1.0 + 0j, 1.0),), t_ini_sequence=(1e-4, 5e-5, 2.5e-5),
+        horizon=5e-4).to_json())
+    out = tmp_path / "out"
+    argv = [a.format(**paths) for a in args] + ["--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("gsqg ", "find-config:")) and "Traceback" not in err
+    assert not out.exists()

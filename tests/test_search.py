@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsqg
 from gsqg import search
@@ -143,16 +145,42 @@ def test_inadmissible_small_x():
     assert not gsqg.admissible(0.05, 1.0).ok
 
 
-def test_scalar_and_grid_paths_agree():
+def _scalar_grid_points():
+    """The 40 seeded points of the earlier sign check, 260 more on both
+    sides of alpha = 2, and 36 inside the admissible windows."""
     rng = np.random.default_rng(8)
     for _ in range(40):
         alpha = float(rng.uniform(0.9, 2.25))
         if abs(alpha - 2.0) <= 2e-3:
             continue
-        x = float(rng.uniform(0.3, 0.99))
-        ok_scalar = gsqg.admissible(x, alpha).ok
-        ok_grid = bool(_margin_grid(alpha, np.array([x]))[0] > 0)
-        assert ok_scalar == ok_grid
+        yield alpha, float(rng.uniform(0.3, 0.99))
+    rng = np.random.default_rng(11)
+    for _ in range(260):
+        alpha = float(rng.uniform(0.9, 2.6))
+        if abs(alpha - 2.0) <= 2e-3:
+            continue
+        yield alpha, float(rng.uniform(0.05, 0.999))
+    for alpha in (1.2, 1.5, 1.8, 1.95, 2.05, 2.1):
+        rec = gsqg.x_interval(alpha, coarse=1e-3, refine_tol=1e-6)
+        for x in rng.uniform(rec.x_minus, rec.x_plus, 6):
+            yield alpha, float(x)
+
+
+def test_scalar_margin_is_the_grid_margin_bitwise():
+    reached = {False: 0, True: 0}
+    passed = 0
+    for alpha, x in _scalar_grid_points():
+        res = gsqg.admissible(x, alpha)
+        grid = _margin_grid(alpha, np.array([x]))[0]
+        if res.report is None or res.report.matrix is None:
+            # rejected before the quartic: no side, no triangle or no burst
+            assert not res.ok and not grid > 0.0, (alpha, x)
+            continue
+        assert float(res.margin).hex() == float(grid).hex(), (alpha, x)
+        assert res.ok == (res.margin > 0.0), (alpha, x)
+        reached[alpha > 2.0] += 1
+        passed += res.ok
+    assert reached[False] >= 100 and reached[True] >= 50 and passed >= 30
 
 
 # ---------------------------------------------------------------- intervals
@@ -392,6 +420,17 @@ def test_margin_grid_matches_sequential_form_bitwise(alpha):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.one_of(st.floats(0.9, 1.99), st.floats(2.01, 2.6)),
+       xs=st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=40))
+def test_margin_grid_element_independent_of_batch(alpha, xs):
+    # batched refinement and peak rescue rely on this
+    xs = np.array(xs)
+    got = _margin_grid(alpha, xs)
+    alone = np.array([_margin_grid(alpha, xs[i:i + 1])[0] for i in range(len(xs))])
+    assert np.array_equal(got.view(np.int64), alone.view(np.int64))
+
+
 def _count_grid_calls(monkeypatch):
     sizes = []
     inner = search._margin_grid
@@ -435,6 +474,13 @@ def test_x_interval_rejects_bad_grid(kw):
 def test_sweep_rejects_bad_parameters(kw):
     with pytest.raises(DomainError):
         gsqg.sweep(1.4, 1.5, **kw)
+
+
+@pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (1.0, np.nan), (-np.inf, 1.0),
+                                   (1.0, np.inf)])
+def test_sweep_rejects_non_finite_alpha_range(lo, hi):
+    with pytest.raises(DomainError):
+        gsqg.sweep(lo, hi)
 
 
 @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-2"], ["--alpha-step", "0"],

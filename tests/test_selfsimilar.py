@@ -230,6 +230,16 @@ def test_config_json_roundtrip(thm_cfg):
     assert back.alpha == thm_cfg.alpha
 
 
+@pytest.mark.parametrize("old, new", [('"intensities": [1.0', '"intensities": [NaN'),
+                                      ('"positions": [[0.5', '"positions": [[NaN'),
+                                      ('"positions": [[0.5', '"positions": [[Infinity')])
+def test_config_json_rejects_non_finite(thm_cfg, old, new):
+    text = thm_cfg.to_json()
+    assert old in text
+    with pytest.raises(DomainError):
+        gsqg.TripleConfig.from_json(text.replace(old, new))
+
+
 def test_motion_json_roundtrip(thm_motion):
     back = gsqg.SelfSimilarMotion.from_json(thm_motion.to_json())
     assert back == thm_motion
