@@ -22,6 +22,8 @@ from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
                           center, motion_from_config, zeta)
 
 RHO_SEP_DEFAULT = 0.5
+# points of the log-spaced time grid of the Cauchy study
+CAUCHY_GRID = 120
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,7 @@ def run_burst(s: BurstScenario, t_ini: float,
 
 
 def convergence_study(s: BurstScenario,
-                      cfg: IntegratorConfig = IntegratorConfig(),
-                      n_grid: int = 120) -> BurstDiagnostics:
+                      cfg: IntegratorConfig = IntegratorConfig()) -> BurstDiagnostics:
     """Cauchy study over the t_ini refinement sequence.
 
     Successive runs are compared in the sup norm over a shared log-spaced
@@ -191,7 +192,7 @@ def convergence_study(s: BurstScenario,
         raise DomainError("convergence study is defined on the burst orientation")
     runs = [run_burst(s, t_ini, cfg) for t_ini in s.t_ini_sequence]
     trajs = tuple(traj for traj, _ in runs)
-    grid = [float(t) for t in np.geomspace(s.t_ini_sequence[0], s.horizon, n_grid)]
+    grid = [float(t) for t in np.geomspace(s.t_ini_sequence[0], s.horizon, CAUCHY_GRID)]
     gaps = tuple(max(float(np.max(np.abs(a.eval(t) - b.eval(t)))) for t in grid)
                  for a, b in zip(trajs, trajs[1:]))
     # exponent and drift come from the run closest to the singular time

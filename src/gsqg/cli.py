@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .burstsim import BurstScenario, convergence_study
 from .integrator import IntegratorConfig, Status, integrate, integrate_collapse
-from .kernel import ALPHA_GUARD, DomainError, VortexState
+from .kernel import ALPHA_GUARD, DomainError, VortexState, check_alpha
 from .selfsimilar import Classification, TripleConfig, center, classify
 from .search import oriented_config, sweep, sweep_csv, x_interval
 from .stability import hypothesis_a_check
@@ -71,6 +71,7 @@ def cmd_find_config(args) -> int:
     if args.x is None and not args.auto:
         print("find-config: provide --x or --auto", file=sys.stderr)
         return EXIT_USAGE
+    check_alpha(args.alpha)     # a usage error, not a failed construction
     if args.auto:
         rec = x_interval(args.alpha, coarse=args.x_coarse, refine_tol=args.refine_tol)
         if rec.empty:

@@ -90,11 +90,6 @@ class VortexState:
     def dmin(self) -> float:
         return DMIN_FACTOR * self.diameter()
 
-    def replace(self, **kw) -> "VortexState":
-        data = {"t": self.t, "z": self.z, "xi": self.xi, "alpha": self.alpha}
-        data.update(kw)
-        return VortexState(**data)
-
 
 @dataclass(frozen=True)
 class ConservedQuantities:

@@ -18,6 +18,7 @@ x_+(alpha)) which closes at two critical exponents alpha_- and alpha_+.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import io
 import warnings
 from dataclasses import dataclass, field
@@ -32,6 +33,9 @@ from .stability import (HypothesisReport, hypothesis_a_check, l_terms, quartic_c
 
 EPS_Y = 1e-6
 YMAX = 10.0
+# residual tolerance and iteration cap of the y(x) Newton solve
+Y_TOL = 1e-12
+Y_MAX_ITER = 90
 # bisection levels per batched _margin_grid call in boundary refinement
 REFINE_DEPTH = 5
 
@@ -44,8 +48,7 @@ class NoRootError(DomainError):
 # side-length equation
 # ---------------------------------------------------------------------------
 
-def _y_solve_grid(xs: np.ndarray, alpha: float, tol: float = 1e-12,
-                  max_iter: int = 90) -> tuple[np.ndarray, np.ndarray]:
+def _y_solve_grid(xs: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized safeguarded Newton for y(x) on a grid.
 
     Solves y^2 - y^(alpha-2) = x^(alpha-2) - x^2 on [max(1-x, EPS_Y), YMAX].
@@ -66,9 +69,9 @@ def _y_solve_grid(xs: np.ndarray, alpha: float, tol: float = 1e-12,
     glo, ghi = g(lo), g(hi)
     valid = (glo < 0.0) & (ghi > 0.0)
     y = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(Y_MAX_ITER):
         gy = g(y)
-        done = np.abs(gy) <= tol
+        done = np.abs(gy) <= Y_TOL
         if np.all(done | ~valid):
             break
         # maintain the bracket
@@ -82,13 +85,13 @@ def _y_solve_grid(xs: np.ndarray, alpha: float, tol: float = 1e-12,
     return y, valid
 
 
-def y_from_x(x: float, alpha: float, tol: float = 1e-12) -> float:
+def y_from_x(x: float, alpha: float) -> float:
     """Side length y solving x^(alpha-2) + y^(alpha-2) = x^2 + y^2 with
     y > max(0, 1 - x), by safeguarded Newton with bisection fallback."""
     if not 0.0 < x <= 1.0:
         raise DomainError(f"x must lie in (0, 1], got {x}")
     coupling_constant(alpha)
-    y, valid = _y_solve_grid(np.array([x]), alpha, tol=tol)
+    y, valid = _y_solve_grid(np.array([x]), alpha)
     if not valid[0]:
         raise NoRootError(
             f"no sign change for y(x) in [max(1-x, {EPS_Y}), {YMAX}] at x={x}, alpha={alpha}"
@@ -119,26 +122,6 @@ def cardano_discriminant(x) -> float:
 # configuration construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReducedParams:
-    """Sides (x, y) and imaginary branch of the third vortex."""
-
-    alpha: float
-    x: float
-    y: float
-    branch: int      # sign of Im(a_3)
-
-    def __post_init__(self):
-        if not 0.0 < self.x < 1.0:
-            raise DomainError(f"x must lie in (0, 1), got {self.x}")
-        if self.y <= 1.0 - self.x:
-            raise DomainError("triangle inequality y > 1 - x violated")
-        if 4.0 * self.y**2 <= (self.x**2 - self.y**2 - 1.0) ** 2:
-            raise DomainError("collinear configuration (degenerate triangle)")
-        if self.branch not in (-1, 1):
-            raise DomainError("branch must be +1 or -1")
-
-
 def _reduced_triple(x: np.ndarray, y: np.ndarray, branch: int) -> tuple[np.ndarray, ...]:
     """Normalized triples for arrays of sides x and y, vortex axis first:
     positions (1/2, -1/2, a_3) with sign(Im a_3) = branch, intensities
@@ -155,6 +138,25 @@ def _reduced_triple(x: np.ndarray, y: np.ndarray, branch: int) -> tuple[np.ndarr
     return z, xi, valid
 
 
+@dataclass(frozen=True)
+class ReducedParams:
+    """Sides (x, y) and imaginary branch of the third vortex."""
+
+    alpha: float
+    x: float
+    y: float
+    branch: int      # sign of Im(a_3)
+
+    def __post_init__(self):
+        if not 0.0 < self.x < 1.0:
+            raise DomainError(f"x must lie in (0, 1), got {self.x}")
+        if self.branch not in (-1, 1):
+            raise DomainError("branch must be +1 or -1")
+        if not _reduced_triple(np.array([self.x]), np.array([self.y]), self.branch)[2][0]:
+            raise DomainError(f"sides x={self.x}, y={self.y} give no proper triangle "
+                              "(y > 1 - x, positive height) with xi_3 > -2")
+
+
 def reduced_config(p: ReducedParams, check_tol: float = 1e-10) -> TripleConfig:
     """Build the normalized triple from reduced parameters.
 
@@ -168,11 +170,7 @@ def reduced_config(p: ReducedParams, check_tol: float = 1e-10) -> TripleConfig:
         resid = abs(x ** (alpha - 2.0) + y ** (alpha - 2.0) - x**2 - y**2)
         if resid > check_tol * max(1.0, x**2 + y**2):
             raise DomainError(f"side-length equation violated (residual {resid:.2e})")
-    z, xi, valid = _reduced_triple(np.array([x]), np.array([y]), p.branch)
-    if not valid[0]:
-        if xi[2, 0] <= -2.0:
-            raise DomainError(f"xi_3 = {xi[2, 0]} <= -2: nonpositive total intensity")
-        raise DomainError("collinear configuration (vanishing height)")
+    z, xi, _ = _reduced_triple(np.array([x]), np.array([y]), p.branch)
     cfg = TripleConfig(a=z[:, 0], xi=xi[:, 0], alpha=alpha)
     if checked:
         H, L = check_H_L_zero(cfg)
@@ -335,75 +333,44 @@ def _refine_boundary(alpha: float, brackets, tol: float) -> list[float]:
     return [0.5 * (x_in + x_out) for x_in, x_out in brackets]
 
 
-def _golden_section(lo: float, hi: float, stop: float):
-    """Golden-section search for a positive margin on [lo, hi], to width
-    `stop`.  A generator: it yields the points whose margins it needs
-    next, is sent those margins, and returns an admissible x or None."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = lo, hi
-    c_ = b_ - invphi * (b_ - a_)
-    d_ = a_ + invphi * (b_ - a_)
-    if not b_ - a_ > stop:
-        return None
-    fc, fd = yield c_, d_
-    while True:
-        if fc > 0.0:
-            return float(c_)
-        if fd > 0.0:
-            return float(d_)
-        if fc > fd:
-            b_, d_, fd = d_, c_, fc
-            c_ = b_ - invphi * (b_ - a_)
-            if not b_ - a_ > stop:
-                return None
-            (fc,) = yield (c_,)
-        else:
-            a_, c_, fc = c_, d_, fd
-            d_ = a_ + invphi * (b_ - a_)
-            if not b_ - a_ > stop:
-                return None
-            (fd,) = yield (d_,)
-
-
 def _peak_rescue(alpha: float, xs: np.ndarray, margin: np.ndarray,
                  tol: float) -> float | None:
     """Golden-section search for a positive margin around the best
     near-miss grid points; catches admissible windows thinner than the
     grid pitch.  Returns an admissible x or None.
 
-    The searches of the three candidates run in lockstep, one _margin_grid
-    call per round, and the first candidate in order that succeeds wins,
-    as if they had run one after another.
+    The searches of the three candidates advance together as arrays, one
+    _margin_grid call per round; NaN in fc/fd marks a pending evaluation.
+    A success stops every search ranked after it, so the first candidate
+    in order that succeeds wins, as if they had run one after another.
     """
     finite = np.where(np.isfinite(margin))[0]
-    if len(finite) == 0:
-        return None
     order = finite[np.argsort(margin[finite])[::-1][:3]]
     stop = max(tol * 0.1, 1e-13)
-    searches = [_golden_section(xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], stop)
-                for i in order]
-    asks: dict[int, tuple] = {}       # points each running search waits for
-    results: dict[int, float | None] = {}
-
-    def resume(k, sent):
-        try:
-            asks[k] = searches[k].send(sent)
-        except StopIteration as end:
-            asks.pop(k, None)
-            results[k] = end.value
-
-    for k in range(len(searches)):
-        resume(k, None)
-    while True:
-        # searches after the first success can no longer be returned
-        hit = min((k for k, x in results.items() if x is not None), default=len(searches))
-        waiting = sorted(k for k in asks if k < hit)
-        if not waiting:
-            return results.get(hit)
-        pts = [x for k in waiting for x in asks[k]]
-        values = iter(_margin_grid(alpha, np.array(pts)))
-        for k in waiting:
-            resume(k, tuple(next(values) for _ in asks[k]))
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a = xs[np.maximum(order - 1, 0)]
+    b = xs[np.minimum(order + 1, len(xs) - 1)]
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    nan = np.full(len(order), np.nan)
+    fc, fd = nan.copy(), nan.copy()
+    live = b - a > stop
+    found = None
+    while live.any():
+        ask_c, ask_d = live & np.isnan(fc), live & np.isnan(fd)
+        m = _margin_grid(alpha, np.concatenate([c[ask_c], d[ask_d]]))
+        n_c = np.count_nonzero(ask_c)
+        fc[ask_c], fd[ask_d] = m[:n_c], m[n_c:]
+        hit = live & ((fc > 0.0) | (fd > 0.0))
+        if hit.any():
+            k = np.argmax(hit)
+            found = float(c[k] if fc[k] > 0.0 else d[k])
+            live[k:] = False
+        # keep [a, d] where fc > fd, else [c, b]; searches no longer live
+        # are never read again
+        a, b, c, d, fc, fd = np.where(fc > fd, (a, d, d - invphi * (d - a), c, nan, fc),
+                                      (c, b, d, c + invphi * (b - c), fd, nan))
+        live &= b - a > stop
+    return found
 
 
 def _check_grid(coarse: float, refine_tol: float) -> None:
@@ -426,23 +393,19 @@ def x_interval(alpha: float, coarse: float = 1e-4,
     _check_grid(coarse, refine_tol)
     xs = np.arange(coarse, 1.0, coarse)
     margin = _margin_grid(alpha, xs)
-    idx = np.where(margin > 0.0)[0]
-    if len(idx) == 0:
+    # runs of admissible grid points begin and end at the sign changes of
+    # the mask padded with False; pad holds each run's outer neighbours
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], margin > 0.0, [False]])))
+    if len(edges) == 0:
         x_star = _peak_rescue(alpha, xs, margin, refine_tol)
         if x_star is None:
             return SweepRecord(alpha, None, None, "empty")
         brackets = [(x_star, max(x_star - coarse, coarse * 0.5)),
                     (x_star, min(x_star + coarse, 1.0 - 1e-12))]
     else:
-        breaks = np.where(np.diff(idx) > 1)[0]
-        starts = np.concatenate([[0], breaks + 1])
-        ends = np.concatenate([breaks, [len(idx) - 1]])
-        brackets = []
-        for s, e in zip(starts, ends):
-            i0, i1 = idx[s], idx[e]
-            lo_out = xs[i0 - 1] if i0 > 0 else coarse * 0.5
-            hi_out = xs[i1 + 1] if i1 + 1 < len(xs) else 1.0 - 1e-12
-            brackets += [(xs[i0], lo_out), (xs[i1], hi_out)]
+        pad = np.concatenate([[coarse * 0.5], xs, [1.0 - 1e-12]])
+        rise = np.arange(len(edges)) % 2 == 0
+        brackets = list(zip(pad[edges + rise], pad[edges + ~rise]))
     bounds = _refine_boundary(alpha, brackets, refine_tol)
     runs = list(zip(bounds[0::2], bounds[1::2]))
     if len(runs) > 1:
@@ -458,11 +421,6 @@ class SweepResult:
     records: tuple[SweepRecord, ...]
     alpha_minus: float | None
     alpha_plus: float | None
-
-
-def _sweep_one(args) -> SweepRecord:
-    alpha, coarse, refine_tol = args
-    return x_interval(alpha, coarse, refine_tol)
 
 
 def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
@@ -484,31 +442,24 @@ def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
     n = int(round((alpha_max - alpha_min) / alpha_step))
     alphas = [alpha_min + k * alpha_step for k in range(n + 1)]
     alphas = [a for a in alphas if 0.0 < a < 3.0 and abs(a - 2.0) > ALPHA_GUARD]
-    tasks = [(a, coarse, refine_tol) for a in alphas]
+    run = functools.partial(x_interval, coarse=coarse, refine_tol=refine_tol)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            records = list(ex.map(_sweep_one, tasks, chunksize=8))
+            records = list(ex.map(run, alphas, chunksize=8))
     else:
-        records = [_sweep_one(t) for t in tasks]
+        records = [run(a) for a in alphas]
+
+    def edge(i: int, j: int) -> float:
+        """Critical alpha between the nonempty record i and its outer
+        neighbour j, or record i's alpha where the sweep ends there."""
+        if not 0 <= j < len(records):
+            return records[i].alpha
+        return _bisect_alpha(records[j].alpha, records[i].alpha,
+                             lambda a: not run(a).empty, alpha_step)
 
     nonempty = [i for i, r in enumerate(records) if not r.empty]
-    a_minus = a_plus = None
-    if nonempty:
-        i0, i1 = nonempty[0], nonempty[-1]
-
-        def probe(a):
-            return not x_interval(a, coarse, refine_tol).empty
-
-        if i0 > 0:
-            a_minus = _bisect_alpha(records[i0 - 1].alpha, records[i0].alpha,
-                                    probe, alpha_step)
-        else:
-            a_minus = records[i0].alpha
-        if i1 + 1 < len(records):
-            a_plus = _bisect_alpha(records[i1 + 1].alpha, records[i1].alpha,
-                                   probe, alpha_step)
-        else:
-            a_plus = records[i1].alpha
+    a_minus = edge(nonempty[0], nonempty[0] - 1) if nonempty else None
+    a_plus = edge(nonempty[-1], nonempty[-1] + 1) if nonempty else None
     return SweepResult(tuple(records), a_minus, a_plus)
 
 

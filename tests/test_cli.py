@@ -224,6 +224,11 @@ def test_gsqg_jobs_is_read_only_by_sweep(tmp_path, capsys, monkeypatch):
     ["simulate", "--config", "{nan_cfg}", "--t0", "0", "--t1", "1"],
     ["burst", "--scenario", "{scenario}", "--rel-tol", "0"],
     ["sweep", "--alpha-min", "nan", "--alpha-max", "1.0"],
+    # an alpha outside (0, 3) or in the guard band around 2 is a usage
+    # error, not a failed construction (exit 2)
+    ["find-config", "--alpha", "nan", "--x", "0.7"],
+    ["find-config", "--alpha", "3.5", "--x", "0.7"],
+    ["find-config", "--alpha", "2.0", "--x", "0.7"],
 ])
 def test_bad_number_exits_one(tmp_path, capsys, args):
     cfg = gsqg.oriented_config(1.0, THM_X)

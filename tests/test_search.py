@@ -457,6 +457,91 @@ def test_margin_grid_calls_per_x_interval(monkeypatch, alpha, max_calls):
     assert min(sizes) > 1
 
 
+# ---------------------------------------------------------------- stubbed margins
+
+def _stub_grid(monkeypatch, margin_of):
+    """Replace _margin_grid by x -> margin_of(x); returns the list of the
+    point arrays it is called with."""
+    calls = []
+
+    def stub(alpha, xs):
+        assert len(xs) > 0, "empty _margin_grid call"
+        calls.append(np.array(xs))
+        return margin_of(np.asarray(xs))
+
+    monkeypatch.setattr(search, "_margin_grid", stub)
+    return calls
+
+
+def _peaks(*windows):
+    """Margin w - |x - p| on each bracket [lo, hi] of (lo, hi, p, w), and -1
+    elsewhere."""
+    def margin_of(x):
+        m = np.full(len(x), -1.0)
+        for lo, hi, p, w in windows:
+            on = (x >= lo) & (x <= hi)
+            m[on] = w - np.abs(x[on] - p)
+        return m
+    return margin_of
+
+
+def test_peak_rescue_first_candidate_in_order_wins(monkeypatch):
+    # candidate 1 (x = 0.5) succeeds in the first round, candidate 0
+    # (x = 0.2) only after many; as in _seq_peak_rescue, candidate 0 wins,
+    # and candidate 2, ranked after the first success, is not resumed
+    xs = np.arange(1, 20) * 0.05
+    margin = np.full(len(xs), -np.inf)
+    margin[[3, 9, 15]] = -0.1, -0.2, -0.3
+    calls = _stub_grid(monkeypatch, _peaks((0.15, 0.25, 0.2123, 1e-6),
+                                           (0.45, 0.55, 0.5, 0.02),
+                                           (0.75, 0.85, 0.81, 1e-6)))
+    x = search._peak_rescue(1.0, xs, margin, 1e-9)
+    assert abs(x - 0.2123) < 1e-6
+    assert len(calls[0]) == 6 and np.any(np.abs(calls[0] - 0.5) < 0.02)
+    later = np.concatenate(calls[1:])
+    assert len(calls) > 10 and np.all((later >= 0.15) & (later <= 0.25))
+
+
+def test_peak_rescue_skips_brackets_narrower_than_stop(monkeypatch):
+    # candidate 0's bracket is 2e-12 wide, below stop = 0.1 * tol = 1e-8
+    xs = np.array([0.1, 0.1 + 1e-12, 0.1 + 2e-12, 0.5, 0.6, 0.7])
+    margin = np.array([-np.inf, -0.1, -np.inf, -np.inf, -0.2, -np.inf])
+    calls = _stub_grid(monkeypatch, _peaks())
+    assert search._peak_rescue(1.0, xs, margin, 1e-7) is None
+    assert calls and np.all(np.concatenate(calls) >= 0.5)
+
+
+def test_peak_rescue_without_finite_margin_makes_no_call(monkeypatch):
+    calls = _stub_grid(monkeypatch, _peaks())
+    xs = np.arange(1, 20) * 0.05
+    assert search._peak_rescue(1.0, xs, np.full(len(xs), -np.inf), 1e-7) is None
+    assert calls == []
+
+
+def test_run_brackets_at_the_grid_ends(monkeypatch):
+    # runs touching the first grid point (the widest), the last one, and
+    # one in between; outer ends coarse * 0.5 and 1 - 1e-12
+    coarse = 0.05
+    xs = np.arange(coarse, 1.0, coarse)
+    assert len(xs) == 19
+    _stub_grid(monkeypatch, lambda x: np.where((x < 0.37) | (np.abs(x - 0.5) < 0.03)
+                                               | (x > 0.93), 1.0, -1.0))
+    seen = []
+    refine = search._refine_boundary
+    monkeypatch.setattr(search, "_refine_boundary",
+                        lambda alpha, brackets, tol: seen.append(brackets)
+                        or refine(alpha, brackets, tol))
+    with pytest.warns(UserWarning, match=r"disconnected \(3 runs\)"):
+        rec = search.x_interval(1.0, coarse=coarse, refine_tol=1e-9)
+    want = [(xs[0], coarse * 0.5), (xs[6], xs[7]), (xs[9], xs[8]), (xs[9], xs[10]),
+            (xs[18], xs[17]), (xs[18], 1.0 - 1e-12)]
+    assert _bits(tuple(seen[0])) == _bits(tuple(want))
+    assert len(rec.runs) == 3
+    assert rec.x_minus == pytest.approx(coarse * 0.5, abs=1e-9)
+    assert rec.x_plus == pytest.approx(0.37, abs=1e-9)
+    assert rec.runs[2][1] == pytest.approx(1.0 - 1e-12, abs=1e-9)
+
+
 # ---------------------------------------------------------------- validation and termination
 
 @pytest.mark.parametrize("kw", [dict(coarse=0.0), dict(coarse=1.0), dict(coarse=-1e-3),
