@@ -29,15 +29,15 @@ from .kernel import ALPHA_GUARD, DomainError, coupling_constant
 from .selfsimilar import (Classification, TripleConfig, center, centered, check_H_L_zero,
                           pair_terms, selfsimilar_rate, vortex_rates)
 from .stability import (HypothesisReport, hypothesis_a_check, l_terms, quartic_coefficients,
-                        quartic_margin)
+                        quartic_margin, quartic_mu2)
 
 EPS_Y = 1e-6
 YMAX = 10.0
 # residual tolerance and iteration cap of the y(x) Newton solve
 Y_TOL = 1e-12
 Y_MAX_ITER = 90
-# bisection levels per batched _margin_grid call in boundary refinement
-REFINE_DEPTH = 5
+# sub-brackets per bracket and round of boundary refinement
+K_SECTION = 32
 
 
 class NoRootError(DomainError):
@@ -237,11 +237,13 @@ def admissible(x: float, alpha: float) -> Admissibility:
 
 
 def _margin_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
-    """Vectorized admissibility margin on an x grid.
+    """Vectorized admissibility margin components (disc, lo2) on an x grid,
+    as the rows of a (2, len(xs)) array.
 
-    margin > 0 exactly where `admissible` passes; -inf marks geometric
-    rejection.  Runs the scalar pipeline's functions on the whole grid, so
-    a margin has the bits of `admissible(x, alpha).margin`, in any batch.
+    Both are positive exactly where `admissible` passes; -inf marks
+    geometric rejection.  Runs the scalar pipeline's functions on the whole
+    grid, so np.minimum of the two rows has the bits of
+    `admissible(x, alpha).margin`, in any batch.
     """
     ca = coupling_constant(alpha)
     xs = np.asarray(xs, dtype=float)
@@ -253,8 +255,9 @@ def _margin_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
         kern, bracket = pair_terms(z, alpha)
         b = -np.imag(vortex_rates(z, xi, ca, kern)[1])       # branch-independent
         del kern    # keeps the peak memory of a grid down
-        m = quartic_margin(b, *quartic_coefficients(*l_terms(z, xi, ca, bracket)))
-    return np.where(valid & shaped & np.isfinite(m), m, -np.inf)
+        disc, lo2, _ = quartic_mu2(b, *quartic_coefficients(*l_terms(z, xi, ca, bracket)))
+        ok = valid & shaped & np.isfinite(np.minimum(disc, lo2))
+    return np.where(ok, np.stack([disc, lo2]), -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -274,103 +277,34 @@ class SweepRecord:
         return self.status == "empty"
 
 
-def _midpoint(a: float, b: float, tol: float) -> float | None:
-    """Next bisection point of the bracket (a, b), or None where bisection
-    stops: at width tol, or where the midpoint rounds onto an endpoint
-    because a and b are adjacent floats."""
-    if abs(b - a) <= tol:
-        return None
-    mid = 0.5 * (a + b)
-    return None if mid == a or mid == b else mid
+def _refine(alpha: float, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray,
+            up: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """K-section of sign changes of the margin components.
 
-
-def _bisection_tree(x_in: float, x_out: float, tol: float, depth: int,
-                    out: list[float]) -> None:
-    """Append every midpoint that the next `depth` bisection steps on the
-    bracket (x_in, x_out) may evaluate."""
-    mid = _midpoint(x_in, x_out, tol) if depth > 0 else None
-    if mid is not None:
-        out.append(mid)
-        _bisection_tree(x_in, mid, tol, depth - 1, out)
-        _bisection_tree(mid, x_out, tol, depth - 1, out)
-
-
-def _refine_boundary(alpha: float, brackets, tol: float) -> list[float]:
-    """Bisect the admissibility predicate on each bracket (x_in, x_out),
-    from an admissible x_in to an inadmissible x_out, to width tol.
-
-    Each _margin_grid call evaluates, for every open bracket, the midpoint
-    tree of the next REFINE_DEPTH bisection levels, and the bisection then
-    follows its path through those margins.  The midpoints are those of
-    one-point-per-call bisection and margins do not depend on their batch,
-    so the boundaries are bit-identical to it.  The admissibility of each
-    x_in is checked in the first call.
+    Bracket k holds a sign change of component comp[k] (0 for disc, 1 for
+    lo2), which is positive at hi[k] where up[k] and at lo[k] otherwise.
+    Each round evaluates the K_SECTION - 1 evenly spaced interior points of
+    every open bracket in one _margin_grid call and keeps the sub-bracket
+    of the first sign change.  A bracket closes at width tol, except while
+    it overlaps a bracket of the other component, so boundaries of
+    different components end up ordered; at adjacent floats it always
+    closes.  Returns the final (lo, hi).
     """
-    brackets = [(float(x_in), float(x_out)) for x_in, x_out in brackets]
-    pts = [x_in for x_in, _ in brackets]
-    first = True
+    lo, hi = lo.copy(), hi.copy()
+    other = comp[:, None] != comp[None, :]
     while True:
-        for x_in, x_out in brackets:
-            _bisection_tree(x_in, x_out, tol, REFINE_DEPTH, pts)
-        if not pts:
-            break
-        inside = dict(zip(pts, _margin_grid(alpha, np.array(pts)) > 0.0))
-        if first and not all(inside[x_in] for x_in, _ in brackets):
-            raise ValueError(f"bracket start not admissible at alpha={alpha}: "
-                             f"{[x for x, _ in brackets if not inside[x]]}")
-        first = False
-        for k, (x_in, x_out) in enumerate(brackets):
-            for _ in range(REFINE_DEPTH):
-                mid = _midpoint(x_in, x_out, tol)
-                if mid is None:
-                    break
-                if inside[mid]:
-                    x_in = mid
-                else:
-                    x_out = mid
-            brackets[k] = (x_in, x_out)
-        pts = []
-    return [0.5 * (x_in + x_out) for x_in, x_out in brackets]
-
-
-def _peak_rescue(alpha: float, xs: np.ndarray, margin: np.ndarray,
-                 tol: float) -> float | None:
-    """Golden-section search for a positive margin around the best
-    near-miss grid points; catches admissible windows thinner than the
-    grid pitch.  Returns an admissible x or None.
-
-    The searches of the three candidates advance together as arrays, one
-    _margin_grid call per round; NaN in fc/fd marks a pending evaluation.
-    A success stops every search ranked after it, so the first candidate
-    in order that succeeds wins, as if they had run one after another.
-    """
-    finite = np.where(np.isfinite(margin))[0]
-    order = finite[np.argsort(margin[finite])[::-1][:3]]
-    stop = max(tol * 0.1, 1e-13)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a = xs[np.maximum(order - 1, 0)]
-    b = xs[np.minimum(order + 1, len(xs) - 1)]
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    nan = np.full(len(order), np.nan)
-    fc, fd = nan.copy(), nan.copy()
-    live = b - a > stop
-    found = None
-    while live.any():
-        ask_c, ask_d = live & np.isnan(fc), live & np.isnan(fd)
-        m = _margin_grid(alpha, np.concatenate([c[ask_c], d[ask_d]]))
-        n_c = np.count_nonzero(ask_c)
-        fc[ask_c], fd[ask_d] = m[:n_c], m[n_c:]
-        hit = live & ((fc > 0.0) | (fd > 0.0))
-        if hit.any():
-            k = np.argmax(hit)
-            found = float(c[k] if fc[k] > 0.0 else d[k])
-            live[k:] = False
-        # keep [a, d] where fc > fd, else [c, b]; searches no longer live
-        # are never read again
-        a, b, c, d, fc, fd = np.where(fc > fd, (a, d, d - invphi * (d - a), c, nan, fc),
-                                      (c, b, d, c + invphi * (b - c), fd, nan))
-        live &= b - a > stop
-    return found
+        overlap = (other & (lo[:, None] < hi[None, :]) & (lo[None, :] < hi[:, None])).any(axis=1)
+        live = (np.nextafter(lo, hi) < hi) & ((hi - lo > tol) | overlap)
+        if not live.any():
+            return lo, hi
+        t = np.linspace(lo[live], hi[live], K_SECTION + 1, axis=1)
+        rows = np.arange(len(t))
+        m = _margin_grid(alpha, t[:, 1:-1].ravel()).reshape(2, len(t), K_SECTION - 1)
+        # t[j + 1] is the first point past lo with the sign of hi; -inf is
+        # not positive, so a validity edge is a sign change like any other
+        j = np.argmax(np.column_stack([m[comp[live], rows] > 0.0, up[live]])
+                      == up[live, None], axis=1)
+        lo[live], hi[live] = t[rows, j], t[rows, j + 1]
 
 
 def _check_grid(coarse: float, refine_tol: float) -> None:
@@ -384,30 +318,38 @@ def x_interval(alpha: float, coarse: float = 1e-4,
                refine_tol: float = 1e-7) -> SweepRecord:
     """Locate the admissible x interval at one alpha.
 
-    Scans a grid of pitch `coarse`, refines each run boundary by bisection
-    to width `refine_tol`, and falls back to a margin-peak search when the
-    admissible window is thinner than the grid pitch.  When several
-    disjoint runs appear, all are recorded and the widest is reported.
+    The admissible set is the overlap of the sets where the margin
+    components disc and lo2 are positive.  Both are evaluated on the grid
+    [coarse/2, coarse, 2 coarse, ..., 1 - 1e-12], ends included, and every
+    sign change of either is refined by `_refine` to width `refine_tol`.
+    A window is bounded by a root of disc or lo2, or by a grid end; one
+    thinner than the pitch lies between two roots in one grid cell, where
+    refinement goes on until the two are ordered.  When several disjoint
+    runs appear, all are recorded and the widest is reported.
     """
     coupling_constant(alpha)
     _check_grid(coarse, refine_tol)
-    xs = np.arange(coarse, 1.0, coarse)
-    margin = _margin_grid(alpha, xs)
-    # runs of admissible grid points begin and end at the sign changes of
-    # the mask padded with False; pad holds each run's outer neighbours
-    edges = np.flatnonzero(np.diff(np.concatenate([[False], margin > 0.0, [False]])))
-    if len(edges) == 0:
-        x_star = _peak_rescue(alpha, xs, margin, refine_tol)
-        if x_star is None:
-            return SweepRecord(alpha, None, None, "empty")
-        brackets = [(x_star, max(x_star - coarse, coarse * 0.5)),
-                    (x_star, min(x_star + coarse, 1.0 - 1e-12))]
-    else:
-        pad = np.concatenate([[coarse * 0.5], xs, [1.0 - 1e-12]])
-        rise = np.arange(len(edges)) % 2 == 0
-        brackets = list(zip(pad[edges + rise], pad[edges + ~rise]))
-    bounds = _refine_boundary(alpha, brackets, refine_tol)
-    runs = list(zip(bounds[0::2], bounds[1::2]))
+    xs = np.concatenate([[coarse * 0.5], np.arange(coarse, 1.0, coarse), [1.0 - 1e-12]])
+    pos = _margin_grid(alpha, xs) > 0.0
+    # a component's runs of positive grid points begin and end at the sign
+    # changes of its mask padded with False: edge e lies between xs[e - 1]
+    # and xs[e], or at a grid end for e = 0 and e = len(xs)
+    comp, edge = np.nonzero(np.diff(pos, prepend=False, append=False))
+    inner = (edge > 0) & (edge < len(xs))
+    e, c = edge[inner], comp[inner]
+    lo, hi = _refine(alpha, xs[e - 1], xs[e], c, pos[c, e], refine_tol)
+    bound = xs[np.minimum(edge, len(xs) - 1)]
+    bound[inner] = 0.5 * (lo + hi)
+    # each component's runs in x order; overlaps of a disc run and a lo2
+    # run come out in x order too
+    ends = bound.reshape(-1, 2)
+    disc, lo2 = ends[comp[0::2] == 0], ends[comp[0::2] == 1]
+    start = np.maximum(disc[:, None, 0], lo2[None, :, 0])
+    stop = np.minimum(disc[:, None, 1], lo2[None, :, 1])
+    keep = start < stop
+    runs = list(zip(start[keep].tolist(), stop[keep].tolist()))
+    if not runs:
+        return SweepRecord(alpha, None, None, "empty")
     if len(runs) > 1:
         warnings.warn(
             f"admissible set at alpha={alpha} looks disconnected "
@@ -426,14 +368,17 @@ class SweepResult:
 def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
           coarse: float = 1e-4, refine_tol: float = 1e-7,
           jobs: int = 1) -> SweepResult:
-    """Admissibility sweep over alpha, skipping the guard band around 2.
+    """Admissibility sweep over alpha in (0, 3), skipping the guard band
+    around 2.
 
     Runs x_interval per alpha (in parallel for jobs > 1, with output
-    deterministically ordered by alpha) and refines the critical exponents
-    alpha_-/alpha_+ by bisection on interval emptiness to width alpha_step.
+    deterministically ordered by alpha).  A critical exponent alpha_-/alpha_+
+    is the midpoint between the outermost nonempty record and its empty
+    neighbour, so it resolves the emptiness edge to +- alpha_step/2; where
+    the sweep ends on a nonempty record, it is that record's alpha.
     """
-    if not -np.inf < alpha_min <= alpha_max < np.inf:
-        raise DomainError(f"need finite alpha_min <= alpha_max, got [{alpha_min}, {alpha_max}]")
+    if not 0.0 < alpha_min <= alpha_max < 3.0:
+        raise DomainError(f"need 0 < alpha_min <= alpha_max < 3, got [{alpha_min}, {alpha_max}]")
     if not 0.0 < alpha_step < np.inf:
         raise DomainError(f"alpha_step must be finite and positive, got {alpha_step}")
     _check_grid(coarse, refine_tol)
@@ -441,7 +386,8 @@ def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     n = int(round((alpha_max - alpha_min) / alpha_step))
     alphas = [alpha_min + k * alpha_step for k in range(n + 1)]
-    alphas = [a for a in alphas if 0.0 < a < 3.0 and abs(a - 2.0) > ALPHA_GUARD]
+    # rounding n may take the last alpha past alpha_max
+    alphas = [a for a in alphas if a < 3.0 and abs(a - 2.0) > ALPHA_GUARD]
     run = functools.partial(x_interval, coarse=coarse, refine_tol=refine_tol)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
@@ -454,23 +400,12 @@ def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
         neighbour j, or record i's alpha where the sweep ends there."""
         if not 0 <= j < len(records):
             return records[i].alpha
-        return _bisect_alpha(records[j].alpha, records[i].alpha,
-                             lambda a: not run(a).empty, alpha_step)
+        return 0.5 * (records[i].alpha + records[j].alpha)
 
     nonempty = [i for i, r in enumerate(records) if not r.empty]
     a_minus = edge(nonempty[0], nonempty[0] - 1) if nonempty else None
     a_plus = edge(nonempty[-1], nonempty[-1] + 1) if nonempty else None
     return SweepResult(tuple(records), a_minus, a_plus)
-
-
-def _bisect_alpha(a_empty: float, a_full: float, probe, width: float) -> float:
-    """Bisect between an empty and a nonempty alpha to the given width."""
-    while (mid := _midpoint(a_empty, a_full, width)) is not None:
-        if probe(mid):
-            a_full = mid
-        else:
-            a_empty = mid
-    return 0.5 * (a_empty + a_full)
 
 
 def sweep_csv(result: SweepResult) -> str:

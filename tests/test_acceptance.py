@@ -211,7 +211,7 @@ def test_criterion_6_oracle_equivalence():
     pts = []
     for alpha in np.linspace(1.1, 1.95, 9):
         xs = np.arange(0.3, 1.0, 7e-4)
-        good = xs[_margin_grid(alpha, xs) > 0]
+        good = xs[np.minimum(*_margin_grid(alpha, xs)) > 0]
         pts += [(alpha, float(x)) for x in good[:: max(1, len(good) // 24)]]
     assert len(pts) >= 200
     worst_mu = worst_conj = worst_tr = 0.0

@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +9,7 @@ import gsqg
 from gsqg import search
 from gsqg.cli import main
 from gsqg.kernel import DomainError, coupling_constant
-from gsqg.search import (NoRootError, _bisect_alpha, _margin_grid, _refine_boundary,
-                         _y_solve_grid)
+from gsqg.search import NoRootError, _margin_grid, _refine, _y_solve_grid
 from gsqg.selfsimilar import Classification
 
 from conftest import THM_X, THM_Y, THM_XI3
@@ -138,7 +133,7 @@ def test_admissible_reference_point():
 
 def test_inadmissible_below_lower_exponent():
     xs = np.arange(1e-3, 1.0, 1e-3)
-    assert not np.any(_margin_grid(0.9, xs) > 0)
+    assert not np.any(np.minimum(*_margin_grid(0.9, xs)) > 0)
 
 
 def test_inadmissible_small_x():
@@ -171,7 +166,7 @@ def test_scalar_margin_is_the_grid_margin_bitwise():
     passed = 0
     for alpha, x in _scalar_grid_points():
         res = gsqg.admissible(x, alpha)
-        grid = _margin_grid(alpha, np.array([x]))[0]
+        grid = np.minimum(*_margin_grid(alpha, np.array([x])))[0]
         if res.report is None or res.report.matrix is None:
             # rejected before the quartic: no side, no triangle or no burst
             assert not res.ok and not grid > 0.0, (alpha, x)
@@ -237,11 +232,24 @@ def test_sweep_curve_continuity():
         assert abs(a.x_plus - b.x_plus) < 10 * 1e-3
 
 
-# ---------------------------------------------------------------- sequential oracles
+@pytest.mark.parametrize("lo, hi", [(0.97, 0.9712), (2.134, 2.1352)])
+def test_edge_sweeps_independent_of_pitch(lo, hi):
+    # 13 alphas at step 1e-4 across each critical exponent: which are empty,
+    # and so alpha_- and alpha_+, do not depend on the bracketing pitch
+    results = [gsqg.sweep(lo, hi, alpha_step=1e-4, coarse=c, refine_tol=1e-7)
+               for c in (1e-3, 1e-4, 1e-5)]
+    empty = [[r.empty for r in res.records] for res in results]
+    assert len(empty[0]) == 13 and any(empty[0]) and not all(empty[0])
+    assert empty[1] == empty[0] and empty[2] == empty[0]
+    ends = [(res.alpha_minus.hex(), res.alpha_plus.hex()) for res in results]
+    assert ends[1] == ends[0] and ends[2] == ends[0]
+
+
+# ---------------------------------------------------------------- oracles
 #
-# The search before batching: one-point bisection, golden-section searches
-# run one after another, and the margin grid with every pair term computed
-# where it is used.  The batched search must reproduce them bit for bit.
+# The margin grid with every pair term computed where it is used, which
+# the shared pipeline must reproduce bit for bit, and the roots of the
+# margin components by one-point bisection.
 
 def _seq_margin_grid(alpha, xs):
     ca = coupling_constant(alpha)
@@ -291,81 +299,23 @@ def _seq_margin_grid(alpha, xs):
         return np.where(valid & np.isfinite(m), m, -np.inf)
 
 
-def _seq_refine_boundary(alpha, x_in, x_out, tol):
-    assert _seq_margin_grid(alpha, np.array([x_in]))[0] > 0.0
-    while abs(x_out - x_in) > tol:
-        mid = 0.5 * (x_in + x_out)
-        if _seq_margin_grid(alpha, np.array([mid]))[0] > 0.0:
-            x_in = mid
-        else:
-            x_out = mid
-    return 0.5 * (x_in + x_out)
-
-
-def _seq_peak_rescue(alpha, xs, margin, tol):
-    finite = np.where(np.isfinite(margin))[0]
-    if len(finite) == 0:
-        return None
-    order = finite[np.argsort(margin[finite])[::-1][:3]]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    for i in order:
-        a_, b_ = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        c_ = b_ - invphi * (b_ - a_)
-        d_ = a_ + invphi * (b_ - a_)
-        fc = _seq_margin_grid(alpha, np.array([c_]))[0]
-        fd = _seq_margin_grid(alpha, np.array([d_]))[0]
-        while b_ - a_ > max(tol * 0.1, 1e-13):
-            if fc > 0.0:
-                return float(c_)
-            if fd > 0.0:
-                return float(d_)
-            if fc > fd:
-                b_, d_, fd = d_, c_, fc
-                c_ = b_ - invphi * (b_ - a_)
-                fc = _seq_margin_grid(alpha, np.array([c_]))[0]
+def _seq_component_roots(alpha, coarse):
+    """Brackets (component, lo, hi) no wider than 1e-9 of every sign change
+    of disc (0) and lo2 (1) between neighbours of the padded grid, by
+    one-point bisection."""
+    xs = np.concatenate([[coarse * 0.5], np.arange(coarse, 1.0, coarse), [1.0 - 1e-12]])
+    pos = _margin_grid(alpha, xs) > 0.0
+    roots = []
+    for c, i in zip(*np.nonzero(pos[:, 1:] != pos[:, :-1])):
+        lo, hi = xs[i], xs[i + 1]
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            if (_margin_grid(alpha, np.array([mid]))[c, 0] > 0.0) == pos[c, i]:
+                lo = mid
             else:
-                a_, c_, fc = c_, d_, fd
-                d_ = a_ + invphi * (b_ - a_)
-                fd = _seq_margin_grid(alpha, np.array([d_]))[0]
-    return None
-
-
-def _seq_x_interval(alpha, coarse, refine_tol):
-    """(x_minus, x_plus, runs) of x_interval, searched sequentially."""
-    xs = np.arange(coarse, 1.0, coarse)
-    margin = _seq_margin_grid(alpha, xs)
-    idx = np.where(margin > 0.0)[0]
-    runs = []
-    if len(idx) == 0:
-        x_star = _seq_peak_rescue(alpha, xs, margin, refine_tol)
-        if x_star is None:
-            return None, None, ()
-        lo = _seq_refine_boundary(alpha, x_star, max(x_star - coarse, coarse * 0.5),
-                                  refine_tol)
-        hi = _seq_refine_boundary(alpha, x_star, min(x_star + coarse, 1.0 - 1e-12),
-                                  refine_tol)
-        runs.append((lo, hi))
-    else:
-        breaks = np.where(np.diff(idx) > 1)[0]
-        starts = np.concatenate([[0], breaks + 1])
-        ends = np.concatenate([breaks, [len(idx) - 1]])
-        for s, e in zip(starts, ends):
-            i0, i1 = idx[s], idx[e]
-            lo_out = xs[i0 - 1] if i0 > 0 else coarse * 0.5
-            hi_out = xs[i1 + 1] if i1 + 1 < len(xs) else 1.0 - 1e-12
-            runs.append((_seq_refine_boundary(alpha, xs[i0], lo_out, refine_tol),
-                         _seq_refine_boundary(alpha, xs[i1], hi_out, refine_tol)))
-    widest = max(runs, key=lambda r: r[1] - r[0])
-    return widest[0], widest[1], tuple(runs)
-
-
-def _bits(v):
-    """Exact bit pattern of a float, or of nested tuples of floats."""
-    if v is None:
-        return None
-    if isinstance(v, tuple):
-        return tuple(_bits(w) for w in v)
-    return float(v).hex()
+                hi = mid
+        roots.append((c, lo, hi))
+    return roots
 
 
 # interior alphas, the empty alphas on either side of alpha_- = 0.9708 and
@@ -382,14 +332,28 @@ _ORACLE_CASES = (
 
 
 @pytest.mark.parametrize("alpha, coarse, tol", _ORACLE_CASES)
-def test_x_interval_matches_sequential_search_bitwise(alpha, coarse, tol):
+def test_x_interval_boundaries_are_component_roots(alpha, coarse, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rec = gsqg.x_interval(alpha, coarse=coarse, refine_tol=tol)
-    x_minus, x_plus, runs = _seq_x_interval(alpha, coarse, tol)
-    assert rec.empty == (x_minus is None)
-    assert _bits((rec.x_minus, rec.x_plus)) == _bits((x_minus, x_plus))
-    assert _bits(rec.runs) == _bits(runs)
+    roots = _seq_component_roots(alpha, coarse)
+    # every run boundary off the grid ends lies within tol of a root
+    bounds = [b for run in rec.runs for b in run if b not in (coarse * 0.5, 1.0 - 1e-12)]
+    for b in bounds:
+        assert any(lo - tol <= b <= hi + tol for _, lo, hi in roots), (b, roots)
+    for c, lo, hi in roots:
+        # a 1e-9-pitch scan across the root, tol wide on either side
+        scan = np.arange(lo - tol, hi + tol + 1e-9, 1e-9)
+        m = _margin_grid(alpha, scan) > 0.0
+        assert np.any(m[c, 1:] != m[c, :-1])
+        if rec.empty:
+            assert not np.any(m[0] & m[1]), (c, lo, hi)
+        elif np.all(m[1 - c, [0, -1]]):
+            # a root inside the other component's positive set bounds a run
+            assert any(lo - tol <= b <= hi + tol for b in bounds), (c, lo, hi, rec.runs)
+    assert rec.empty == (not rec.runs)
+    if not rec.empty:
+        assert (rec.x_minus, rec.x_plus) == max(rec.runs, key=lambda r: r[1] - r[0])
 
 
 def test_oracle_cases_cross_both_exponents():
@@ -399,23 +363,10 @@ def test_oracle_cases_cross_both_exponents():
         assert not gsqg.x_interval(alpha).empty
 
 
-def test_batched_brackets_match_sequential_bisection_bitwise():
-    # one batched call over brackets of different widths, orientations and
-    # distances from the boundary, against one bisection per bracket
-    alpha, tol = 1.5, 1e-7
-    rec = gsqg.x_interval(alpha, coarse=1e-3, refine_tol=1e-6)
-    lo, hi = rec.x_minus + 1e-4, rec.x_plus - 1e-4
-    brackets = [(lo, rec.x_minus - 1e-4), (hi, 0.999), (lo, 0.05), (hi, rec.x_plus + 3e-7),
-                (0.5 * (lo + hi), rec.x_minus - 0.3), (lo, rec.x_minus - 1e-4)]
-    got = _refine_boundary(alpha, brackets, tol)
-    want = [_seq_refine_boundary(alpha, a, b, tol) for a, b in brackets]
-    assert [_bits(g) for g in got] == [_bits(w) for w in want]
-
-
 @pytest.mark.parametrize("alpha", [0.9, 0.9708, 1.0, 1.5, 2.1343, 2.5])
 def test_margin_grid_matches_sequential_form_bitwise(alpha):
     xs = np.arange(1e-4, 1.0, 1e-4)
-    got, want = _margin_grid(alpha, xs), _seq_margin_grid(alpha, xs)
+    got, want = np.minimum(*_margin_grid(alpha, xs)), _seq_margin_grid(alpha, xs)
     assert len(xs) == 9999
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -424,10 +375,10 @@ def test_margin_grid_matches_sequential_form_bitwise(alpha):
 @given(alpha=st.one_of(st.floats(0.9, 1.99), st.floats(2.01, 2.6)),
        xs=st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=40))
 def test_margin_grid_element_independent_of_batch(alpha, xs):
-    # batched refinement and peak rescue rely on this
+    # the lockstep refinement relies on this, for both components
     xs = np.array(xs)
     got = _margin_grid(alpha, xs)
-    alone = np.array([_margin_grid(alpha, xs[i:i + 1])[0] for i in range(len(xs))])
+    alone = np.column_stack([_margin_grid(alpha, xs[i:i + 1]) for i in range(len(xs))])
     assert np.array_equal(got.view(np.int64), alone.view(np.int64))
 
 
@@ -445,101 +396,68 @@ def _count_grid_calls(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("alpha, max_calls", [(1.5, 3), (1.0, 3), (0.9705, 25), (2.14, 25)])
+@pytest.mark.parametrize("alpha, max_calls", [(1.5, 3), (1.0, 3), (0.9705, 6), (2.14, 6)])
 def test_margin_grid_calls_per_x_interval(monkeypatch, alpha, max_calls):
-    # one grid scan, then two refinement rounds for an interval or one
-    # lockstep golden-section round per step for an empty alpha; sequential
-    # search took 23 and about 67 calls, nearly all of one point
+    # one scan of the padded grid, then two K-section rounds take a 1e-4
+    # cell below 1e-7; roots of disc and lo2 in one cell next to alpha_-
+    # take up to two rounds more
     sizes = _count_grid_calls(monkeypatch)
     gsqg.x_interval(alpha)
-    assert sizes[0] == 9999
+    assert sizes[0] == 10001
     assert len(sizes) <= max_calls
     assert min(sizes) > 1
 
 
-# ---------------------------------------------------------------- stubbed margins
+# ---------------------------------------------------------------- stubbed components
 
-def _stub_grid(monkeypatch, margin_of):
-    """Replace _margin_grid by x -> margin_of(x); returns the list of the
-    point arrays it is called with."""
+def _stub_grid(monkeypatch, disc_of, lo2_of):
+    """Replace _margin_grid by x -> (disc_of(x), lo2_of(x)); returns the
+    list of the point arrays it is called with."""
     calls = []
 
     def stub(alpha, xs):
         assert len(xs) > 0, "empty _margin_grid call"
-        calls.append(np.array(xs))
-        return margin_of(np.asarray(xs))
+        xs = np.asarray(xs)
+        calls.append(xs.copy())
+        return np.stack([disc_of(xs), lo2_of(xs)])
 
     monkeypatch.setattr(search, "_margin_grid", stub)
     return calls
 
 
-def _peaks(*windows):
-    """Margin w - |x - p| on each bracket [lo, hi] of (lo, hi, p, w), and -1
-    elsewhere."""
-    def margin_of(x):
-        m = np.full(len(x), -1.0)
-        for lo, hi, p, w in windows:
-            on = (x >= lo) & (x <= hi)
-            m[on] = w - np.abs(x[on] - p)
-        return m
-    return margin_of
-
-
-def test_peak_rescue_first_candidate_in_order_wins(monkeypatch):
-    # candidate 1 (x = 0.5) succeeds in the first round, candidate 0
-    # (x = 0.2) only after many; as in _seq_peak_rescue, candidate 0 wins,
-    # and candidate 2, ranked after the first success, is not resumed
-    xs = np.arange(1, 20) * 0.05
-    margin = np.full(len(xs), -np.inf)
-    margin[[3, 9, 15]] = -0.1, -0.2, -0.3
-    calls = _stub_grid(monkeypatch, _peaks((0.15, 0.25, 0.2123, 1e-6),
-                                           (0.45, 0.55, 0.5, 0.02),
-                                           (0.75, 0.85, 0.81, 1e-6)))
-    x = search._peak_rescue(1.0, xs, margin, 1e-9)
-    assert abs(x - 0.2123) < 1e-6
-    assert len(calls[0]) == 6 and np.any(np.abs(calls[0] - 0.5) < 0.02)
-    later = np.concatenate(calls[1:])
-    assert len(calls) > 10 and np.all((later >= 0.15) & (later <= 0.25))
-
-
-def test_peak_rescue_skips_brackets_narrower_than_stop(monkeypatch):
-    # candidate 0's bracket is 2e-12 wide, below stop = 0.1 * tol = 1e-8
-    xs = np.array([0.1, 0.1 + 1e-12, 0.1 + 2e-12, 0.5, 0.6, 0.7])
-    margin = np.array([-np.inf, -0.1, -np.inf, -np.inf, -0.2, -np.inf])
-    calls = _stub_grid(monkeypatch, _peaks())
-    assert search._peak_rescue(1.0, xs, margin, 1e-7) is None
-    assert calls and np.all(np.concatenate(calls) >= 0.5)
-
-
-def test_peak_rescue_without_finite_margin_makes_no_call(monkeypatch):
-    calls = _stub_grid(monkeypatch, _peaks())
-    xs = np.arange(1, 20) * 0.05
-    assert search._peak_rescue(1.0, xs, np.full(len(xs), -np.inf), 1e-7) is None
-    assert calls == []
-
-
 def test_run_brackets_at_the_grid_ends(monkeypatch):
-    # runs touching the first grid point (the widest), the last one, and
-    # one in between; outer ends coarse * 0.5 and 1 - 1e-12
+    # disc > 0 below 0.37 and above 0.45, lo2 > 0 below 0.53 and above
+    # 0.93 (-inf elsewhere): runs from the lower grid end to a disc root
+    # (the widest), from a disc to a lo2 root, and from a lo2 root to the
+    # upper grid end
     coarse = 0.05
-    xs = np.arange(coarse, 1.0, coarse)
-    assert len(xs) == 19
-    _stub_grid(monkeypatch, lambda x: np.where((x < 0.37) | (np.abs(x - 0.5) < 0.03)
-                                               | (x > 0.93), 1.0, -1.0))
-    seen = []
-    refine = search._refine_boundary
-    monkeypatch.setattr(search, "_refine_boundary",
-                        lambda alpha, brackets, tol: seen.append(brackets)
-                        or refine(alpha, brackets, tol))
+    calls = _stub_grid(monkeypatch, lambda x: np.where((x < 0.37) | (x > 0.45), 1.0, -1.0),
+                       lambda x: np.where((x < 0.53) | (x > 0.93), 1.0, -np.inf))
     with pytest.warns(UserWarning, match=r"disconnected \(3 runs\)"):
         rec = search.x_interval(1.0, coarse=coarse, refine_tol=1e-9)
-    want = [(xs[0], coarse * 0.5), (xs[6], xs[7]), (xs[9], xs[8]), (xs[9], xs[10]),
-            (xs[18], xs[17]), (xs[18], 1.0 - 1e-12)]
-    assert _bits(tuple(seen[0])) == _bits(tuple(want))
-    assert len(rec.runs) == 3
-    assert rec.x_minus == pytest.approx(coarse * 0.5, abs=1e-9)
-    assert rec.x_plus == pytest.approx(0.37, abs=1e-9)
-    assert rec.runs[2][1] == pytest.approx(1.0 - 1e-12, abs=1e-9)
+    assert len(calls[0]) == 21
+    assert calls[0][0] == coarse * 0.5 and calls[0][-1] == 1.0 - 1e-12
+    (a0, b0), (a1, b1), (a2, b2) = rec.runs
+    assert a0 == coarse * 0.5 and b2 == 1.0 - 1e-12
+    for got, root in ((b0, 0.37), (a1, 0.45), (b1, 0.53), (a2, 0.93)):
+        assert abs(got - root) <= 1e-9
+    assert (rec.x_minus, rec.x_plus) == (a0, b0)
+
+
+@pytest.mark.parametrize("disc_root, lo2_root", [(0.51 + 1e-11, 0.51 + 3e-11),
+                                                 (0.51 + 3e-11, 0.51 + 1e-11)])
+def test_roots_in_one_cell_are_ordered_below_tol(monkeypatch, disc_root, lo2_root):
+    # disc rises and lo2 falls 2e-11 apart inside one grid cell: refinement
+    # goes on past refine_tol until the two roots are ordered, so the
+    # window between them is found, or found absent, with no grid point in it
+    _stub_grid(monkeypatch, lambda x: x - disc_root, lambda x: lo2_root - x)
+    rec = search.x_interval(1.0, coarse=0.05, refine_tol=1e-7)
+    if disc_root < lo2_root:
+        assert len(rec.runs) == 1 and rec.x_minus < rec.x_plus
+        assert abs(rec.x_minus - disc_root) <= 1e-11
+        assert abs(rec.x_plus - lo2_root) <= 1e-11
+    else:
+        assert rec.empty and rec.runs == ()
 
 
 # ---------------------------------------------------------------- validation and termination
@@ -562,14 +480,17 @@ def test_sweep_rejects_bad_parameters(kw):
 
 
 @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (1.0, np.nan), (-np.inf, 1.0),
-                                   (1.0, np.inf)])
+                                   (1.0, np.inf), (3.5, 4.0), (-1.0, -0.5), (0.0, 1.0),
+                                   (2.5, 3.0)])
 def test_sweep_rejects_non_finite_alpha_range(lo, hi):
     with pytest.raises(DomainError):
         gsqg.sweep(lo, hi)
 
 
 @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-2"], ["--alpha-step", "0"],
-                                   ["--x-coarse", "nan"], ["--refine-tol", "-1"]])
+                                   ["--x-coarse", "nan"], ["--refine-tol", "-1"],
+                                   ["--alpha-min", "3.5", "--alpha-max", "4.0"],
+                                   ["--alpha-min", "-1", "--alpha-max", "-0.5"]])
 def test_cli_sweep_rejects_bad_parameters(tmp_path, capsys, flags):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--alpha-min", "1.4", "--alpha-max", "1.5", *flags,
@@ -579,45 +500,14 @@ def test_cli_sweep_rejects_bad_parameters(tmp_path, capsys, flags):
 
 
 def test_refinement_to_zero_width_stops_at_adjacent_floats(monkeypatch):
-    sizes = _count_grid_calls(monkeypatch)
     rec = gsqg.x_interval(1.5, coarse=1e-3, refine_tol=1e-6)
-    x_in = 0.5 * (rec.x_minus + rec.x_plus)
-    x_out = rec.x_plus + 1e-3
-    (x,) = _refine_boundary(1.5, [(x_in, x_out)], 0.0)
-    # x is one of the two adjacent floats that straddle the boundary
-    around = np.array([np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)])
-    assert list(_margin_grid(1.5, around) > 0.0) in ([True, True, False], [True, False, False])
-    assert len(sizes) < 40
-
-
-def test_alpha_bisection_to_zero_width_stops_at_adjacent_floats():
-    probes = []
-
-    def probe(a):
-        probes.append(a)
-        assert len(probes) < 2000
-        return a > 0.3
-
-    a = _bisect_alpha(0.0, 1.0, probe, 0.0)
-    assert a in (0.3, np.nextafter(0.3, 1.0))
-    assert len(probes) < 100
-
-
-def test_refinement_rejects_inadmissible_start():
-    with pytest.raises(ValueError, match="not admissible"):
-        _refine_boundary(1.5, [(0.05, 0.5)], 1e-7)
-
-
-def test_refinement_precondition_survives_optimize_flag():
-    code = ("import sys; from gsqg.search import _refine_boundary\n"
-            "assert sys.flags.optimize\n"
-            "try:\n"
-            "    _refine_boundary(1.5, [(0.05, 0.5)], 1e-7)\n"
-            "except ValueError:\n"
-            "    sys.exit(0)\n"
-            "sys.exit(3)\n")
-    src = Path(gsqg.__file__).resolve().parent.parent
-    done = subprocess.run([sys.executable, "-O", "-c", code], timeout=60,
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    x_in, x_out = 0.5 * (rec.x_minus + rec.x_plus), rec.x_plus + 1e-3
+    ends = _margin_grid(1.5, np.array([x_in, x_out])) > 0.0
+    (c,) = np.flatnonzero(ends[:, 0] != ends[:, 1])
+    sizes = _count_grid_calls(monkeypatch)
+    lo, hi = _refine(1.5, np.array([x_in]), np.array([x_out]), np.array([c]),
+                     ends[c, 1:], 0.0)
+    # the bracket closes on two adjacent floats around the root of component c
+    assert hi[0] == np.nextafter(lo[0], 1.0)
+    assert list(_margin_grid(1.5, np.array([lo[0], hi[0]]))[c] > 0.0) == [True, False]
+    assert len(sizes) <= 12

@@ -169,7 +169,7 @@ def test_mu_eigen_agreement_on_sweep_sample():
     pts = []
     for alpha in np.linspace(1.15, 1.95, 9):
         xs = np.arange(0.3, 1.0, 7e-4)
-        margin = _margin_grid(alpha, xs)
+        margin = np.minimum(*_margin_grid(alpha, xs))
         good = xs[margin > 0]
         take = good[:: max(1, len(good) // 24)]
         pts += [(alpha, float(x)) for x in take]
