@@ -9,7 +9,7 @@ import gsqg
 from gsqg import search
 from gsqg.cli import main
 from gsqg.kernel import DomainError, coupling_constant
-from gsqg.search import NoRootError, _margin_grid, _refine, _y_solve_grid
+from gsqg.search import K_SECTION, NoRootError, _margin_grid, _refine, _y_solve_grid
 from gsqg.selfsimilar import Classification
 
 from conftest import THM_X, THM_Y, THM_XI3
@@ -248,8 +248,10 @@ def test_edge_sweeps_independent_of_pitch(lo, hi):
 # ---------------------------------------------------------------- oracles
 #
 # The margin grid with every pair term computed where it is used, which
-# the shared pipeline must reproduce bit for bit, and the roots of the
-# margin components by one-point bisection.
+# the shared pipeline must reproduce bit for bit; the roots of the margin
+# components by one-point bisection; and the search refining one bracket
+# and one point at a time, which the lockstep search must reproduce bit
+# for bit.
 
 def _seq_margin_grid(alpha, xs):
     ca = coupling_constant(alpha)
@@ -318,6 +320,60 @@ def _seq_component_roots(alpha, coarse):
     return roots
 
 
+def _seq_refine(alpha, brackets, tol):
+    """Final (lo, hi) of each bracket (comp, lo, hi, up) of _refine, one
+    bracket after another, each evaluating its K-section points one at a
+    time up to the first with the sign of hi."""
+    brackets = [list(b) for b in brackets]
+    while True:
+        live = [k for k, (c, lo, hi, _) in enumerate(brackets)
+                if np.nextafter(lo, hi) < hi
+                and (hi - lo > tol or any(c2 != c and lo < hi2 and lo2 < hi
+                                          for c2, lo2, hi2, _ in brackets))]
+        if not live:
+            return [(lo, hi) for _, lo, hi, _ in brackets]
+        for k in live:
+            c, lo, hi, up = brackets[k]
+            step = (hi - lo) / K_SECTION
+            prev = lo
+            for j in range(1, K_SECTION):
+                x = lo + j * step
+                if (_margin_grid(alpha, np.array([x]))[c, 0] > 0.0) == up:
+                    brackets[k][1:3] = prev, x
+                    break
+                prev = x
+            else:
+                brackets[k][1:3] = prev, hi
+
+
+def _seq_x_interval(alpha, coarse, tol):
+    """Runs of x_interval in x order: the runs of each component walked
+    along the padded grid, their inner ends refined by _seq_refine, and
+    every overlap of a disc run with a lo2 run."""
+    xs = np.concatenate([[coarse * 0.5], np.arange(coarse, 1.0, coarse), [1.0 - 1e-12]])
+    pos = _margin_grid(alpha, xs) > 0.0
+    n = len(xs)
+    cells = [(c, i) for c in (0, 1) for i in range(n - 1) if pos[c, i] != pos[c, i + 1]]
+    final = _seq_refine(alpha, [(c, xs[i], xs[i + 1], pos[c, i + 1]) for c, i in cells], tol)
+    bound = {cell: 0.5 * (lo + hi) for cell, (lo, hi) in zip(cells, final)}
+    runs = ([], [])
+    for c in (0, 1):
+        for i in range(n):
+            if pos[c, i] and (i == 0 or not pos[c, i - 1]):
+                start = xs[0] if i == 0 else bound[c, i - 1]
+            if pos[c, i] and (i == n - 1 or not pos[c, i + 1]):
+                runs[c].append((start, xs[-1] if i == n - 1 else bound[c, i]))
+    return tuple(sorted((max(a0, b0), min(a1, b1)) for a0, a1 in runs[0]
+                        for b0, b1 in runs[1] if max(a0, b0) < min(a1, b1)))
+
+
+def _bits(v):
+    """Exact bit pattern of a float, or of nested tuples of floats."""
+    if isinstance(v, tuple):
+        return tuple(_bits(w) for w in v)
+    return float(v).hex()
+
+
 # interior alphas, the empty alphas on either side of alpha_- = 0.9708 and
 # alpha_+ = 2.1343, and the sub-pitch window at alpha = 0.98
 _ORACLE_CASES = (
@@ -354,6 +410,19 @@ def test_x_interval_boundaries_are_component_roots(alpha, coarse, tol):
     assert rec.empty == (not rec.runs)
     if not rec.empty:
         assert (rec.x_minus, rec.x_plus) == max(rec.runs, key=lambda r: r[1] - r[0])
+
+
+@pytest.mark.parametrize("alpha, coarse, tol", _ORACLE_CASES)
+def test_x_interval_matches_sequential_search_bitwise(alpha, coarse, tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rec = gsqg.x_interval(alpha, coarse=coarse, refine_tol=tol)
+    runs = _seq_x_interval(alpha, coarse, tol)
+    assert _bits(rec.runs) == _bits(runs)
+    assert rec.empty == (not runs)
+    if runs:
+        widest = max(runs, key=lambda r: r[1] - r[0])
+        assert _bits((rec.x_minus, rec.x_plus)) == _bits(widest)
 
 
 def test_oracle_cases_cross_both_exponents():
