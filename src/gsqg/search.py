@@ -36,6 +36,8 @@ YMAX = 10.0
 # residual tolerance and iteration cap of the y(x) Newton solve
 Y_TOL = 1e-12
 Y_MAX_ITER = 90
+# relative slack of the triangle screen y(x) > (1 + x)(1 + slack)
+TRIANGLE_SLACK = 1e-9
 # sub-brackets per bracket and round of boundary refinement
 K_SECTION = 32
 
@@ -48,6 +50,31 @@ class NoRootError(DomainError):
 # side-length equation
 # ---------------------------------------------------------------------------
 
+def _side_residual(xs: np.ndarray, alpha: float):
+    """The side-length equation at fixed x as g(y) = 0, with
+    g(y) = y^2 - y^(alpha-2) - K and K = x^(alpha-2) - x^2.
+
+    For x in (0, 1) and alpha in (0, 3), g has one positive root and
+    increases on [1, inf): everywhere for alpha < 2, and past its minimum
+    at ((alpha-2)/2)^(1/(4-alpha)) < 1, with g(0) = -K < 0, for alpha > 2.
+    """
+    K = xs ** (alpha - 2.0) - xs**2
+
+    def g(y):
+        return y**2 - y ** (alpha - 2.0) - K
+
+    return g
+
+
+def _past_triangle(xs: np.ndarray, alpha: float) -> np.ndarray:
+    """Mask of the x whose side y(x) lies beyond 1 + x, where no triangle
+    exists.  g < 0 at u = (1 + x)(1 + TRIANGLE_SLACK) >= 1 puts the root
+    past u; the slack dwarfs the Newton residual and the rounding of the
+    triangle test, so every masked x is rejected by `_reduced_triple` at
+    the y of `_y_solve_grid` too."""
+    return _side_residual(xs, alpha)((1.0 + xs) * (1.0 + TRIANGLE_SLACK)) < 0.0
+
+
 def _y_solve_grid(xs: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized safeguarded Newton for y(x) on a grid.
 
@@ -56,12 +83,9 @@ def _y_solve_grid(xs: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]
     (root below the triangle bound or beyond YMAX).
     """
     xs = np.asarray(xs, dtype=float)
-    K = xs ** (alpha - 2.0) - xs**2
+    g = _side_residual(xs, alpha)
     lo = np.maximum(1.0 - xs, EPS_Y)
     hi = np.full_like(xs, YMAX)
-
-    def g(y):
-        return y**2 - y ** (alpha - 2.0) - K
 
     def gp(y):
         return 2.0 * y - (alpha - 2.0) * y ** (alpha - 3.0)
@@ -241,23 +265,30 @@ def _margin_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
     as the rows of a (2, len(xs)) array.
 
     Both are positive exactly where `admissible` passes; -inf marks
-    geometric rejection.  Runs the scalar pipeline's functions on the whole
-    grid, so np.minimum of the two rows has the bits of
+    geometric rejection.  Only the x that pass the triangle screen enter
+    the side solve, and only proper triangles enter the stability
+    pipeline; every element depends on its own triple alone, so
+    np.minimum of the two rows has the bits of
     `admissible(x, alpha).margin`, in any batch.
     """
     ca = coupling_constant(alpha)
     xs = np.asarray(xs, dtype=float)
-    y, valid = _y_solve_grid(xs, alpha)
+    out = np.full((2, len(xs)), -np.inf)
+    at = np.flatnonzero(~_past_triangle(xs, alpha))
+    y, valid = _y_solve_grid(xs[at], alpha)
     # branch Im(a3) < 0; the other branch only flips the sign of a
-    z, xi, shaped = _reduced_triple(xs, y, -1)
+    z, xi, shaped = _reduced_triple(xs[at], y, -1)
+    ok = valid & shaped
+    at, z, xi = at[ok], z[:, ok], xi[:, ok]
     with np.errstate(all="ignore"):
         z = centered(z, xi)
         kern, bracket = pair_terms(z, alpha)
         b = -np.imag(vortex_rates(z, xi, ca, kern)[1])       # branch-independent
         del kern    # keeps the peak memory of a grid down
         disc, lo2, _ = quartic_mu2(b, *quartic_coefficients(*l_terms(z, xi, ca, bracket)))
-        ok = valid & shaped & np.isfinite(np.minimum(disc, lo2))
-    return np.where(ok, np.stack([disc, lo2]), -np.inf)
+        ok = np.isfinite(np.minimum(disc, lo2))
+    out[0, at[ok]], out[1, at[ok]] = disc[ok], lo2[ok]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +328,15 @@ def _refine(alpha: float, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray,
         live = (np.nextafter(lo, hi) < hi) & ((hi - lo > tol) | overlap)
         if not live.any():
             return lo, hi
-        t = np.linspace(lo[live], hi[live], K_SECTION + 1, axis=1)
-        rows = np.arange(len(t))
+        # brackets of disc and lo2 in one cell coincide until they separate;
+        # each distinct bracket is evaluated once
+        ends, inv = np.unique(np.column_stack([lo[live], hi[live]]), axis=0,
+                              return_inverse=True)
+        t = np.linspace(ends[:, 0], ends[:, 1], K_SECTION + 1, axis=1)
         m = _margin_grid(alpha, t[:, 1:-1].ravel()).reshape(2, len(t), K_SECTION - 1)
+        inv = inv.reshape(-1)       # NumPy 2.0.0 returns it 2-D
+        t, m = t[inv], m[:, inv]
+        rows = np.arange(len(t))
         # t[j + 1] is the first point past lo with the sign of hi; -inf is
         # not positive, so a validity edge is a sign change like any other
         j = np.argmax(np.column_stack([m[comp[live], rows] > 0.0, up[live]])
@@ -329,7 +366,10 @@ def x_interval(alpha: float, coarse: float = 1e-4,
     """
     coupling_constant(alpha)
     _check_grid(coarse, refine_tol)
-    xs = np.concatenate([[coarse * 0.5], np.arange(coarse, 1.0, coarse), [1.0 - 1e-12]])
+    # the interior stops short of the closing point, so the grid increases
+    # strictly for every pitch (np.arange(c, 1.0, c) may end at 1.0)
+    xs = np.concatenate([[coarse * 0.5], np.arange(coarse, 1.0 - 1e-12, coarse),
+                         [1.0 - 1e-12]])
     pos = _margin_grid(alpha, xs) > 0.0
     # a component's runs of positive grid points begin and end at the sign
     # changes of its mask padded with False: edge e lies between xs[e - 1]

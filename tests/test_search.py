@@ -9,8 +9,10 @@ import gsqg
 from gsqg import search
 from gsqg.cli import main
 from gsqg.kernel import DomainError, coupling_constant
-from gsqg.search import K_SECTION, NoRootError, _margin_grid, _refine, _y_solve_grid
-from gsqg.selfsimilar import Classification
+from gsqg.search import (EPS_Y, K_SECTION, YMAX, NoRootError, _margin_grid, _past_triangle,
+                         _reduced_triple, _refine, _side_residual, _y_solve_grid)
+from gsqg.selfsimilar import Classification, centered, pair_terms, vortex_rates
+from gsqg.stability import l_terms, quartic_coefficients, quartic_mu2
 
 from conftest import THM_X, THM_Y, THM_XI3
 
@@ -188,7 +190,8 @@ def test_interval_at_alpha_one_brackets_reference_x():
 
 def test_interval_found_even_when_thinner_than_grid():
     # at alpha just above the closing exponent the window is far thinner
-    # than the 1e-3 pitch; the margin-peak rescue must still find it
+    # than the 1e-3 pitch; it lies between a disc and a lo2 root in one
+    # grid cell, which refinement must order and find
     rec = gsqg.x_interval(0.98, coarse=1e-3, refine_tol=1e-7)
     assert not rec.empty
     assert rec.x_plus - rec.x_minus < 1e-3
@@ -451,6 +454,95 @@ def test_margin_grid_element_independent_of_batch(alpha, xs):
     assert np.array_equal(got.view(np.int64), alone.view(np.int64))
 
 
+def _unmasked_margin_grid(alpha, xs):
+    """_margin_grid without the triangle screen and the compaction: the
+    side solve and the whole stability pipeline on every x."""
+    ca = coupling_constant(alpha)
+    xs = np.asarray(xs, dtype=float)
+    y, valid = _y_solve_grid(xs, alpha)
+    z, xi, shaped = _reduced_triple(xs, y, -1)
+    with np.errstate(all="ignore"):
+        z = centered(z, xi)
+        kern, bracket = pair_terms(z, alpha)
+        b = -np.imag(vortex_rates(z, xi, ca, kern)[1])
+        disc, lo2, _ = quartic_mu2(b, *quartic_coefficients(*l_terms(z, xi, ca, bracket)))
+        ok = valid & shaped & np.isfinite(np.minimum(disc, lo2))
+    return np.where(ok, np.stack([disc, lo2]), -np.inf)
+
+
+def _screen_edge_scans(alpha, xs):
+    """2001-point scans at pitches 1e-12 and 1e-9 centred on every x where
+    the triangle screen switches, located to adjacent floats."""
+    past = _past_triangle(xs, alpha)
+    scans = []
+    for e in np.flatnonzero(past[1:] != past[:-1]):
+        lo, hi = xs[e], xs[e + 1]
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if _past_triangle(np.array([mid]), alpha)[0] == past[e]:
+                lo = mid
+            else:
+                hi = mid
+        scans += [lo + pitch * np.arange(-1000, 1001) for pitch in (1e-12, 1e-9)]
+    return scans
+
+
+_DESK_GRID = np.concatenate([[5e-5], np.arange(1e-4, 1.0 - 1e-12, 1e-4), [1.0 - 1e-12]])
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9708, 1.0, 1.5, 1.99, 2.01, 2.1343, 2.5,
+                                   2.99])
+def test_screened_margin_grid_matches_unmasked_bitwise(alpha):
+    # the 10001-point grid of x_interval, random x, and dense scans across
+    # the y = 1 + x edge, where the screen leaves a sliver of x with no
+    # triangle to the triangle test
+    rng = np.random.default_rng(int(alpha * 1e4))
+    scans = _screen_edge_scans(alpha, _DESK_GRID)
+    assert len(_DESK_GRID) == 10001 and scans
+    kinds = set()
+    for xs in [_DESK_GRID, rng.uniform(0.0, 1.0, 2000), *scans]:
+        got, want = _margin_grid(alpha, xs), _unmasked_margin_grid(alpha, xs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        y, valid = _y_solve_grid(xs, alpha)
+        kinds |= set(zip(_past_triangle(xs, alpha).tolist(),
+                         (valid & _reduced_triple(xs, y, -1)[2]).tolist()))
+    assert kinds == {(True, False), (False, False), (False, True)}
+
+
+def test_side_solve_skips_screened_points(monkeypatch):
+    # at alpha = 1 about 52% of the grid has no triangle and never reaches
+    # the side solve
+    sizes = []
+    inner = search._y_solve_grid
+
+    def counted(xs, alpha):
+        sizes.append(len(xs))
+        return inner(xs, alpha)
+
+    monkeypatch.setattr(search, "_y_solve_grid", counted)
+    _margin_grid(1.0, _DESK_GRID)
+    assert len(sizes) == 1 and sizes[0] < 0.55 * len(_DESK_GRID)
+
+
+_GUARDED_ALPHA = st.one_of(
+    st.floats(0.0, 2.0 - gsqg.ALPHA_GUARD, exclude_min=True, exclude_max=True),
+    st.floats(2.0 + gsqg.ALPHA_GUARD, 3.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=_GUARDED_ALPHA, x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_triangle_screen_rejects_only_non_triangles(alpha, x):
+    xs = np.array([x])
+    with np.errstate(all="ignore"):     # x^(alpha-2) overflows for tiny x
+        if _past_triangle(xs, alpha)[0]:
+            y, valid = _y_solve_grid(xs, alpha)
+            assert not (valid & _reduced_triple(xs, y, -1)[2])[0], (alpha, x, y)
+        # the premise of the screen: g goes from negative to positive at
+        # most once on [EPS_Y, YMAX]
+        neg = _side_residual(xs, alpha)(np.geomspace(EPS_Y, YMAX, 20001)) < 0.0
+    assert neg[0] and np.count_nonzero(neg[1:] != neg[:-1]) <= 1, (alpha, x)
+
+
 def _count_grid_calls(monkeypatch):
     sizes = []
     inner = search._margin_grid
@@ -475,6 +567,22 @@ def test_margin_grid_calls_per_x_interval(monkeypatch, alpha, max_calls):
     assert sizes[0] == 10001
     assert len(sizes) <= max_calls
     assert min(sizes) > 1
+
+
+def test_refinement_evaluates_each_point_once(monkeypatch):
+    # next to alpha_- a disc and a lo2 root share a grid cell, and their
+    # identical brackets are evaluated once per round
+    points = []
+    inner = search._margin_grid
+
+    def recorded(alpha, xs):
+        points.append(np.asarray(xs))
+        return inner(alpha, xs)
+
+    monkeypatch.setattr(search, "_margin_grid", recorded)
+    gsqg.x_interval(0.971)
+    assert [len(xs) for xs in points] == [10001, 62, 62, 31]
+    assert all(len(np.unique(xs)) == len(xs) for xs in points)
 
 
 # ---------------------------------------------------------------- stubbed components
@@ -511,6 +619,18 @@ def test_run_brackets_at_the_grid_ends(monkeypatch):
     for got, root in ((b0, 0.37), (a1, 0.45), (b1, 0.53), (a2, 0.93)):
         assert abs(got - root) <= 1e-9
     assert (rec.x_minus, rec.x_plus) == (a0, b0)
+
+
+@pytest.mark.parametrize("coarse", [1 / 1002, 1 / 19, 1 / 3])
+def test_grid_increases_strictly_for_any_pitch(monkeypatch, coarse):
+    # np.arange(coarse, 1.0, coarse) ends at 1.0 or 1 - 2^-53 for these
+    # pitches, past the closing point 1 - 1e-12
+    calls = _stub_grid(monkeypatch, lambda x: x - 0.4, lambda x: 0.6 - x)
+    rec = search.x_interval(1.0, coarse=coarse, refine_tol=1e-9)
+    xs = calls[0]
+    assert xs[0] == coarse * 0.5 and xs[-1] == 1.0 - 1e-12
+    assert np.all(np.diff(xs) > 0.0)
+    assert abs(rec.x_minus - 0.4) <= 1e-9 and abs(rec.x_plus - 0.6) <= 1e-9
 
 
 @pytest.mark.parametrize("disc_root, lo2_root", [(0.51 + 1e-11, 0.51 + 3e-11),
