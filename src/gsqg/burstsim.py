@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .integrator import IntegratorConfig, Status, Trajectory, integrate
-from .kernel import DomainError, VortexState, rhs
+from .kernel import DomainError, VortexState, min_pair_distance, rhs
 from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
                           center, motion_from_config, zeta)
 
@@ -53,14 +53,12 @@ class BurstScenario:
         ):
             raise DomainError("t_ini_sequence must be positive and decreasing")
         object.__setattr__(self, "t_ini_sequence", t_ini)
-        pts = [self.burst_site] + [p for p, _ in self.background]
-        for i in range(len(pts)):
-            for k in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[k]) < self.rho_sep:
-                    raise DomainError(
-                        "background vortices must stay rho_sep away from each "
-                        "other and from the burst site"
-                    )
+        pts = np.array([self.burst_site] + [p for p, _ in self.background], dtype=complex)
+        if min_pair_distance(pts) < self.rho_sep:
+            raise DomainError(
+                "background vortices must stay rho_sep away from each "
+                "other and from the burst site"
+            )
         if any(zeta_ == 0.0 for _, zeta_ in self.background):
             raise DomainError("background intensities must be nonzero")
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 negative scientific result
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -138,7 +139,10 @@ def cmd_simulate(args) -> int:
     t_star = None
     if kind is Classification.COLLAPSE:
         traj, t_star = integrate_collapse(state0, icfg, horizon=args.t1)
-        print(f"collapse detected; fitted t* = {t_star:.12g}")
+        if traj.status is Status.COLLAPSE_DETECTED:
+            print(f"collapse detected; fitted t* = {t_star:.12g}")
+        else:
+            t_star = None   # no collapse before t1: JSON null, not NaN
     else:
         traj = integrate(state0, args.t1, icfg)
     out = Path(args.out)
@@ -221,6 +225,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the parser is a few hundred objects in reference cycles: free it now,
+    # before a process that calls main repeatedly promotes it to the oldest
+    # generation, which only a full collection empties
+    gc.collect(1)
     try:
         return args.func(args)
     except DomainError as e:

@@ -9,7 +9,6 @@ guard radius instead of grinding the step size to zero.
 
 from __future__ import annotations
 
-import functools
 import io
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,60 +65,51 @@ class IntegratorConfig:
             raise DomainError("tolerances must lie in (0, 1e-2]")
         if self.max_steps < 1:
             raise DomainError("max_steps must be >= 1")
+        if self.dmin is not None and not 0.0 < self.dmin < np.inf:
+            raise DomainError(f"dmin must be None or finite and > 0, got {self.dmin}")
 
 
-@dataclass
-class _Segment:
-    t0: float
-    h: float
-    rcont: np.ndarray     # (5, n) complex interpolation coefficients
-
-    def eval(self, t: float) -> np.ndarray:
-        s = (t - self.t0) / self.h
-        s1 = 1.0 - s
-        r = self.rcont
-        return r[0] + s * (r[1] + s1 * (r[2] + s * (r[3] + s1 * r[4])))
-
-    def covers(self, t: float) -> bool:
-        return -1e-12 <= (t - self.t0) / self.h <= 1.0 + 1e-12
+def _dense(r: np.ndarray, s: float) -> np.ndarray:
+    """Dense output of one step from its (5, n) coefficients r, at
+    s = (t - step start) / step size."""
+    s1 = 1.0 - s
+    return r[0] + s * (r[1] + s1 * (r[2] + s * (r[3] + s1 * r[4])))
 
 
 @dataclass
 class Trajectory:
-    """Accepted-step samples plus dense output of one integration run."""
+    """Accepted-step samples plus dense output of one integration run.
+    Step k starts at times[k], has size h[k] and the dense-output
+    coefficients segments[k], so len(times) == len(segments) + 1."""
 
     times: np.ndarray                 # strictly monotone
     positions: np.ndarray             # (len(times), n) complex
     xi: np.ndarray
     alpha: float
     status: Status
+    h: np.ndarray                     # signed step sizes
+    segments: list[np.ndarray] = field(repr=False)   # (5, n) complex per step
     t_event: float | None = None      # collapse or failure time
-    segments: list[_Segment] = field(default_factory=list, repr=False)
 
     def final_state(self) -> VortexState:
         return VortexState(t=float(self.times[-1]), z=self.positions[-1],
                            xi=self.xi, alpha=self.alpha)
 
-    @functools.cached_property
-    def _starts(self) -> np.ndarray:
-        return np.array([seg.t0 for seg in self.segments])
-
     def eval(self, t: float) -> np.ndarray:
-        """Dense-output positions at time t inside the covered span.  A
-        step boundary belongs to the earlier step."""
+        """Dense-output positions at time t inside the covered span, from
+        the first step covering t (the last step if none does), so a step
+        boundary belongs to the earlier step."""
         if not self.segments:
             raise ValueError("trajectory carries no dense output")
         lo, hi = self.times[0], self.times[-1]
         if not (min(lo, hi) - 1e-12 <= t <= max(lo, hi) + 1e-12):
             raise ValueError(f"t={t} outside trajectory span [{lo}, {hi}]")
-        segs = self.segments
-        sign = np.sign(segs[0].h)   # starts increase along sign * time
-        # last step starting at or before t, then back to the earliest
-        # step that still covers t
-        k = max(int(np.searchsorted(sign * self._starts, sign * t, side="right")) - 1, 0)
-        while k > 0 and segs[k - 1].covers(t):
-            k -= 1
-        return (segs[k] if segs[k].covers(t) else segs[-1]).eval(t)
+        s = (t - self.times[:-1]) / self.h
+        covers = (-1e-12 <= s) & (s <= 1.0 + 1e-12)
+        k = int(np.argmax(covers))
+        if not covers[k]:
+            k = -1
+        return _dense(self.segments[k], s[k])
 
     def min_distances(self) -> np.ndarray:
         return min_pair_distance(self.positions)
@@ -128,19 +118,15 @@ class Trajectory:
         """t, per-vortex positions and the conserved quantities, at 17
         significant digits."""
         n = self.positions.shape[1]
-        cols = ["t"]
-        for j in range(1, n + 1):
-            cols += [f"re_z{j}", f"im_z{j}"]
-        cols += ["H", "L", "C_re", "C_im"]
+        cols = (["t"] + [f"{part}_z{j}" for j in range(1, n + 1) for part in ("re", "im")]
+                + ["H", "L", "C_re", "C_im"])
         buf = io.StringIO()
         buf.write(",".join(cols) + "\n")
         q = make_conserved(self.xi, self.alpha, coupling_constant(self.alpha))
-        for t, z in zip(self.times, self.positions):
+        # a complex row viewed as floats interleaves re and im
+        for t, z, xy in zip(self.times, self.positions, self.positions.view(float)):
             c = q(z)
-            vals = [t]
-            for zj in z:
-                vals += [zj.real, zj.imag]
-            vals += [c.H, c.Lmom, c.C.real, c.C.imag]
+            vals = [t, *xy, c.H, c.Lmom, c.C.real, c.C.imag]
             buf.write(",".join(f"{v:.17g}" for v in vals) + "\n")
         return buf.getvalue()
 
@@ -180,10 +166,11 @@ def integrate(state0: VortexState, t1: float,
     f = make_rhs(xi, alpha, state0.c_alpha, dmin * 0.5)
 
     t = t0
-    z = state0.z.astype(complex).copy()
-    times = [t]
-    zs = [z.copy()]
-    segments: list[_Segment] = []
+    z = state0.z.astype(complex)
+    # z is never written in place: every accepted step makes a new array
+    times, zs = [t], [z]
+    hs: list[float] = []
+    segments: list[np.ndarray] = []
 
     k1 = f(z)
     h = direction * _initial_step(k1, z, t1 - t0, cfg)
@@ -231,24 +218,25 @@ def integrate(state0: VortexState, t1: float,
         rcont[2] = h * k[0] - dz
         rcont[3] = dz - h * k[6] - rcont[2]
         rcont[4] = h * (_D @ k)
-        segments.append(_Segment(t0=t, h=h, rcont=rcont))
+        hs.append(h)
+        segments.append(rcont)
 
         t_new = t + h
         md = min_pair_distance(z1)
         if md < dmin:
             # locate the guard crossing inside the step by bisection on
             # the dense output (the interpolant stays parameterized by the
-            # original step length)
+            # original step length; s is taken from the absolute time, as
+            # eval takes it)
             lo, hi = 0.0, 1.0
-            seg = segments[-1]
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if min_pair_distance(seg.eval(t + mid * h)) < dmin:
+                if min_pair_distance(_dense(rcont, (t + mid * h - t) / h)) < dmin:
                     hi = mid
                 else:
                     lo = mid
             t_event = t + hi * h
-            z_event = seg.eval(t_event) if t_event != t else z1
+            z_event = _dense(rcont, (t_event - t) / h) if t_event != t else z1
             times.append(t_event)
             zs.append(z_event)
             status = Status.COLLAPSE_DETECTED
@@ -258,15 +246,15 @@ def integrate(state0: VortexState, t1: float,
         z = z1
         k1 = k[6]          # FSAL
         times.append(t)
-        zs.append(z.copy())
+        zs.append(z)
         # PI controller
         fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
         h *= min(10.0, max(0.2, fac))
         err_prev = max(err, 1e-10)
 
     return Trajectory(times=np.array(times), positions=np.array(zs), xi=xi,
-                      alpha=alpha, status=status, t_event=t_event,
-                      segments=segments)
+                      alpha=alpha, status=status, h=np.array(hs),
+                      segments=segments, t_event=t_event)
 
 
 def collapse_time_fit(traj: Trajectory) -> tuple[float, float]:

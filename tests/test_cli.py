@@ -125,6 +125,28 @@ def test_simulate_collapse_reports_t_star(tmp_path, capsys):
     assert "collapse" in capsys.readouterr().out
 
 
+def test_simulate_collapse_config_stopping_before_t_star(tmp_path, capsys):
+    # the reference collapse started at t = 0 reaches t* = 2.7095; a run
+    # that ends at 0.5 completes without a collapse and has no fitted t*
+    cen = gsqg.center(gsqg.oriented_config(1.0, THM_X))
+    cfg_path = tmp_path / "collapse.json"
+    cfg_path.write_text(gsqg.TripleConfig(a=cen.a, xi=-cen.xi, alpha=1.0).to_json())
+    out = tmp_path / "traj.csv"
+    code = main(["simulate", "--config", str(cfg_path), "--t0", "0", "--t1", "0.5",
+                 "--out", str(out)])
+    assert code == 0
+    assert "collapse detected" not in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    man = json.loads(out.with_suffix(".csv.manifest.json").read_text(),
+                     parse_constant=reject)
+    assert man["parameters"]["classification"] == "collapse"
+    assert man["parameters"]["status"] == "completed"
+    assert man["parameters"]["t_star"] is None
+
+
 def test_burst_command(tmp_path):
     cfg = gsqg.oriented_config(1.0, THM_X)
     scen = gsqg.BurstScenario(triple=cfg, background=((1.0 + 0j, 1.0),),

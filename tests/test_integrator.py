@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gsqg
-from gsqg.integrator import Status, Trajectory, _Segment
+from gsqg.integrator import Status, Trajectory, _dense
 
 from conftest import lattice_state, random_state
 
@@ -215,8 +215,8 @@ def test_csv_conserved_columns_are_exact(make_state, t1):
 
 def _scan_index(traj, t):
     """The step a linear scan picks: the first one covering t."""
-    for k, seg in enumerate(traj.segments):
-        if -1e-12 <= (t - seg.t0) / seg.h <= 1.0 + 1e-12:
+    for k, (t0, h) in enumerate(zip(traj.times, traj.h)):
+        if -1e-12 <= (t - t0) / h <= 1.0 + 1e-12:
             return k
     return len(traj.segments) - 1
 
@@ -234,12 +234,12 @@ def _probe_times(traj):
     return ts
 
 
-@pytest.mark.parametrize("run", ["forward", "backward", "collapse"])
-def test_eval_picks_the_step_a_scan_picks(run, thm_centered, thm_motion):
-    if run == "forward":
+def _run(kind, thm_centered, thm_motion):
+    """A forward run, a backward run and a run stopped at the collapse guard."""
+    if kind == "forward":
         traj = gsqg.integrate(random_state(17, 3, 1.5), 0.8,
                               gsqg.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11))
-    elif run == "backward":
+    elif kind == "backward":
         st = random_state(17, 3, 1.5)
         traj = gsqg.integrate(gsqg.VortexState(t=0.8, z=st.z, xi=st.xi, alpha=st.alpha),
                               0.0, gsqg.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11))
@@ -250,17 +250,37 @@ def test_eval_picks_the_step_a_scan_picks(run, thm_centered, thm_motion):
         traj = gsqg.integrate(st, 0.5, gsqg.IntegratorConfig(
             rel_tol=1e-8, abs_tol=1e-11, dmin=1e-4 * st.min_distance()))
         assert traj.status is Status.COLLAPSE_DETECTED
+    assert len(traj.times) == len(traj.h) + 1 == len(traj.segments) + 1
+    return traj
+
+
+@pytest.mark.parametrize("run", ["forward", "backward", "collapse"])
+def test_eval_picks_the_step_a_scan_picks(run, thm_centered, thm_motion):
+    traj = _run(run, thm_centered, thm_motion)
     # the same step layout with each step's interpolant replaced by its index
     marked = Trajectory(
         times=traj.times, positions=traj.positions, xi=traj.xi, alpha=traj.alpha,
-        status=traj.status,
-        segments=[_Segment(t0=seg.t0, h=seg.h,
-                           rcont=np.array([[k], [0], [0], [0], [0]], dtype=complex))
-                  for k, seg in enumerate(traj.segments)])
+        status=traj.status, h=traj.h,
+        segments=[np.array([[k], [0], [0], [0], [0]], dtype=complex)
+                  for k in range(len(traj.segments))])
     for t in _probe_times(traj):
         k = _scan_index(traj, t)
         assert marked.eval(t)[0] == k
-        assert np.array_equal(traj.eval(t), traj.segments[k].eval(t))
+        assert np.array_equal(traj.eval(t),
+                              _dense(traj.segments[k], (t - traj.times[k]) / traj.h[k]))
+
+
+@pytest.mark.parametrize("run", ["forward", "backward", "collapse"])
+def test_eval_at_step_ends_returns_the_samples(run, thm_centered, thm_motion):
+    # times[k] ends step k - 1, whose interpolant reaches positions[k]; on a
+    # collapse run the last sample is the guard crossing inside the last step.
+    # t + h is rounded to the ulps of t, so (times[k] - times[k-1]) / h is 1
+    # only to about ulp(t) / h (7e-13 in the last collapse steps, where the
+    # positions shrink 1e4-fold): the error is measured on the run's scale.
+    traj = _run(run, thm_centered, thm_motion)
+    scale = np.max(np.abs(traj.positions))
+    for t, z in zip(traj.times[1:], traj.positions[1:]):
+        assert np.max(np.abs(traj.eval(t) - z)) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("t1", [np.nan, np.inf, -np.inf])
@@ -276,3 +296,11 @@ def test_config_validation():
         gsqg.IntegratorConfig(max_steps=0)
     with pytest.raises(ValueError):
         gsqg.integrate(pair_state(), 0.0)
+
+
+@pytest.mark.parametrize("dmin", [np.nan, 0.0, -1.0, np.inf])
+def test_guard_radius_must_be_finite_and_positive(dmin):
+    # a nan radius turns the reference collapse into a step failure, and
+    # dmin <= 0 switches the guard off
+    with pytest.raises(gsqg.DomainError, match="dmin"):
+        gsqg.IntegratorConfig(dmin=dmin)

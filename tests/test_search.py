@@ -308,7 +308,7 @@ def _seq_component_roots(alpha, coarse):
     """Brackets (component, lo, hi) no wider than 1e-9 of every sign change
     of disc (0) and lo2 (1) between neighbours of the padded grid, by
     one-point bisection."""
-    xs = np.concatenate([[coarse * 0.5], np.arange(coarse, 1.0, coarse), [1.0 - 1e-12]])
+    xs = np.concatenate([[coarse * 0.5], np.arange(coarse, 1.0 - 1e-12, coarse), [1.0 - 1e-12]])
     pos = _margin_grid(alpha, xs) > 0.0
     roots = []
     for c, i in zip(*np.nonzero(pos[:, 1:] != pos[:, :-1])):
@@ -353,7 +353,7 @@ def _seq_x_interval(alpha, coarse, tol):
     """Runs of x_interval in x order: the runs of each component walked
     along the padded grid, their inner ends refined by _seq_refine, and
     every overlap of a disc run with a lo2 run."""
-    xs = np.concatenate([[coarse * 0.5], np.arange(coarse, 1.0, coarse), [1.0 - 1e-12]])
+    xs = np.concatenate([[coarse * 0.5], np.arange(coarse, 1.0 - 1e-12, coarse), [1.0 - 1e-12]])
     pos = _margin_grid(alpha, xs) > 0.0
     n = len(xs)
     cells = [(c, i) for c in (0, 1) for i in range(n - 1) if pos[c, i] != pos[c, i + 1]]
