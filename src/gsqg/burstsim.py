@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .integrator import IntegratorConfig, Status, Trajectory, integrate
-from .kernel import DomainError, VortexState, min_pair_distance, rhs
+from .kernel import DomainError, VortexState, max_pair_distance, min_pair_distance, rhs
 from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
                           center, motion_from_config, zeta)
 
@@ -53,6 +53,10 @@ class BurstScenario:
         ):
             raise DomainError("t_ini_sequence must be positive and decreasing")
         object.__setattr__(self, "t_ini_sequence", t_ini)
+        if not max(t_ini, default=0.0) < self.horizon < np.inf:
+            raise DomainError(f"horizon must be finite and past every t_ini, got {self.horizon}")
+        if not 0.0 < self.rho_sep < np.inf:
+            raise DomainError(f"rho_sep must be finite and positive, got {self.rho_sep}")
         pts = np.array([self.burst_site] + [p for p, _ in self.background], dtype=complex)
         if min_pair_distance(pts) < self.rho_sep:
             raise DomainError(
@@ -120,9 +124,7 @@ def make_burst_initial(s: BurstScenario, t_ini: float) -> VortexState:
     t = _signed_time(s, t_ini)
     Z = zeta(s.motion, t)
     triple_pos = s.burst_site + s.triple.a * Z
-    spread = max(
-        abs(triple_pos[i] - triple_pos[k]) for i in range(3) for k in range(i + 1, 3)
-    )
+    spread = float(max_pair_distance(triple_pos))
     if spread > s.rho_sep / 2.0:
         raise DomainError(
             f"triple spread {spread:.3e} at t_ini={t_ini} exceeds rho_sep/2"
@@ -130,12 +132,6 @@ def make_burst_initial(s: BurstScenario, t_ini: float) -> VortexState:
     z = np.concatenate([triple_pos, np.array([p for p, _ in s.background])])
     xi = np.concatenate([s.triple.xi, np.array([w for _, w in s.background])])
     return VortexState(t=t, z=z, xi=xi, alpha=s.triple.alpha)
-
-
-def _spread_series(traj: Trajectory) -> np.ndarray:
-    z = traj.positions[:, :3]
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    return np.max(np.abs([z[:, i] - z[:, k] for i, k in pairs]), axis=0)
 
 
 def _fit_exponent(times: np.ndarray, spread: np.ndarray) -> float:
@@ -165,7 +161,7 @@ def run_burst(s: BurstScenario, t_ini: float,
     traj = integrate(state0, t_end, cfg)
     if traj.status is Status.STEP_FAILURE:
         raise RuntimeError(f"integration failed at t={traj.t_event}")
-    expo = _fit_exponent(traj.times, _spread_series(traj))
+    expo = _fit_exponent(traj.times, max_pair_distance(traj.positions[:, :3]))
     drift = 0.0
     if s.background:
         bg0 = np.array([p for p, _ in s.background])

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .burstsim import BurstScenario, convergence_study
 from .integrator import IntegratorConfig, Status, integrate, integrate_collapse
-from .kernel import ALPHA_GUARD, DomainError, VortexState, check_alpha
+from .kernel import DomainError, VortexState, check_alpha
 from .selfsimilar import Classification, TripleConfig, center, classify
 from .search import oriented_config, sweep, sweep_csv, x_interval
 from .stability import hypothesis_a_check
@@ -102,13 +102,10 @@ def cmd_find_config(args) -> int:
 
 def cmd_sweep(args) -> int:
     t_start = time.monotonic()
-    lo, hi, g = args.alpha_min, args.alpha_max, ALPHA_GUARD
-    straddles = lo < 2.0 - g and hi > 2.0 + g
-    in_band = abs(lo - 2.0) <= g or abs(hi - 2.0) <= g
-    if in_band:
-        print("sweep: range endpoint inside the alpha=2 guard band", file=sys.stderr)
-        return EXIT_USAGE
-    if straddles and not args.split_at_2:
+    lo, hi = args.alpha_min, args.alpha_max
+    check_alpha(lo)
+    check_alpha(hi)
+    if lo < 2.0 < hi and not args.split_at_2:
         print("sweep: range straddles alpha=2; pass --split-at-2", file=sys.stderr)
         return EXIT_USAGE
     res = sweep(lo, hi, alpha_step=args.alpha_step, coarse=args.x_coarse,

@@ -18,8 +18,7 @@ import numpy as np
 from .kernel import (DomainError, SingularityError, VortexState, coupling_constant,
                      make_conserved, make_rhs, min_pair_distance, rhs)
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau (the RHS is autonomous, so no nodes c_i)
 _A = [
     np.array([]),
     np.array([1 / 5]),

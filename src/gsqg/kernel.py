@@ -85,7 +85,7 @@ class VortexState:
         return float(min_pair_distance(self.z))
 
     def diameter(self) -> float:
-        return float(np.abs(self.z[:, None] - self.z[None, :]).max(initial=0.0))
+        return float(max_pair_distance(self.z))
 
     def dmin(self) -> float:
         return DMIN_FACTOR * self.diameter()
@@ -107,6 +107,12 @@ def min_pair_distance(z: np.ndarray):
     j = np.arange(z.shape[-1])
     d[..., j, j] = np.inf
     return d.min(axis=(-2, -1), initial=np.inf)
+
+
+def max_pair_distance(z: np.ndarray):
+    """Largest |z_j - z_k| along the last axis of z (one value per
+    configuration; 0 for fewer than two points)."""
+    return np.abs(z[..., :, None] - z[..., None, :]).max(axis=(-2, -1), initial=0.0)
 
 
 def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guard: float):

@@ -40,6 +40,8 @@ Y_MAX_ITER = 90
 TRIANGLE_SLACK = 1e-9
 # sub-brackets per bracket and round of boundary refinement
 K_SECTION = 32
+# most alpha steps in one sweep (the desk sweep takes 1298)
+MAX_ALPHAS = 10**6
 
 
 class NoRootError(DomainError):
@@ -191,7 +193,7 @@ def reduced_config(p: ReducedParams, check_tol: float = 1e-10) -> TripleConfig:
     x, y, alpha = p.x, p.y, p.alpha
     checked = np.isfinite(check_tol)
     if checked:
-        resid = abs(x ** (alpha - 2.0) + y ** (alpha - 2.0) - x**2 - y**2)
+        resid = abs(_side_residual(x, alpha)(y))
         if resid > check_tol * max(1.0, x**2 + y**2):
             raise DomainError(f"side-length equation violated (residual {resid:.2e})")
     z, xi, _ = _reduced_triple(np.array([x]), np.array([y]), p.branch)
@@ -421,6 +423,8 @@ def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
         raise DomainError(f"need 0 < alpha_min <= alpha_max < 3, got [{alpha_min}, {alpha_max}]")
     if not 0.0 < alpha_step < np.inf:
         raise DomainError(f"alpha_step must be finite and positive, got {alpha_step}")
+    if not (alpha_max - alpha_min) / alpha_step <= MAX_ALPHAS:
+        raise DomainError(f"alpha_step {alpha_step} gives more than {MAX_ALPHAS} alphas")
     _check_grid(coarse, refine_tol)
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")

@@ -53,14 +53,7 @@ class TripleConfig:
             raise DomainError("TripleConfig needs exactly three vortices")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "xi", xi)
-        coupling_constant(self.alpha)  # validates alpha
-        if not (np.isfinite(a).all() and np.isfinite(xi).all()):
-            raise DomainError("positions and intensities must be finite")
-        if np.any(xi == 0.0):
-            raise DomainError("all intensities must be nonzero")
-        d = [abs(a[0] - a[1]), abs(a[0] - a[2]), abs(a[1] - a[2])]
-        if min(d) == 0.0:
-            raise DomainError("positions must be pairwise distinct")
+        VortexState(t=0.0, z=a, xi=xi, alpha=self.alpha)   # the vortex-set checks
 
     def state(self, t: float = 0.0) -> VortexState:
         return VortexState(t=t, z=self.a.copy(), xi=self.xi.copy(), alpha=self.alpha)

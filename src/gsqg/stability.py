@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernel import DomainError, SingularityError, coupling_constant
+from .kernel import (DomainError, SingularityError, coupling_constant, max_pair_distance,
+                     min_pair_distance)
 from .selfsimilar import (RATE_TOL, SS_TOL, TripleConfig, center, pair_terms,
                           selfsimilar_rate)
 
@@ -163,11 +164,10 @@ def quartic_margin(b, c1, c2) -> np.ndarray:
 
 def l_matrix(cfg: TripleConfig, a_rate: float, b_rate: float) -> StabilityMatrix:
     """Assemble the linearization matrix at the triple's positions."""
-    a = cfg.a
-    d = np.abs(a[[0, 0, 1]] - a[[1, 2, 2]])
-    if d.min() < 1e-12 * d.max():
-        raise SingularityError(f"coincident vortices in linearization: |d|={d.min():.3e}")
-    z = a[:, None]
+    dmin = float(min_pair_distance(cfg.a))
+    if dmin < 1e-12 * max_pair_distance(cfg.a):
+        raise SingularityError(f"coincident vortices in linearization: |d|={dmin:.3e}")
+    z = cfg.a[:, None]
     off = tuple(complex(v[0]) for v in l_terms(z, cfg.xi[:, None], coupling_constant(cfg.alpha),
                                                  pair_terms(z, cfg.alpha)[1]))
     D = np.diag([-a_rate - 1j * b_rate] * 2)

@@ -65,6 +65,13 @@ def test_scenario_validation(thm_cfg):
     with pytest.raises(DomainError):
         gsqg.BurstScenario(triple=thm_cfg, t_ini_sequence=(1e-4, 2e-4, 4e-4),
                            horizon=1e-3)
+    # the horizon lies past the first t_ini and is finite; rho_sep is
+    # finite and positive
+    for kw in (dict(horizon=1e-5), dict(horizon=1e-4), dict(horizon=np.inf),
+               dict(horizon=np.nan), dict(rho_sep=np.nan), dict(rho_sep=0.0),
+               dict(rho_sep=-1.0), dict(rho_sep=np.inf)):
+        with pytest.raises(DomainError):
+            gsqg.BurstScenario(triple=thm_cfg, t_ini_sequence=(1e-4, 5e-5, 2.5e-5), **kw)
 
 
 def test_merged_intensity_bookkeeping(scenario):

@@ -251,15 +251,21 @@ def test_gsqg_jobs_is_read_only_by_sweep(tmp_path, capsys, monkeypatch):
     ["find-config", "--alpha", "nan", "--x", "0.7"],
     ["find-config", "--alpha", "3.5", "--x", "0.7"],
     ["find-config", "--alpha", "2.0", "--x", "0.7"],
+    ["burst", "--scenario", "{short_scenario}"],
+    ["sweep", "--alpha-min", "1.9995", "--alpha-max", "2.1", "--split-at-2"],
 ])
 def test_bad_number_exits_one(tmp_path, capsys, args):
     cfg = gsqg.oriented_config(1.0, THM_X)
-    paths = {name: tmp_path / f"{name}.json" for name in ("cfg", "nan_cfg", "scenario")}
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("cfg", "nan_cfg", "scenario", "short_scenario")}
     paths["cfg"].write_text(cfg.to_json())
     paths["nan_cfg"].write_text(cfg.to_json().replace('"intensities": [1.0', '"intensities": [NaN'))
-    paths["scenario"].write_text(gsqg.BurstScenario(
+    scenario = gsqg.BurstScenario(
         triple=cfg, background=((1.0 + 0j, 1.0),), t_ini_sequence=(1e-4, 5e-5, 2.5e-5),
-        horizon=5e-4).to_json())
+        horizon=5e-4).to_json()
+    paths["scenario"].write_text(scenario)
+    # a horizon before the first t_ini
+    paths["short_scenario"].write_text(scenario.replace('"horizon": 0.0005', '"horizon": 1e-05'))
     out = tmp_path / "out"
     argv = [a.format(**paths) for a in args] + ["--out", str(out)]
     assert main(argv) == 1

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsqg
-from gsqg.kernel import DomainError, make_rhs
+from gsqg.kernel import DomainError, make_rhs, max_pair_distance, min_pair_distance
 
 from conftest import THM_A, THM_B, lattice_state, random_state
 
@@ -254,6 +254,19 @@ def test_state_rejects_non_finite(field, value):
         data[field][1] = value
     with pytest.raises(DomainError):
         gsqg.VortexState(alpha=1.0, **data)
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 99])
+def test_pair_distances_match_a_pair_loop(n, rows):
+    rng = np.random.default_rng(n)
+    shape = (n,) if rows is None else (rows, n)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    lo, hi = min_pair_distance(z), max_pair_distance(z)
+    assert np.shape(lo) == np.shape(hi) == shape[:-1]
+    for cfg, dlo, dhi in zip(z.reshape(rows or 1, n), np.ravel(lo), np.ravel(hi), strict=True):
+        d = [np.abs(cfg[j] - cfg[k]) for j in range(n) for k in range(j + 1, n)]
+        assert (dlo, dhi) == ((min(d), max(d)) if n >= 2 else (np.inf, 0.0))
 
 
 def test_rate_magnitude_cross_checked(thm_centered):

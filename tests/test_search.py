@@ -662,7 +662,8 @@ def test_x_interval_rejects_bad_grid(kw):
 
 @pytest.mark.parametrize("kw", [dict(alpha_step=0.0), dict(alpha_step=-1e-3),
                                 dict(alpha_step=np.nan), dict(alpha_step=np.inf),
-                                dict(coarse=0.0), dict(refine_tol=0.0), dict(jobs=0)])
+                                dict(coarse=0.0), dict(refine_tol=0.0), dict(jobs=0),
+                                dict(alpha_step=1e-320), dict(alpha_step=1e-12)])
 def test_sweep_rejects_bad_parameters(kw):
     with pytest.raises(DomainError):
         gsqg.sweep(1.4, 1.5, **kw)
@@ -679,7 +680,8 @@ def test_sweep_rejects_non_finite_alpha_range(lo, hi):
 @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-2"], ["--alpha-step", "0"],
                                    ["--x-coarse", "nan"], ["--refine-tol", "-1"],
                                    ["--alpha-min", "3.5", "--alpha-max", "4.0"],
-                                   ["--alpha-min", "-1", "--alpha-max", "-0.5"]])
+                                   ["--alpha-min", "-1", "--alpha-max", "-0.5"],
+                                   ["--alpha-step", "1e-320"]])
 def test_cli_sweep_rejects_bad_parameters(tmp_path, capsys, flags):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--alpha-min", "1.4", "--alpha-max", "1.5", *flags,

@@ -243,3 +243,15 @@ def test_config_json_rejects_non_finite(thm_cfg, old, new):
 def test_motion_json_roundtrip(thm_motion):
     back = gsqg.SelfSimilarMotion.from_json(thm_motion.to_json())
     assert back == thm_motion
+
+
+@pytest.mark.parametrize("change", [
+    dict(alpha=np.nan), dict(alpha=0.0), dict(alpha=2.0), dict(alpha=3.5),
+    dict(a=[np.nan, 1.0, 1j]), dict(xi=[1.0, np.inf, 1.0]), dict(xi=[1.0, 0.0, 1.0]),
+    dict(a=[0.0, 1.0, 1.0]), dict(a=[0.0, 1.0], xi=[1.0, 1.0]),
+])
+def test_config_rejects_bad_vortex_set(change):
+    kw = dict(a=np.array([0.0, 1.0, 1j]), xi=np.array([1.0, 1.0, 1.0]), alpha=1.5)
+    kw.update(change)
+    with pytest.raises(DomainError):
+        gsqg.TripleConfig(**kw)
