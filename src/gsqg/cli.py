@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -48,6 +47,8 @@ def _read_input(kind: str, path: str, parse):
     """Parse an input file; a missing or malformed one is a usage error."""
     try:
         return parse(Path(path).read_text())
+    except DomainError:
+        raise
     except OSError as e:
         raise DomainError(f"cannot read {kind} {path}: {e.strerror}") from e
     except (ValueError, KeyError, TypeError, IndexError) as e:
@@ -69,9 +70,6 @@ def _manifest(command: str, params: dict, outputs: list[Path], t0: float) -> Non
 def cmd_find_config(args) -> int:
     t_start = time.monotonic()
     out = Path(args.out)
-    if args.x is None and not args.auto:
-        print("find-config: provide --x or --auto", file=sys.stderr)
-        return EXIT_USAGE
     check_alpha(args.alpha)     # a usage error, not a failed construction
     if args.auto:
         rec = x_interval(args.alpha, coarse=args.x_coarse, refine_tol=args.refine_tol)
@@ -106,8 +104,7 @@ def cmd_sweep(args) -> int:
     check_alpha(lo)
     check_alpha(hi)
     if lo < 2.0 < hi and not args.split_at_2:
-        print("sweep: range straddles alpha=2; pass --split-at-2", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("range straddles alpha=2; pass --split-at-2")
     res = sweep(lo, hi, alpha_step=args.alpha_step, coarse=args.x_coarse,
                 refine_tol=args.refine_tol, jobs=args.jobs)
     out = Path(args.out)
@@ -157,9 +154,12 @@ def cmd_burst(args) -> int:
     t_start = time.monotonic()
     scenario = _read_input("scenario", args.scenario, BurstScenario.from_json)
     icfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.rel_tol * 1e-3)
+    try:
+        diag = convergence_study(scenario, icfg)
+    except RuntimeError as e:   # a step failure, as simulate's, is a negative result
+        print(f"gsqg burst: {e}", file=sys.stderr)
+        return EXIT_NEGATIVE
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    diag = convergence_study(scenario, icfg)
     outputs = [_write(out_dir / f"trajectory_tini_{t_ini:.6g}.csv", traj.to_csv())
                for t_ini, traj in zip(scenario.t_ini_sequence, diag.runs)]
     outputs.append(_write(out_dir / "diagnostics.json", json.dumps({
@@ -182,9 +182,10 @@ def build_parser() -> _Parser:
 
     fc = sub.add_parser("find-config", help="construct and check one triple")
     fc.add_argument("--alpha", type=float, required=True)
-    fc.add_argument("--x", type=float, default=None)
-    fc.add_argument("--auto", action="store_true",
-                    help="pick the midpoint of the admissible interval")
+    which = fc.add_mutually_exclusive_group(required=True)
+    which.add_argument("--x", type=float)
+    which.add_argument("--auto", action="store_true",
+                       help="pick the midpoint of the admissible interval")
     fc.add_argument("--x-coarse", type=float, default=1e-4)
     fc.add_argument("--refine-tol", type=float, default=1e-7)
     fc.add_argument("--out", type=str, required=True)
@@ -196,9 +197,7 @@ def build_parser() -> _Parser:
     sw.add_argument("--alpha-step", type=float, default=1e-3)
     sw.add_argument("--x-coarse", type=float, default=1e-4)
     sw.add_argument("--refine-tol", type=float, default=1e-7)
-    # a string default is converted by `type` only when sweep runs without --jobs
-    sw.add_argument("--jobs", type=int, default=os.environ.get("GSQG_JOBS", "1"),
-                    help="worker processes (default: $GSQG_JOBS, else 1)")
+    sw.add_argument("--jobs", type=int, default=1, help="worker processes")
     sw.add_argument("--split-at-2", action="store_true",
                     help="allow ranges straddling the alpha=2 guard band")
     sw.add_argument("--out", type=str, required=True)

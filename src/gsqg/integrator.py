@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .kernel import (DomainError, SingularityError, VortexState, coupling_constant,
-                     make_conserved, make_rhs, min_pair_distance, rhs)
+                     make_conserved, make_rhs, min_pair_distance)
 
 # Dormand-Prince 5(4) tableau (the RHS is autonomous, so no nodes c_i)
 _A = [
@@ -141,7 +141,8 @@ def _initial_step(f0: np.ndarray, z0: np.ndarray, span: float,
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(z0)
     d0 = np.sqrt(np.mean(np.abs(z0 / scale) ** 2))
     d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    # norms that overflow at a tiny tolerance give no ratio
+    h0 = 0.01 * d0 / d1 if 1e-5 <= d0 < np.inf and 1e-5 <= d1 < np.inf else 1e-6
     return min(h0, abs(span))
 
 
@@ -205,8 +206,8 @@ def integrate(state0: VortexState, t1: float,
             continue
         z1 = z + h * (_B5 @ k)
         err = _error_norm(h * (_E @ k), z, z1, cfg)
-        if err > 1.0:
-            # rejected: shrink with the plain controller
+        if not err <= 1.0:
+            # rejected (a NaN error norm too): shrink with the plain controller
             h *= max(0.2, 0.9 * err ** (-0.2))
             continue
         # accepted step: dense output coefficients
@@ -293,25 +294,16 @@ def collapse_time_fit(traj: Trajectory) -> tuple[float, float]:
     return float(t_star), float(slope)
 
 
-def integrate_collapse(state0: VortexState, cfg: IntegratorConfig = IntegratorConfig(),
-                       horizon: float | None = None) -> tuple[Trajectory, float]:
-    """Run a collapsing state into the singular time and extrapolate it.
+def integrate_collapse(state0: VortexState, cfg: IntegratorConfig = IntegratorConfig(), *,
+                       horizon: float) -> tuple[Trajectory, float]:
+    """Run a collapsing state toward its singular time, up to `horizon`,
+    and extrapolate that time.
 
     Returns the trajectory (CollapseDetected when the guard radius is
     reached) and the fitted collapse time t*.  A state that never
     approaches collision within the horizon comes back Completed with
     t* = nan.
     """
-    if horizon is None:
-        # crude singular-time estimate from the instantaneous contraction rate
-        zc = state0.z - np.sum(state0.xi * state0.z) / np.sum(state0.xi)
-        vbar = np.conj(rhs(state0))
-        q = np.mean(vbar / np.conj(zc))
-        a_est = q.real
-        if a_est < -1e-12:
-            horizon = state0.t + 1.25 / ((4.0 - state0.alpha) * abs(a_est))
-        else:
-            horizon = state0.t + 1.0
     traj = integrate(state0, horizon, cfg)
     if traj.status is not Status.COLLAPSE_DETECTED:
         return traj, float("nan")

@@ -131,8 +131,10 @@ def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guard: float):
         if closest < guard:
             raise SingularityError(f"pairwise distance {closest:.3e} "
                                    f"below guard {guard:.3e}")
-        dist[diag] = 1.0   # avoid 0**negative on the diagonal
-        kern = dist**p / np.where(diff == 0, 1.0, diff)
+        # the guard leaves zeros only on the diagonal: avoid 0**negative and 0/0
+        dist[diag] = 1.0
+        diff[diag] = 1.0
+        kern = dist**p / diff
         kern[diag] = 0.0
         return np.conj(ic * (kern @ xi_c))
 

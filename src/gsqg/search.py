@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import ALPHA_GUARD, DomainError, coupling_constant
-from .selfsimilar import (Classification, TripleConfig, center, centered, check_H_L_zero,
-                          pair_terms, selfsimilar_rate, vortex_rates)
+from .selfsimilar import (TripleConfig, center, centered, check_H_L_zero, pair_terms,
+                          selfsimilar_rate, vortex_rates)
 from .stability import (HypothesisReport, hypothesis_a_check, l_terms, quartic_coefficients,
                         quartic_margin, quartic_mu2)
 
@@ -183,7 +183,7 @@ class ReducedParams:
                               "(y > 1 - x, positive height) with xi_3 > -2")
 
 
-def reduced_config(p: ReducedParams, check_tol: float = 1e-10) -> TripleConfig:
+def reduced_config(p: ReducedParams) -> TripleConfig:
     """Build the normalized triple from reduced parameters.
 
     Checks the side-length equation residual, builds a_3 so that
@@ -191,37 +191,29 @@ def reduced_config(p: ReducedParams, check_tol: float = 1e-10) -> TripleConfig:
     H = L = 0 identity of the construction.
     """
     x, y, alpha = p.x, p.y, p.alpha
-    checked = np.isfinite(check_tol)
-    if checked:
-        resid = abs(_side_residual(x, alpha)(y))
-        if resid > check_tol * max(1.0, x**2 + y**2):
-            raise DomainError(f"side-length equation violated (residual {resid:.2e})")
+    resid = abs(_side_residual(x, alpha)(y))
+    if resid > 1e-10 * max(1.0, x**2 + y**2):
+        raise DomainError(f"side-length equation violated (residual {resid:.2e})")
     z, xi, _ = _reduced_triple(np.array([x]), np.array([y]), p.branch)
     cfg = TripleConfig(a=z[:, 0], xi=xi[:, 0], alpha=alpha)
-    if checked:
-        H, L = check_H_L_zero(cfg)
-        if abs(H) > 1e-8 or abs(L) > 1e-8:
-            raise DomainError(f"constructed configuration has H={H:.2e}, L={L:.2e} != 0")
+    H, L = check_H_L_zero(cfg)
+    if abs(H) > 1e-8 or abs(L) > 1e-8:
+        raise DomainError(f"constructed configuration has H={H:.2e}, L={L:.2e} != 0")
     return cfg
 
 
-def oriented_config(alpha: float, x: float, y: float | None = None,
-                    want: Classification = Classification.BURST) -> TripleConfig:
-    """Reduced configuration on the branch realizing the requested
-    orientation (burst by default).
+def oriented_config(alpha: float, x: float, y: float | None = None) -> TripleConfig:
+    """Reduced configuration on the burst branch.
 
     The rate a flips sign with the imaginary branch of a_3, so exactly one
     branch gives a > 0.  For alpha < 2 the burst branch has Im(a_3) < 0;
     the sign flips across alpha = 2 together with the coupling constant.
     """
-    if want not in (Classification.BURST, Classification.COLLAPSE):
-        raise DomainError("orientation must be burst or collapse")
     if y is None:
         y = y_from_x(x, alpha)
     cfg = reduced_config(ReducedParams(alpha=alpha, x=x, y=y, branch=-1))
     a_rate, _, _ = selfsimilar_rate(center(cfg))
-    wanted_sign = 1.0 if want is Classification.BURST else -1.0
-    if a_rate * wanted_sign < 0.0:
+    if a_rate < 0.0:
         cfg = reduced_config(ReducedParams(alpha=alpha, x=x, y=y, branch=+1))
     return cfg
 
@@ -249,7 +241,7 @@ def admissible(x: float, alpha: float) -> Admissibility:
     except DomainError as e:
         return Admissibility(False, f"no side solution: {e}", -np.inf, x, alpha)
     try:
-        cfg = oriented_config(alpha, x, y, want=Classification.BURST)
+        cfg = oriented_config(alpha, x, y)
     except DomainError as e:
         return Admissibility(False, f"invalid configuration: {e}", -np.inf, x, alpha, y)
     report = hypothesis_a_check(cfg)

@@ -35,9 +35,15 @@ def test_find_config_auto_midpoint(tmp_path):
                  "--out", str(out)]) == 0
 
 
-def test_find_config_usage_error(tmp_path):
+def test_find_config_usage_error(tmp_path, capsys):
+    # exactly one of --x and --auto
     out = tmp_path / "cfg.json"
-    assert main(["find-config", "--alpha", "1.0", "--out", str(out)]) == 1
+    for which in ([], ["--x", "0.7019", "--auto"]):
+        with pytest.raises(SystemExit) as e:
+            main(["find-config", "--alpha", "1.0", *which, "--out", str(out)])
+        assert e.value.code == 1
+        assert capsys.readouterr().err.startswith("gsqg find-config: error: ")
+        assert not out.exists()
 
 
 def test_unknown_flag_exits_one():
@@ -62,11 +68,13 @@ def test_sweep_single_alpha(tmp_path):
     assert set(endpoints) == {"alpha_minus", "alpha_plus"}
 
 
-def test_sweep_straddle_guard(tmp_path):
+def test_sweep_straddle_guard(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     args = ["sweep", "--alpha-min", "1.9", "--alpha-max", "2.1",
             "--alpha-step", "5e-2", "--x-coarse", "2e-3", "--out", str(out)]
     assert main(args) == 1
+    assert capsys.readouterr().err == "gsqg sweep: range straddles alpha=2; pass --split-at-2\n"
+    assert not out.exists()
     assert main(args + ["--split-at-2"]) == 0
 
 
@@ -223,21 +231,6 @@ def test_missing_or_malformed_input_exits_one(tmp_path, capsys, command, flag,
     assert not out.exists()
 
 
-def test_gsqg_jobs_is_read_only_by_sweep(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GSQG_JOBS", "x")
-    cfg = tmp_path / "cfg.json"
-    assert main(["find-config", "--alpha", "1.0", "--x", str(THM_X), "--out", str(cfg)]) == 0
-    out = tmp_path / "sweep.csv"
-    args = ["sweep", "--alpha-min", "1.3", "--alpha-max", "1.3", "--x-coarse", "1e-3",
-            "--out", str(out)]
-    with pytest.raises(SystemExit) as e:
-        main(args)
-    assert e.value.code == 1
-    assert "gsqg sweep: error: argument --jobs: invalid int value: 'x'" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(args + ["--jobs", "1"]) == 0
-
-
 @pytest.mark.parametrize("args", [
     ["find-config", "--alpha", "1.0", "--x", "1.5"],
     ["find-config", "--alpha", "1.0", "--x", "nan"],
@@ -270,5 +263,52 @@ def test_bad_number_exits_one(tmp_path, capsys, args):
     argv = [a.format(**paths) for a in args] + ["--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(("gsqg ", "find-config:")) and "Traceback" not in err
+    assert err.startswith("gsqg ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_scenario_breaking_a_rule_exits_one_with_its_reason(tmp_path, capsys):
+    scen = gsqg.BurstScenario(triple=gsqg.oriented_config(1.0, THM_X),
+                              background=((1.0 + 0j, 1.0),),
+                              t_ini_sequence=(1e-4, 5e-5, 2.5e-5), horizon=5e-4)
+    spath = tmp_path / "scenario.json"
+    spath.write_text(scen.to_json().replace('"horizon": 0.0005', '"horizon": 1e-05'))
+    out = tmp_path / "runs"
+    assert main(["burst", "--scenario", str(spath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "gsqg burst: horizon must be finite and past every t_ini, got 1e-05\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, reason", [
+    # x too small for a triangle: the side y(x) lies past 1 + x
+    (["find-config", "--alpha", "1.0", "--x", "0.05"], "find-config: sides"),
+    # the root y(x) lies beyond YMAX
+    (["find-config", "--alpha", "1.0", "--x", "0.01"], "find-config: no sign change"),
+    (["burst", "--scenario", "{scenario}", "--rel-tol", "1e-100"],
+     "gsqg burst: integration failed at t="),
+])
+def test_negative_result_exits_two(tmp_path, capsys, args, reason):
+    scen = gsqg.BurstScenario(triple=gsqg.oriented_config(1.0, THM_X),
+                              background=((1.0 + 0j, 1.0),),
+                              t_ini_sequence=(1e-4, 5e-5, 2.5e-5), horizon=5e-4)
+    spath = tmp_path / "scenario.json"
+    spath.write_text(scen.to_json())
+    out = tmp_path / "out"
+    assert main([a.format(scenario=spath) for a in args] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(reason) and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_at_tiny_tolerance_is_a_step_failure(tmp_path, capsys):
+    # at rel_tol 1e-300 the initial-step norms overflow; the run used to
+    # "complete" at t = nan
+    cen = gsqg.center(gsqg.oriented_config(1.0, THM_X))
+    cfg_path = tmp_path / "collapse.json"
+    cfg_path.write_text(gsqg.TripleConfig(a=cen.a, xi=-cen.xi, alpha=1.0).to_json())
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--t0", "0", "--t1", "3",
+                 "--rel-tol", "1e-300", "--out", str(out)]) == 2
+    assert capsys.readouterr().out.endswith("status = step_failure, samples = 1\n")
+    assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)).all()

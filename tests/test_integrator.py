@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gsqg
-from gsqg.integrator import Status, Trajectory, _dense
+from gsqg.integrator import Status, Trajectory, _dense, _initial_step
 
 from conftest import lattice_state, random_state
 
@@ -113,7 +113,7 @@ def test_collapse_time_extrapolation(thm_centered, thm_motion):
     t0 = gsqg.reference_time(thm_motion)
     st = gsqg.VortexState(t=-t0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
     traj, t_star = gsqg.integrate_collapse(
-        st, gsqg.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-14))
+        st, gsqg.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-14), horizon=1.0)
     assert traj.status is Status.COLLAPSE_DETECTED
     assert abs(t_star - 0.0) <= 1e-4 * t0
 
@@ -122,7 +122,8 @@ def test_collapse_exponent(thm_centered, thm_motion):
     t0 = gsqg.reference_time(thm_motion)
     st = gsqg.VortexState(t=-t0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
     traj, _ = gsqg.integrate_collapse(st, gsqg.IntegratorConfig(rel_tol=1e-11,
-                                                                abs_tol=1e-14))
+                                                                abs_tol=1e-14),
+                                      horizon=1.0)
     _, expo = gsqg.collapse_time_fit(traj)
     assert expo == pytest.approx(1.0 / (4.0 - 1.0), abs=1e-3)
 
@@ -145,7 +146,7 @@ def test_collapse_fit_at_loose_tolerance(thm_centered, thm_motion):
     t0 = gsqg.reference_time(thm_motion)
     st = gsqg.VortexState(t=-t0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
     traj, t_star = gsqg.integrate_collapse(
-        st, gsqg.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11))
+        st, gsqg.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11), horizon=1.0)
     assert traj.status is Status.COLLAPSE_DETECTED
     assert t_star < traj.times[-1]
     assert abs(t_star - 0.0) <= 1e-4 * t0
@@ -177,6 +178,24 @@ def test_step_budget_failure():
                                                 max_steps=3))
     assert traj.status is Status.STEP_FAILURE
     assert traj.t_event is not None
+
+
+def test_tiny_tolerance_fails_with_finite_times(thm_centered):
+    # at 1e-300 the initial-step norms overflow; the run must end in a
+    # step failure, not "complete" at t = nan
+    st = gsqg.VortexState(t=0.0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
+    cfg = gsqg.IntegratorConfig(rel_tol=1e-300, abs_tol=1e-303)
+    assert _initial_step(gsqg.rhs(st), st.z, 3.0, cfg) == 1e-6
+    traj = gsqg.integrate(st, 3.0, cfg)
+    assert traj.status is Status.STEP_FAILURE
+    assert np.isfinite(traj.times).all() and np.isfinite(traj.t_event)
+
+
+def test_nan_error_norm_rejects_the_step(monkeypatch):
+    monkeypatch.setattr(gsqg.integrator, "_error_norm", lambda *args: float("nan"))
+    traj = gsqg.integrate(pair_state(), 1.0)
+    assert traj.status is Status.STEP_FAILURE
+    assert len(traj.times) == 1
 
 
 # ---------------------------------------------------------------- bookkeeping

@@ -11,7 +11,7 @@ from gsqg.cli import main
 from gsqg.kernel import DomainError, coupling_constant
 from gsqg.search import (EPS_Y, K_SECTION, YMAX, NoRootError, _margin_grid, _past_triangle,
                          _reduced_triple, _refine, _side_residual, _y_solve_grid)
-from gsqg.selfsimilar import Classification, centered, pair_terms, vortex_rates
+from gsqg.selfsimilar import centered, pair_terms, vortex_rates
 from gsqg.stability import l_terms, quartic_coefficients, quartic_mu2
 
 from conftest import THM_X, THM_Y, THM_XI3
@@ -90,11 +90,11 @@ def test_construction_side_identities():
 
 def test_isoceles_third_vortex_on_axis():
     # x = y puts the third vortex on the imaginary axis (the isoceles
-    # shape only sits on the side curve at x = y = 1, so skip the
-    # residual check and probe the constructor alone)
-    p = gsqg.ReducedParams(alpha=1.5, x=0.9, y=0.9, branch=-1)
-    cfg = gsqg.reduced_config(p, check_tol=np.inf)
-    assert cfg.a[2].real == pytest.approx(0.0, abs=1e-15)
+    # shape only sits on the side curve at x = y = 1, so probe the
+    # constructor alone)
+    z, _, valid = _reduced_triple(np.array([0.9]), np.array([0.9]), -1)
+    assert valid[0]
+    assert z[2, 0].real == 0.0
 
 
 def test_constructed_H_L_vanish():
@@ -114,7 +114,7 @@ def test_burst_branch_signs():
     # branch flips the rate sign with equal magnitude
     for alpha, x in [(1.0, THM_X), (1.5, 0.75)]:
         y = gsqg.y_from_x(x, alpha)
-        burst = gsqg.oriented_config(alpha, x, want=Classification.BURST)
+        burst = gsqg.oriented_config(alpha, x)
         a_b, _, _ = gsqg.selfsimilar_rate(gsqg.center(burst))
         assert a_b > 0
         assert burst.a[2].imag < 0
@@ -233,6 +233,15 @@ def test_sweep_curve_continuity():
     for a, b in zip(recs, recs[1:]):
         assert abs(a.x_minus - b.x_minus) < 10 * 1e-3
         assert abs(a.x_plus - b.x_plus) < 10 * 1e-3
+
+
+def test_sweep_csv_writes_empty_rows():
+    # every alpha of this range lies below alpha_- = 0.9708
+    res = gsqg.sweep(0.90, 0.96, alpha_step=2e-2, coarse=1e-3)
+    assert res.alpha_minus is None and res.alpha_plus is None
+    assert gsqg.sweep_csv(res).splitlines() == [
+        "alpha,x_minus,x_plus,status", "0.9,,,empty", "0.92,,,empty", "0.94,,,empty",
+        "0.96,,,empty"]
 
 
 @pytest.mark.parametrize("lo, hi", [(0.97, 0.9712), (2.134, 2.1352)])
