@@ -74,7 +74,7 @@ def cmd_find_config(args) -> int:
     if args.auto:
         rec = x_interval(args.alpha, coarse=args.x_coarse, refine_tol=args.refine_tol)
         if rec.empty:
-            print(f"find-config: no admissible x at alpha={args.alpha}", file=sys.stderr)
+            print(f"gsqg find-config: no admissible x at alpha={args.alpha}", file=sys.stderr)
             return EXIT_NEGATIVE
         x = 0.5 * (rec.x_minus + rec.x_plus)
     else:
@@ -84,7 +84,7 @@ def cmd_find_config(args) -> int:
     try:
         cfg = oriented_config(args.alpha, x)
     except DomainError as e:
-        print(f"find-config: {e}", file=sys.stderr)
+        print(f"gsqg find-config: {e}", file=sys.stderr)
         return EXIT_NEGATIVE
     report = hypothesis_a_check(cfg)
     outputs = [

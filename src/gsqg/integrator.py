@@ -10,6 +10,7 @@ guard radius instead of grinding the step size to zero.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -18,25 +19,23 @@ import numpy as np
 from .kernel import (DomainError, SingularityError, VortexState, coupling_constant,
                      make_conserved, make_rhs, min_pair_distance)
 
-# Dormand-Prince 5(4) tableau (the RHS is autonomous, so no nodes c_i)
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# b5 - b4: local error estimator weights
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# dense-output weights
-_D = np.array([
-    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-    -10690763975 / 1880347072, 701980252875 / 199316789632,
-    -1453857185 / 822651844, 69997945 / 29380423,
-])
+# Dormand-Prince 5(4) tableau (the RHS is autonomous, so no nodes c_i), stored
+# complex like the stages it weighs.  Row 7 of A is b5: stage 7 is the end point.
+_A = [np.array(row, dtype=complex) for row in (
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+)]
+# b5 - b4: local error estimator weights, then the dense-output weights
+_E, _D = (np.array(w, dtype=complex) for w in (
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    [-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+     -10690763975 / 1880347072, 701980252875 / 199316789632,
+     -1453857185 / 822651844, 69997945 / 29380423],
+))
 
 
 class Status(Enum):
@@ -133,19 +132,19 @@ class Trajectory:
 def _error_norm(err: np.ndarray, z0: np.ndarray, z1: np.ndarray,
                 cfg: IntegratorConfig) -> float:
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z0), np.abs(z1))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    return math.sqrt((np.abs(err / scale) ** 2).sum() / len(err))
 
 
+@np.errstate(over="ignore")    # norms that overflow at a tiny tolerance give no ratio
 def _initial_step(f0: np.ndarray, z0: np.ndarray, span: float,
                   cfg: IntegratorConfig) -> float:
-    scale = cfg.abs_tol + cfg.rel_tol * np.abs(z0)
-    d0 = np.sqrt(np.mean(np.abs(z0 / scale) ** 2))
-    d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
-    # norms that overflow at a tiny tolerance give no ratio
+    d0 = _error_norm(z0, z0, z0, cfg)
+    d1 = _error_norm(f0, z0, z0, cfg)
     h0 = 0.01 * d0 / d1 if 1e-5 <= d0 < np.inf and 1e-5 <= d1 < np.inf else 1e-6
-    return min(h0, abs(span))
+    return float(min(h0, abs(span)))
 
 
+@np.errstate(over="ignore")    # an error norm that overflows rejects its step
 def integrate(state0: VortexState, t1: float,
               cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate the vortex system from state0.t to t1 (either direction).
@@ -172,8 +171,10 @@ def integrate(state0: VortexState, t1: float,
     hs: list[float] = []
     segments: list[np.ndarray] = []
 
-    k1 = f(z)
-    h = direction * _initial_step(k1, z, t1 - t0, cfg)
+    # one stage buffer per run; row 0 holds f(z)
+    k = np.empty((7, len(z)), dtype=complex)
+    k[0] = f(z)[0]
+    h = direction * _initial_step(k[0], z, t1 - t0, cfg)
     err_prev = 1.0
     n_steps = 0
     status = Status.COMPLETED
@@ -195,16 +196,15 @@ def integrate(state0: VortexState, t1: float,
         if direction * (t + h - t1) > 0.0:
             h = t1 - t
         n_steps += 1
-        k = np.empty((7, len(z)), dtype=complex)
-        k[0] = k1
         try:
-            for i in range(1, 7):
-                zi = z + h * (_A[i] @ k[:i])
-                k[i] = f(zi)
+            # after the last stage z1 is the end point of the step and md
+            # its minimum pairwise distance
+            for i, a in enumerate(_A, 1):
+                z1 = z + h * (a @ k[:i])
+                k[i], md = f(z1)
         except SingularityError:
             h *= 0.25
             continue
-        z1 = z + h * (_B5 @ k)
         err = _error_norm(h * (_E @ k), z, z1, cfg)
         if not err <= 1.0:
             # rejected (a NaN error norm too): shrink with the plain controller
@@ -221,8 +221,6 @@ def integrate(state0: VortexState, t1: float,
         hs.append(h)
         segments.append(rcont)
 
-        t_new = t + h
-        md = min_pair_distance(z1)
         if md < dmin:
             # locate the guard crossing inside the step by bisection on
             # the dense output (the interpolant stays parameterized by the
@@ -242,9 +240,9 @@ def integrate(state0: VortexState, t1: float,
             status = Status.COLLAPSE_DETECTED
             break
 
-        t = t_new
+        t = t + h
         z = z1
-        k1 = k[6]          # FSAL
+        k[0] = k[6]        # FSAL, copied: a retried step rewrites row 6
         times.append(t)
         zs.append(z)
         # PI controller

@@ -116,27 +116,27 @@ def max_pair_distance(z: np.ndarray):
 
 
 def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guard: float):
-    """`rhs` as a function of the positions alone, for fixed intensities,
-    exponent and guard distance; it builds no per-call objects."""
+    """`rhs` and the minimum pairwise distance as a function of the positions
+    alone, for fixed intensities, exponent and guard distance."""
     xi_c = xi.astype(complex)
     ic = 1j * c_alpha
     p = alpha - 2.0
-    diag = np.diag_indices(len(xi))
+    n = len(xi)
 
-    def f(z: np.ndarray) -> np.ndarray:
+    def f(z: np.ndarray) -> tuple[np.ndarray, float]:
         diff = z[:, None] - z[None, :]
         dist = np.abs(diff)
-        dist[diag] = np.inf
+        dist.reshape(-1)[::n + 1] = np.inf
         closest = dist.min()
         if closest < guard:
             raise SingularityError(f"pairwise distance {closest:.3e} "
                                    f"below guard {guard:.3e}")
         # the guard leaves zeros only on the diagonal: avoid 0**negative and 0/0
-        dist[diag] = 1.0
-        diff[diag] = 1.0
+        dist.reshape(-1)[::n + 1] = 1.0
+        diff.reshape(-1)[::n + 1] = 1.0
         kern = dist**p / diff
-        kern[diag] = 0.0
-        return np.conj(ic * (kern @ xi_c))
+        kern.reshape(-1)[::n + 1] = 0.0
+        return np.conj(ic * (kern @ xi_c)), closest
 
     return f
 
@@ -148,7 +148,7 @@ def rhs(state: VortexState, dmin: float | None = None) -> np.ndarray:
     (defaults to the state's own guard distance).
     """
     guard = state.dmin() if dmin is None else dmin
-    return make_rhs(state.xi, state.alpha, state.c_alpha, guard)(state.z)
+    return make_rhs(state.xi, state.alpha, state.c_alpha, guard)(state.z)[0]
 
 
 def velocity(state: VortexState, j: int, dmin: float | None = None) -> complex:

@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernel import (DomainError, SingularityError, coupling_constant, max_pair_distance,
                      min_pair_distance)
@@ -261,5 +260,6 @@ def propagator_norm(M: StabilityMatrix, alpha: float, t: float) -> float:
         raise DomainError(f"propagator defined for t in (0, 1], got {t}")
     if M.a_rate == 0.0:
         raise DomainError("propagator scaling undefined for a = 0")
+    import scipy.linalg     # here: no command needs its ~6 MB and ~25 ms of import
     tau = np.log(t) / ((4.0 - alpha) * M.a_rate)
     return float(np.linalg.norm(scipy.linalg.expm(tau * M.entries), 2))

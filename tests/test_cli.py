@@ -24,9 +24,10 @@ def test_find_config_reference(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_find_config_negative_result(tmp_path):
+def test_find_config_negative_result(tmp_path, capsys):
     out = tmp_path / "cfg.json"
     assert main(["find-config", "--alpha", "0.9", "--auto", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "gsqg find-config: no admissible x at alpha=0.9\n"
 
 
 def test_find_config_auto_midpoint(tmp_path):
@@ -282,9 +283,9 @@ def test_scenario_breaking_a_rule_exits_one_with_its_reason(tmp_path, capsys):
 
 @pytest.mark.parametrize("args, reason", [
     # x too small for a triangle: the side y(x) lies past 1 + x
-    (["find-config", "--alpha", "1.0", "--x", "0.05"], "find-config: sides"),
+    (["find-config", "--alpha", "1.0", "--x", "0.05"], "gsqg find-config: sides"),
     # the root y(x) lies beyond YMAX
-    (["find-config", "--alpha", "1.0", "--x", "0.01"], "find-config: no sign change"),
+    (["find-config", "--alpha", "1.0", "--x", "0.01"], "gsqg find-config: no sign change"),
     (["burst", "--scenario", "{scenario}", "--rel-tol", "1e-100"],
      "gsqg burst: integration failed at t="),
 ])

@@ -1,3 +1,4 @@
+from itertools import count
 from types import SimpleNamespace
 
 import numpy as np
@@ -196,6 +197,41 @@ def test_nan_error_norm_rejects_the_step(monkeypatch):
     traj = gsqg.integrate(pair_state(), 1.0)
     assert traj.status is Status.STEP_FAILURE
     assert len(traj.times) == 1
+
+
+def test_rejected_steps_mid_run_restart_from_the_step_start(monkeypatch):
+    # a rejected attempt overwrites the stage buffer; the retry and the
+    # attempt after two rejections in a row must start from f(z) again
+    norm, calls = gsqg.integrator._error_norm, count(1)
+
+    def rejecting(*args):
+        return 2.0 if next(calls) in (10, 20, 21) else norm(*args)
+
+    monkeypatch.setattr(gsqg.integrator, "_error_norm", rejecting)
+    traj = gsqg.integrate(pair_state(), PERIOD / 3,
+                          gsqg.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-14))
+    assert next(calls) > 22
+    assert np.max(np.abs(traj.final_state().z - pair_exact(PERIOD / 3))) <= 1e-11
+
+
+def test_singular_retry_mid_run_restarts_from_the_step_start(monkeypatch):
+    # a stage inside the guard aborts the attempt after it wrote stages 2-3
+    make, calls = gsqg.integrator.make_rhs, count(1)
+
+    def make_once_singular(*args):
+        f = make(*args)
+
+        def g(z):
+            if next(calls) == 40:
+                raise gsqg.SingularityError("forced")
+            return f(z)
+        return g
+
+    monkeypatch.setattr(gsqg.integrator, "make_rhs", make_once_singular)
+    traj = gsqg.integrate(pair_state(), PERIOD / 3,
+                          gsqg.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-14))
+    assert next(calls) > 41
+    assert np.max(np.abs(traj.final_state().z - pair_exact(PERIOD / 3))) <= 1e-11
 
 
 # ---------------------------------------------------------------- bookkeeping

@@ -112,8 +112,9 @@ def test_singularity_guard_threshold():
         gsqg.rhs(st_, dmin=1.001e-3)
     with pytest.raises(gsqg.SingularityError):
         make_rhs(st_.xi, st_.alpha, st_.c_alpha, 1.001e-3)(st_.z)
-    assert np.array_equal(gsqg.rhs(st_, dmin=0.999e-3),
-                          make_rhs(st_.xi, st_.alpha, st_.c_alpha, 0.999e-3)(st_.z))
+    v, closest = make_rhs(st_.xi, st_.alpha, st_.c_alpha, 0.999e-3)(st_.z)
+    assert np.array_equal(gsqg.rhs(st_, dmin=0.999e-3), v)
+    assert closest == st_.min_distance()
 
 
 # ---------------------------------------------------------------- conserved
