@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .kernel import (ALPHA_GUARD, ConservedQuantities, DomainError,
                      SingularityError, VortexState, conserved,
-                     coupling_constant, relative_motion_rate, rhs,
-                     signed_area, velocity)
+                     coupling_constant, rhs)
 from .integrator import (IntegratorConfig, Status, Trajectory,
                          collapse_time_fit, integrate, integrate_collapse)
 from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
@@ -15,12 +14,10 @@ from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
 from .stability import (EIG_TOL, HypothesisReport, MuRoots, StabilityMatrix,
                         eigen4, hypothesis_a_check, l_matrix,
                         mu_coefficients, mu_roots, propagator_norm)
-from .search import (Admissibility, ReducedParams, SweepRecord, SweepResult,
-                     admissible, cardano_discriminant, cardano_y,
-                     oriented_config, reduced_config, sweep, sweep_csv,
+from .search import (ReducedParams, SweepRecord, SweepResult, cardano_discriminant,
+                     cardano_y, oriented_config, reduced_config, sweep, sweep_csv,
                      x_interval, y_from_x)
 from .burstsim import (BurstDiagnostics, BurstScenario, collapse_scenario,
-                       convergence_study, make_burst_initial, run_burst,
-                       suggest_horizon)
+                       convergence_study, make_burst_initial, run_burst)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

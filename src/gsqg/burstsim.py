@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .integrator import IntegratorConfig, Status, Trajectory, integrate
-from .kernel import DomainError, VortexState, max_pair_distance, min_pair_distance, rhs
+from .kernel import DomainError, VortexState, max_pair_distance, min_pair_distance
 from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
                           center, motion_from_config, zeta)
 
@@ -203,14 +203,3 @@ def collapse_scenario(s: BurstScenario) -> BurstScenario:
         t_ini_sequence=s.t_ini_sequence, horizon=s.horizon,
         rho_sep=s.rho_sep, time_reversed=not s.time_reversed,
     )
-
-
-def suggest_horizon(s: BurstScenario) -> float:
-    """Horizon keeping background motion under rho_sep/10, estimated from
-    the speeds in the widest seeded state."""
-    state = make_burst_initial(s, s.t_ini_sequence[0])
-    speeds = np.abs(rhs(state))
-    v = float(np.max(speeds[3:])) if s.background else float(np.max(speeds))
-    if v == 0.0:
-        return s.horizon
-    return min(s.horizon, s.rho_sep / (10.0 * v))

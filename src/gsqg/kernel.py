@@ -151,13 +151,6 @@ def rhs(state: VortexState, dmin: float | None = None) -> np.ndarray:
     return make_rhs(state.xi, state.alpha, state.c_alpha, guard)(state.z)[0]
 
 
-def velocity(state: VortexState, j: int, dmin: float | None = None) -> complex:
-    """dz_j/dt of vortex j (0-based index)."""
-    if not 0 <= j < state.n:
-        raise IndexError(f"vortex index {j} out of range")
-    return complex(rhs(state, dmin=dmin)[j])
-
-
 def make_conserved(xi: np.ndarray, alpha: float, c_alpha: float):
     """`conserved` as a function of the positions alone, for fixed
     intensities and exponent (the pair table is built once)."""
@@ -181,44 +174,3 @@ def make_conserved(xi: np.ndarray, alpha: float, c_alpha: float):
 def conserved(state: VortexState) -> ConservedQuantities:
     """Evaluate the three conserved quantities of the dynamics."""
     return make_conserved(state.xi, state.alpha, state.c_alpha)(state.z)
-
-
-def signed_area(z1: complex, z2: complex, z3: complex) -> float:
-    """Signed area of the triangle (z1, z2, z3); positive when the
-    vertices wind counter-clockwise."""
-    return float(np.imag(np.conj(z2 - z1) * (z3 - z1)) / 2.0)
-
-
-def relative_motion_rate(state: VortexState, pair: tuple[int, int] = (1, 2)) -> float:
-    """d/dt |z_p - z_q|^2 for a three-vortex state, in closed form.
-
-    For the pair (2, 3) (0-based (1, 2)) this equals
-
-        -4 c_alpha A xi_1 (|w13|^(alpha-4) - |w12|^(alpha-4))
-
-    with A the counter-clockwise-positive signed area; other pairs follow
-    by cyclic rotation of the indices.  The coefficient is forced by
-    direct differentiation of the flow (see the finite-difference oracle
-    in the tests): the mutual term of the pair drops out as purely
-    rotational and only the third vortex changes the separation.
-    """
-    if state.n != 3:
-        raise DomainError("relative motion form requires exactly 3 vortices")
-    if set(pair) not in ({1, 2}, {0, 2}, {0, 1}):
-        raise DomainError(f"pair must name two distinct vortices, got {pair}")
-    # cyclic representative (p, q) so that (p, q, other) is a rotation of (0, 1, 2)
-    p, q = {frozenset((1, 2)): (1, 2),
-            frozenset((0, 2)): (2, 0),
-            frozenset((0, 1)): (0, 1)}[frozenset(pair)]
-    (other,) = set(range(3)) - {p, q}
-    z, xi, alpha = state.z, state.xi, state.alpha
-    A = signed_area(z[0], z[1], z[2])
-    d_oq = abs(z[other] - z[q])
-    d_op = abs(z[other] - z[p])
-    return (
-        -4.0
-        * state.c_alpha
-        * A
-        * xi[other]
-        * (d_oq ** (alpha - 4.0) - d_op ** (alpha - 4.0))
-    )

@@ -28,8 +28,7 @@ import numpy as np
 from .kernel import ALPHA_GUARD, DomainError, coupling_constant
 from .selfsimilar import (TripleConfig, center, centered, check_H_L_zero, pair_terms,
                           selfsimilar_rate, vortex_rates)
-from .stability import (HypothesisReport, hypothesis_a_check, l_terms, quartic_coefficients,
-                        quartic_margin, quartic_mu2)
+from .stability import l_terms, quartic_coefficients, quartic_mu2
 
 EPS_Y = 1e-6
 YMAX = 10.0
@@ -42,6 +41,8 @@ TRIANGLE_SLACK = 1e-9
 K_SECTION = 32
 # most alpha steps in one sweep (the desk sweep takes 1298)
 MAX_ALPHAS = 10**6
+# most x grid points per alpha (the default pitch 1e-4 takes 10001)
+MAX_GRID = 10**6
 
 
 class NoRootError(DomainError):
@@ -219,51 +220,20 @@ def oriented_config(alpha: float, x: float, y: float | None = None) -> TripleCon
 
 
 # ---------------------------------------------------------------------------
-# admissibility
+# admissibility margin
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Admissibility:
-    ok: bool
-    reason: str
-    margin: float                      # min(disc, 2b^2 - c1 - sqrt(disc)); <= 0 iff not ok
-    x: float
-    alpha: float
-    y: float | None = None
-    config: TripleConfig | None = None
-    report: HypothesisReport | None = None
-
-
-def admissible(x: float, alpha: float) -> Admissibility:
-    """Full admissibility check of one parameter point, with diagnostics."""
-    try:
-        y = y_from_x(x, alpha)
-    except DomainError as e:
-        return Admissibility(False, f"no side solution: {e}", -np.inf, x, alpha)
-    try:
-        cfg = oriented_config(alpha, x, y)
-    except DomainError as e:
-        return Admissibility(False, f"invalid configuration: {e}", -np.inf, x, alpha, y)
-    report = hypothesis_a_check(cfg)
-    if not (report.selfsimilar_ok and report.a_positive):
-        return Admissibility(False, f"no burst orientation: {report.details}",
-                             -np.inf, x, alpha, y, cfg, report)
-    margin = float(quartic_margin(*(np.array([v]) for v in
-                                    (report.b_rate, report.c1, report.c2)))[0])
-    return Admissibility(report.passed, report.mu.failure or "eigenvalue condition holds",
-                         margin, x, alpha, y, cfg, report)
-
 
 def _margin_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
     """Vectorized admissibility margin components (disc, lo2) on an x grid,
     as the rows of a (2, len(xs)) array.
 
-    Both are positive exactly where `admissible` passes; -inf marks
+    Both are positive exactly where the one-point check
+    `hypothesis_a_check(oriented_config(alpha, x))` passes; -inf marks
     geometric rejection.  Only the x that pass the triangle screen enter
     the side solve, and only proper triangles enter the stability
-    pipeline; every element depends on its own triple alone, so
-    np.minimum of the two rows has the bits of
-    `admissible(x, alpha).margin`, in any batch.
+    pipeline; every element depends on its own triple alone, so the rows
+    have the bits of `quartic_mu2` on that check's (b_rate, c1, c2), in
+    any batch.
     """
     ca = coupling_constant(alpha)
     xs = np.asarray(xs, dtype=float)
@@ -339,8 +309,9 @@ def _refine(alpha: float, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray,
 
 
 def _check_grid(coarse: float, refine_tol: float) -> None:
-    if not 0.0 < coarse < 1.0:
-        raise DomainError(f"coarse x grid pitch must lie in (0, 1), got {coarse}")
+    if not (0.0 < coarse < 1.0 and 1.0 / coarse <= MAX_GRID):
+        raise DomainError(f"coarse x grid pitch must lie in [{1.0 / MAX_GRID:g}, 1), "
+                          f"got {coarse}")
     if not 0.0 < refine_tol < np.inf:
         raise DomainError(f"refine_tol must be finite and positive, got {refine_tol}")
 

@@ -90,18 +90,6 @@ class SelfSimilarMotion:
             return Classification.RELATIVE_EQUILIBRIUM
         return Classification.BURST if self.a_rate > 0 else Classification.COLLAPSE
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"a": self.a_rate, "b": self.b_rate, "t0": self.t0,
-             "theta0": self.theta0, "alpha": self.alpha}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SelfSimilarMotion":
-        o = json.loads(text)
-        return cls(a_rate=o["a"], b_rate=o["b"], t0=o["t0"],
-                   theta0=o["theta0"], alpha=o["alpha"])
-
 
 # Array forms of the triple pipeline, vortex axis first: z[j] and xi[j]
 # hold vortex j over any batch shape, and one triple is a batch of one.

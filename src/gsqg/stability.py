@@ -155,12 +155,6 @@ def quartic_mu2(b, c1, c2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return disc, base - s, base + s
 
 
-def quartic_margin(b, c1, c2) -> np.ndarray:
-    """min(disc, 2 b^2 - c1 - sqrt(disc)): positive exactly at four distinct real mu."""
-    disc, lo2, _ = quartic_mu2(b, c1, c2)
-    return np.minimum(disc, lo2)
-
-
 def l_matrix(cfg: TripleConfig, a_rate: float, b_rate: float) -> StabilityMatrix:
     """Assemble the linearization matrix at the triple's positions."""
     dmin = float(min_pair_distance(cfg.a))

@@ -180,8 +180,3 @@ def test_scenario_json_roundtrip(scenario):
     assert back.background == scenario.background
     obj = json.loads(text)
     assert set(obj) >= {"triple", "background", "t_ini", "horizon"}
-
-
-def test_suggest_horizon_bounds_background_motion(scenario):
-    T = gsqg.suggest_horizon(scenario)
-    assert 0 < T <= scenario.horizon

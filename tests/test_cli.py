@@ -247,6 +247,8 @@ def test_missing_or_malformed_input_exits_one(tmp_path, capsys, command, flag,
     ["find-config", "--alpha", "2.0", "--x", "0.7"],
     ["burst", "--scenario", "{short_scenario}"],
     ["sweep", "--alpha-min", "1.9995", "--alpha-max", "2.1", "--split-at-2"],
+    # a pitch finer than 1e-6 would build more than 10^6 x grid points
+    ["find-config", "--alpha", "1.0", "--auto", "--x-coarse", "1e-7"],
 ])
 def test_bad_number_exits_one(tmp_path, capsys, args):
     cfg = gsqg.oriented_config(1.0, THM_X)

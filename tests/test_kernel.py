@@ -8,6 +8,7 @@ import gsqg
 from gsqg.kernel import DomainError, make_rhs, max_pair_distance, min_pair_distance
 
 from conftest import THM_A, THM_B, lattice_state, random_state
+from oracles import relative_motion_rate, signed_area
 
 
 # ---------------------------------------------------------------- coupling
@@ -41,12 +42,12 @@ def test_coupling_domain_errors(alpha):
 def test_pair_velocity_hand_value():
     st_ = gsqg.VortexState(t=0.0, z=np.array([0.5, -0.5], dtype=complex),
                            xi=np.array([1.0, 1.0]), alpha=1.0)
-    assert gsqg.velocity(st_, 0) == pytest.approx(1j / (2 * np.pi), abs=1e-15)
+    assert complex(gsqg.rhs(st_)[0]) == pytest.approx(1j / (2 * np.pi), abs=1e-15)
 
 
 def test_single_vortex_is_still():
     st_ = gsqg.VortexState(t=0.0, z=np.array([0.3 + 0.2j]), xi=np.array([1.0]), alpha=1.0)
-    assert gsqg.velocity(st_, 0) == 0.0
+    assert complex(gsqg.rhs(st_)[0]) == 0.0
 
 
 def test_opposite_pair_translates():
@@ -146,18 +147,18 @@ def test_conserved_label_permutation_invariant():
 # ---------------------------------------------------------------- geometry
 
 def test_signed_area_orientation():
-    assert gsqg.signed_area(0, 1, 1j) == pytest.approx(0.5)
-    assert gsqg.signed_area(0, 1j, 1) == pytest.approx(-0.5)
-    assert gsqg.signed_area(0, 1, 2) == 0.0
+    assert signed_area(0, 1, 1j) == pytest.approx(0.5)
+    assert signed_area(0, 1j, 1) == pytest.approx(-0.5)
+    assert signed_area(0, 1, 2) == 0.0
 
 
 def test_relative_motion_rate_equilateral_and_collinear():
     w = np.exp(2j * np.pi * np.arange(3) / 3)
     st_ = gsqg.VortexState(t=0.0, z=w, xi=np.array([1.0, 2.0, -0.5]), alpha=1.2)
-    assert gsqg.relative_motion_rate(st_, (1, 2)) == pytest.approx(0.0, abs=1e-14)
+    assert relative_motion_rate(st_, (1, 2)) == pytest.approx(0.0, abs=1e-14)
     st2 = gsqg.VortexState(t=0.0, z=np.array([0.0, 1.0, 2.5], dtype=complex),
                            xi=np.array([1.0, 1.0, 1.0]), alpha=1.2)
-    assert gsqg.relative_motion_rate(st2, (1, 2)) == pytest.approx(0.0, abs=1e-14)
+    assert relative_motion_rate(st2, (1, 2)) == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("pair", [(1, 2), (0, 2), (0, 1)])
@@ -175,7 +176,7 @@ def test_relative_motion_rate_matches_finite_difference(pair):
         return abs(s.z[p] - s.z[q]) ** 2
 
     fd = (d2(plus) - d2(minus)) / (2 * h)
-    assert gsqg.relative_motion_rate(st_, pair) == pytest.approx(fd, rel=1e-6)
+    assert relative_motion_rate(st_, pair) == pytest.approx(fd, rel=1e-6)
 
 
 def test_relative_motion_consistent_with_rate(thm_centered):
@@ -184,7 +185,7 @@ def test_relative_motion_consistent_with_rate(thm_centered):
     st_ = thm_centered.state()
     for pair in [(1, 2), (0, 2), (0, 1)]:
         expect = 2 * a * abs(st_.z[pair[0]] - st_.z[pair[1]]) ** 2
-        assert gsqg.relative_motion_rate(st_, pair) == pytest.approx(expect, rel=1e-12)
+        assert relative_motion_rate(st_, pair) == pytest.approx(expect, rel=1e-12)
 
 
 # ---------------------------------------------------------------- invariants

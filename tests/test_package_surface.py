@@ -1,0 +1,78 @@
+"""The package keeps only what it uses: every import of a module is used
+there, and every public function and class is reached from package code."""
+
+import ast
+from pathlib import Path
+
+import gsqg
+
+PACKAGE = Path(gsqg.__file__).parent
+
+# public names no package code calls, each kept for a reason outside it
+KEPT_UNREFERENCED = {
+    "rhs": "the definition of the dynamics in the tests, and a traced span of the benchmark",
+    "reference_time": "the benchmark's workloads place the collapse run with it",
+    "propagator_norm": "acceptance criterion 8, the propagator decay",
+    "cardano_y": "acceptance criteria 3 and 6, the closed-form side at alpha = 1",
+    "collapse_scenario": "the time inversion that covers the collapse half of the paper",
+}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Names read as variables or attributes anywhere in the code of a tree
+    (string constants, docstrings included, are not code)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def _package_uses(trees: dict[str, ast.Module]) -> set[str]:
+    """Names package code reads; a re-export in `__init__` is not a use."""
+    return set().union(*(_used_names(t) for m, t in trees.items() if m != "__init__"))
+
+
+def _public_definitions(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    return [(module, node.name) for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in _trees().items():
+        if module == "__init__":
+            continue    # its imports are the public surface
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{module}: {bound}")
+    assert unused == []
+
+
+def test_every_public_definition_is_reached():
+    trees = _trees()
+    used = _package_uses(trees)
+    unreached = [f"{module}.{name}" for module, name in _public_definitions(trees)
+                 if name not in used and name not in KEPT_UNREFERENCED]
+    assert unreached == []
+
+
+def test_kept_names_exist_and_are_unreferenced():
+    # an entry that package code starts to use, or whose definition is
+    # gone, leaves the set
+    trees = _trees()
+    assert set(KEPT_UNREFERENCED) <= {name for _, name in _public_definitions(trees)}
+    assert not set(KEPT_UNREFERENCED) & _package_uses(trees)

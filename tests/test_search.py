@@ -127,10 +127,26 @@ def test_burst_branch_signs():
 
 # ---------------------------------------------------------------- admissibility
 
+def _one_point_check(x, alpha):
+    """The check `gsqg find-config --x` runs, or None where `oriented_config`
+    rejects the point (no side, no triangle)."""
+    try:
+        return gsqg.hypothesis_a_check(gsqg.oriented_config(alpha, x))
+    except DomainError:
+        return None
+
+
+def _report_margin(report):
+    """min(disc, lo2) of the quartic from the report's (b_rate, c1, c2)."""
+    disc, lo2, _ = quartic_mu2(*(np.array([v]) for v in
+                                 (report.b_rate, report.c1, report.c2)))
+    return float(np.minimum(disc, lo2)[0])
+
+
 def test_admissible_reference_point():
-    res = gsqg.admissible(THM_X, 1.0)
-    assert res.ok and res.margin > 0
-    assert res.report is not None and res.report.passed
+    report = _one_point_check(THM_X, 1.0)
+    assert report is not None and report.passed
+    assert _report_margin(report) > 0
 
 
 def test_inadmissible_below_lower_exponent():
@@ -139,7 +155,8 @@ def test_inadmissible_below_lower_exponent():
 
 
 def test_inadmissible_small_x():
-    assert not gsqg.admissible(0.05, 1.0).ok
+    report = _one_point_check(0.05, 1.0)
+    assert report is None or not report.passed
 
 
 def _scalar_grid_points():
@@ -167,16 +184,17 @@ def test_scalar_margin_is_the_grid_margin_bitwise():
     reached = {False: 0, True: 0}
     passed = 0
     for alpha, x in _scalar_grid_points():
-        res = gsqg.admissible(x, alpha)
+        report = _one_point_check(x, alpha)
         grid = np.minimum(*_margin_grid(alpha, np.array([x])))[0]
-        if res.report is None or res.report.matrix is None:
+        if report is None or report.matrix is None:
             # rejected before the quartic: no side, no triangle or no burst
-            assert not res.ok and not grid > 0.0, (alpha, x)
+            assert (report is None or not report.passed) and not grid > 0.0, (alpha, x)
             continue
-        assert float(res.margin).hex() == float(grid).hex(), (alpha, x)
-        assert res.ok == (res.margin > 0.0), (alpha, x)
+        margin = _report_margin(report)
+        assert margin.hex() == float(grid).hex(), (alpha, x)
+        assert report.passed == (margin > 0.0), (alpha, x)
         reached[alpha > 2.0] += 1
-        passed += res.ok
+        passed += report.passed
     assert reached[False] >= 100 and reached[True] >= 50 and passed >= 30
 
 
@@ -202,12 +220,14 @@ def test_interval_empty_outside():
     assert gsqg.x_interval(2.2, coarse=5e-4, refine_tol=1e-7).empty
 
 
-def test_interval_boundary_refinement_consistent():
+def test_interval_boundary_refinement_consistent(tmp_path):
+    # find-config's verdict agrees with the window x_interval reports
     rec = gsqg.x_interval(1.5, coarse=1e-3, refine_tol=1e-7)
     inside = 0.5 * (rec.x_minus + rec.x_plus)
-    assert gsqg.admissible(inside, 1.5).ok
-    assert not gsqg.admissible(rec.x_minus - 1e-5, 1.5).ok
-    assert not gsqg.admissible(rec.x_plus + 1e-5, 1.5).ok
+    codes = [main(["find-config", "--alpha", "1.5", "--x", repr(x),
+                   "--out", str(tmp_path / f"cfg{i}.json")])
+             for i, x in enumerate((inside, rec.x_minus - 1e-5, rec.x_plus + 1e-5))]
+    assert codes == [0, 2, 2]
 
 
 # ---------------------------------------------------------------- sweep
@@ -663,7 +683,7 @@ def test_roots_in_one_cell_are_ordered_below_tol(monkeypatch, disc_root, lo2_roo
 @pytest.mark.parametrize("kw", [dict(coarse=0.0), dict(coarse=1.0), dict(coarse=-1e-3),
                                 dict(coarse=np.nan), dict(refine_tol=0.0),
                                 dict(refine_tol=-1e-7), dict(refine_tol=np.nan),
-                                dict(refine_tol=np.inf)])
+                                dict(refine_tol=np.inf), dict(coarse=1e-7)])
 def test_x_interval_rejects_bad_grid(kw):
     with pytest.raises(DomainError):
         gsqg.x_interval(1.0, **kw)
@@ -690,7 +710,7 @@ def test_sweep_rejects_non_finite_alpha_range(lo, hi):
                                    ["--x-coarse", "nan"], ["--refine-tol", "-1"],
                                    ["--alpha-min", "3.5", "--alpha-max", "4.0"],
                                    ["--alpha-min", "-1", "--alpha-max", "-0.5"],
-                                   ["--alpha-step", "1e-320"]])
+                                   ["--alpha-step", "1e-320"], ["--x-coarse", "1e-7"]])
 def test_cli_sweep_rejects_bad_parameters(tmp_path, capsys, flags):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--alpha-min", "1.4", "--alpha-max", "1.5", *flags,
