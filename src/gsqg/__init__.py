@@ -6,7 +6,7 @@ from .kernel import (ALPHA_GUARD, ConservedQuantities, DomainError,
                      SingularityError, VortexState, conserved,
                      coupling_constant, rhs)
 from .integrator import (IntegratorConfig, Status, Trajectory,
-                         collapse_time_fit, integrate, integrate_collapse)
+                         collapse_time_fit, integrate)
 from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
                           center, check_H_L_zero, classify,
                           motion_from_config, reference_time,
@@ -14,9 +14,9 @@ from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
 from .stability import (EIG_TOL, HypothesisReport, MuRoots, StabilityMatrix,
                         eigen4, hypothesis_a_check, l_matrix,
                         mu_coefficients, mu_roots, propagator_norm)
-from .search import (ReducedParams, SweepRecord, SweepResult, cardano_discriminant,
-                     cardano_y, oriented_config, reduced_config, sweep, sweep_csv,
-                     x_interval, y_from_x)
+from .search import (SweepRecord, SweepResult, cardano_discriminant, cardano_y,
+                     oriented_config, reduced_config, sweep, sweep_csv, x_interval,
+                     y_from_x)
 from .burstsim import (BurstDiagnostics, BurstScenario, collapse_scenario,
                        convergence_study, make_burst_initial, run_burst)
 

@@ -48,23 +48,28 @@ class BurstScenario:
                 f"scenario needs a {want.value}"
             )
         t_ini = tuple(float(t) for t in self.t_ini_sequence)
-        if any(t <= 0 for t in t_ini) or any(
+        if not all(0.0 < t < np.inf for t in t_ini) or any(
             t_ini[i] <= t_ini[i + 1] for i in range(len(t_ini) - 1)
         ):
-            raise DomainError("t_ini_sequence must be positive and decreasing")
+            raise DomainError("t_ini_sequence must be finite, positive and decreasing")
         object.__setattr__(self, "t_ini_sequence", t_ini)
         if not max(t_ini, default=0.0) < self.horizon < np.inf:
             raise DomainError(f"horizon must be finite and past every t_ini, got {self.horizon}")
         if not 0.0 < self.rho_sep < np.inf:
             raise DomainError(f"rho_sep must be finite and positive, got {self.rho_sep}")
+        if not np.isfinite(self.burst_site):
+            raise DomainError(f"burst_site must be finite, got {self.burst_site}")
+        try:    # the vortex-set checks: finite positions, finite nonzero intensities
+            VortexState(t=0.0, z=[p for p, _ in self.background],
+                        xi=[w for _, w in self.background], alpha=self.triple.alpha)
+        except DomainError as e:
+            raise DomainError(f"background: {e}") from None
         pts = np.array([self.burst_site] + [p for p, _ in self.background], dtype=complex)
         if min_pair_distance(pts) < self.rho_sep:
             raise DomainError(
                 "background vortices must stay rho_sep away from each "
                 "other and from the burst site"
             )
-        if any(zeta_ == 0.0 for _, zeta_ in self.background):
-            raise DomainError("background intensities must be nonzero")
 
     @property
     def merged_intensity(self) -> float:
@@ -97,11 +102,14 @@ class BurstScenario:
             for b in o.get("background", [])
         )
         site = complex(*o.get("site", [0.0, 0.0]))
+        reversed_ = o.get("time_reversed", False)
+        if not isinstance(reversed_, bool):
+            raise DomainError(f"time_reversed must be a JSON boolean, got {reversed_!r}")
         return cls(
             triple=triple, background=bg, burst_site=site,
             t_ini_sequence=tuple(o["t_ini"]), horizon=float(o["horizon"]),
             rho_sep=float(o.get("rho_sep", RHO_SEP_DEFAULT)),
-            time_reversed=bool(o.get("time_reversed", False)),
+            time_reversed=reversed_,
         )
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .burstsim import BurstScenario, convergence_study
-from .integrator import IntegratorConfig, Status, integrate, integrate_collapse
+from .integrator import IntegratorConfig, Status, collapse_time_fit, integrate
 from .kernel import DomainError, VortexState, check_alpha
 from .selfsimilar import Classification, TripleConfig, center, classify
 from .search import oriented_config, sweep, sweep_csv, x_interval
@@ -91,7 +91,8 @@ def cmd_find_config(args) -> int:
         _write(out, cfg.to_json()),
         _write(out.with_suffix(".report.json"), report.to_json()),
     ]
-    _manifest("find-config", {"alpha": args.alpha, "x": x, "auto": args.auto},
+    _manifest("find-config", {"alpha": args.alpha, "x": x, "auto": args.auto,
+                              "x_coarse": args.x_coarse, "refine_tol": args.refine_tol},
               outputs, t_start)
     print(f"x = {x:.12g}: hypothesis {'PASS' if report.passed else 'FAIL'}"
           f" ({report.details})")
@@ -103,8 +104,6 @@ def cmd_sweep(args) -> int:
     lo, hi = args.alpha_min, args.alpha_max
     check_alpha(lo)
     check_alpha(hi)
-    if lo < 2.0 < hi and not args.split_at_2:
-        raise DomainError("range straddles alpha=2; pass --split-at-2")
     res = sweep(lo, hi, alpha_step=args.alpha_step, coarse=args.x_coarse,
                 refine_tol=args.refine_tol, jobs=args.jobs)
     out = Path(args.out)
@@ -130,15 +129,11 @@ def cmd_simulate(args) -> int:
     state0 = VortexState(t=args.t0, z=cen.a, xi=cen.xi, alpha=cen.alpha)
     icfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.rel_tol * 1e-3)
     kind = classify(cen)
+    traj = integrate(state0, args.t1, icfg)
     t_star = None
-    if kind is Classification.COLLAPSE:
-        traj, t_star = integrate_collapse(state0, icfg, horizon=args.t1)
-        if traj.status is Status.COLLAPSE_DETECTED:
-            print(f"collapse detected; fitted t* = {t_star:.12g}")
-        else:
-            t_star = None   # no collapse before t1: JSON null, not NaN
-    else:
-        traj = integrate(state0, args.t1, icfg)
+    if kind is Classification.COLLAPSE and traj.status is Status.COLLAPSE_DETECTED:
+        t_star, _ = collapse_time_fit(traj)
+        print(f"collapse detected; fitted t* = {t_star:.12g}")
     out = Path(args.out)
     outputs = [_write(out, traj.to_csv())]
     _manifest("simulate", {
@@ -198,8 +193,6 @@ def build_parser() -> _Parser:
     sw.add_argument("--x-coarse", type=float, default=1e-4)
     sw.add_argument("--refine-tol", type=float, default=1e-7)
     sw.add_argument("--jobs", type=int, default=1, help="worker processes")
-    sw.add_argument("--split-at-2", action="store_true",
-                    help="allow ranges straddling the alpha=2 guard band")
     sw.add_argument("--out", type=str, required=True)
     sw.set_defaults(func=cmd_sweep)
 

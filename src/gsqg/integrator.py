@@ -44,27 +44,25 @@ class Status(Enum):
     STEP_FAILURE = "step_failure"
 
 
+# Step budget of one run: accepted and rejected steps, and retries after
+# a SingularityError, all count.
+MAX_STEPS = 1_000_000
+# Collapse-detection radius as a fraction of the initial minimum pairwise
+# distance (the kernel's own hard guard of 1e-12 x diameter is far below
+# anything reachable in finite float time along a collapse orbit).
+GUARD_FRACTION = 1e-6
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances, step budget and collapse radius of `integrate`.
-    `max_steps` counts attempted steps: accepted and rejected steps, and
-    retries after a SingularityError."""
+    """Error tolerances of `integrate`."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    max_steps: int = 1_000_000
-    # Collapse-detection radius.  None: 1e-6 x the initial minimum pairwise
-    # distance (the kernel's own hard guard of 1e-12 x diameter is far below
-    # anything reachable in finite float time along a collapse orbit).
-    dmin: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-2 and 0.0 < self.abs_tol <= 1e-2):
             raise DomainError("tolerances must lie in (0, 1e-2]")
-        if self.max_steps < 1:
-            raise DomainError("max_steps must be >= 1")
-        if self.dmin is not None and not 0.0 < self.dmin < np.inf:
-            raise DomainError(f"dmin must be None or finite and > 0, got {self.dmin}")
 
 
 def _dense(r: np.ndarray, s: float) -> np.ndarray:
@@ -161,7 +159,7 @@ def integrate(state0: VortexState, t1: float,
     direction = 1.0 if t1 > t0 else -1.0
     xi, alpha = state0.xi.copy(), state0.alpha
     d_init = state0.min_distance()
-    dmin = max(1e-6 * d_init, state0.dmin()) if cfg.dmin is None else cfg.dmin
+    dmin = max(GUARD_FRACTION * d_init, state0.dmin())
     f = make_rhs(xi, alpha, state0.c_alpha, dmin * 0.5)
 
     t = t0
@@ -182,7 +180,7 @@ def integrate(state0: VortexState, t1: float,
     h_floor = 16.0 * np.finfo(float).eps
 
     while direction * (t1 - t) > 0.0:
-        if n_steps >= cfg.max_steps:
+        if n_steps >= MAX_STEPS:
             status, t_event = Status.STEP_FAILURE, t
             break
         if abs(h) < h_floor * max(abs(t), 1.0):
@@ -291,19 +289,3 @@ def collapse_time_fit(traj: Trajectory) -> tuple[float, float]:
     slope, _ = np.polyfit(np.log(span), np.log(d[sel]), 1)
     return float(t_star), float(slope)
 
-
-def integrate_collapse(state0: VortexState, cfg: IntegratorConfig = IntegratorConfig(), *,
-                       horizon: float) -> tuple[Trajectory, float]:
-    """Run a collapsing state toward its singular time, up to `horizon`,
-    and extrapolate that time.
-
-    Returns the trajectory (CollapseDetected when the guard radius is
-    reached) and the fitted collapse time t*.  A state that never
-    approaches collision within the horizon comes back Completed with
-    t* = nan.
-    """
-    traj = integrate(state0, horizon, cfg)
-    if traj.status is not Status.COLLAPSE_DETECTED:
-        return traj, float("nan")
-    t_star, _ = collapse_time_fit(traj)
-    return traj, t_star

@@ -165,37 +165,25 @@ def _reduced_triple(x: np.ndarray, y: np.ndarray, branch: int) -> tuple[np.ndarr
     return z, xi, valid
 
 
-@dataclass(frozen=True)
-class ReducedParams:
-    """Sides (x, y) and imaginary branch of the third vortex."""
-
-    alpha: float
-    x: float
-    y: float
-    branch: int      # sign of Im(a_3)
-
-    def __post_init__(self):
-        if not 0.0 < self.x < 1.0:
-            raise DomainError(f"x must lie in (0, 1), got {self.x}")
-        if self.branch not in (-1, 1):
-            raise DomainError("branch must be +1 or -1")
-        if not _reduced_triple(np.array([self.x]), np.array([self.y]), self.branch)[2][0]:
-            raise DomainError(f"sides x={self.x}, y={self.y} give no proper triangle "
-                              "(y > 1 - x, positive height) with xi_3 > -2")
-
-
-def reduced_config(p: ReducedParams) -> TripleConfig:
-    """Build the normalized triple from reduced parameters.
+def reduced_config(alpha: float, x: float, y: float, branch: int) -> TripleConfig:
+    """Build the normalized triple with sides (x, y) whose third vortex
+    has sign(Im a_3) = branch.
 
     Checks the side-length equation residual, builds a_3 so that
     |a_1 - a_3| = x and |a_2 - a_3| = y hold exactly, and verifies the
     H = L = 0 identity of the construction.
     """
-    x, y, alpha = p.x, p.y, p.alpha
+    if not 0.0 < x < 1.0:
+        raise DomainError(f"x must lie in (0, 1), got {x}")
+    if branch not in (-1, 1):
+        raise DomainError("branch must be +1 or -1")
+    z, xi, valid = _reduced_triple(np.array([x]), np.array([y]), branch)
+    if not valid[0]:
+        raise DomainError(f"sides x={x}, y={y} give no proper triangle "
+                          "(y > 1 - x, positive height) with xi_3 > -2")
     resid = abs(_side_residual(x, alpha)(y))
     if resid > 1e-10 * max(1.0, x**2 + y**2):
         raise DomainError(f"side-length equation violated (residual {resid:.2e})")
-    z, xi, _ = _reduced_triple(np.array([x]), np.array([y]), p.branch)
     cfg = TripleConfig(a=z[:, 0], xi=xi[:, 0], alpha=alpha)
     H, L = check_H_L_zero(cfg)
     if abs(H) > 1e-8 or abs(L) > 1e-8:
@@ -203,19 +191,18 @@ def reduced_config(p: ReducedParams) -> TripleConfig:
     return cfg
 
 
-def oriented_config(alpha: float, x: float, y: float | None = None) -> TripleConfig:
-    """Reduced configuration on the burst branch.
+def oriented_config(alpha: float, x: float) -> TripleConfig:
+    """Reduced configuration with side y(x) on the burst branch.
 
     The rate a flips sign with the imaginary branch of a_3, so exactly one
     branch gives a > 0.  For alpha < 2 the burst branch has Im(a_3) < 0;
     the sign flips across alpha = 2 together with the coupling constant.
     """
-    if y is None:
-        y = y_from_x(x, alpha)
-    cfg = reduced_config(ReducedParams(alpha=alpha, x=x, y=y, branch=-1))
+    y = y_from_x(x, alpha)
+    cfg = reduced_config(alpha, x, y, -1)
     a_rate, _, _ = selfsimilar_rate(center(cfg))
     if a_rate < 0.0:
-        cfg = reduced_config(ReducedParams(alpha=alpha, x=x, y=y, branch=+1))
+        cfg = reduced_config(alpha, x, y, +1)
     return cfg
 
 

@@ -8,11 +8,12 @@ evolves self-similarly, z_j(t) = a_j Z(t), exactly when
 
 with a common pair of real rates (a, b).  The scale factor is then
 
-    Z(t) = ((4 - alpha) a (t - t0))^(1/(4-alpha))
-           * exp(i (theta0 + b / ((4 - alpha) a) * log(t - t0)))
+    Z(t) = ((4 - alpha) a t)^(1/(4-alpha)) * exp(i b / ((4 - alpha) a) * log t)
 
-a burst for a > 0 (domain t > t0), a collapse for a < 0 (t < t0, with
-|t - t0| in place of t - t0), and a relative equilibrium for a = 0.
+a burst for a > 0 (domain t > 0), a collapse for a < 0 (t < 0, with |t|
+in place of t), and a relative equilibrium for a = 0.  The dynamics is
+autonomous and rotation invariant, so a shift of t and a constant phase
+give motions too; the singular time sits at t = 0 and the phase at 0.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class TripleConfig:
         object.__setattr__(self, "xi", xi)
         VortexState(t=0.0, z=a, xi=xi, alpha=self.alpha)   # the vortex-set checks
 
-    def state(self, t: float = 0.0) -> VortexState:
-        return VortexState(t=t, z=self.a.copy(), xi=self.xi.copy(), alpha=self.alpha)
+    def state(self) -> VortexState:
+        return VortexState(t=0.0, z=self.a.copy(), xi=self.xi.copy(), alpha=self.alpha)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -77,12 +78,10 @@ class TripleConfig:
 
 @dataclass(frozen=True)
 class SelfSimilarMotion:
-    """Rates and phase data of z_j(t) = a_j Z(t)."""
+    """Rates of z_j(t) = a_j Z(t)."""
 
     a_rate: float
     b_rate: float
-    t0: float
-    theta0: float
     alpha: float
 
     def classification(self) -> Classification:
@@ -159,42 +158,37 @@ def classify(cfg: TripleConfig) -> Classification:
     a_rate, b_rate, residual = selfsimilar_rate(cfg)
     if residual > SS_TOL:
         return Classification.NOT_SELF_SIMILAR
-    return SelfSimilarMotion(a_rate, b_rate, 0.0, 0.0, cfg.alpha).classification()
+    return SelfSimilarMotion(a_rate, b_rate, cfg.alpha).classification()
 
 
 def zeta(motion: SelfSimilarMotion, t: float) -> complex:
     """Scale factor Z(t) of the self-similar motion.
 
-    Domain: t > t0 on the burst branch (a > 0), t < t0 on the collapse
-    branch (a < 0), where |t - t0| replaces t - t0.
+    Domain: t > 0 on the burst branch (a > 0), t < 0 on the collapse
+    branch (a < 0), where |t| replaces t.
     """
     a, b, alpha = motion.a_rate, motion.b_rate, motion.alpha
     if abs(a) <= RATE_TOL:
         raise DomainError("zeta undefined for a relative equilibrium (a = 0)")
-    dt = t - motion.t0
-    if a > 0 and dt <= 0:
-        raise DomainError(f"burst branch needs t > t0, got t - t0 = {dt}")
-    if a < 0 and dt >= 0:
-        raise DomainError(f"collapse branch needs t < t0, got t - t0 = {dt}")
-    s = abs(dt)
+    if a > 0 and t <= 0:
+        raise DomainError(f"burst branch needs t > 0, got t = {t}")
+    if a < 0 and t >= 0:
+        raise DomainError(f"collapse branch needs t < 0, got t = {t}")
+    s = abs(t)
     mod = ((4.0 - alpha) * abs(a) * s) ** (1.0 / (4.0 - alpha))
-    phase = motion.theta0 + b / ((4.0 - alpha) * a) * np.log(s)
+    phase = b / ((4.0 - alpha) * a) * np.log(s)
     return mod * np.exp(1j * phase)
 
 
-def motion_from_config(cfg: TripleConfig, t0: float = 0.0,
-                       theta0: float = 0.0) -> SelfSimilarMotion:
+def motion_from_config(cfg: TripleConfig) -> SelfSimilarMotion:
     """Build the SelfSimilarMotion whose shape coefficients are cfg.a.
 
-    cfg must be centered and genuinely self-similar (residual <= SS_TOL);
-    t0 and theta0 are free parameters of the autonomous dynamics and are
-    stored as given, never inferred.
+    cfg must be centered and genuinely self-similar (residual <= SS_TOL).
     """
     a_rate, b_rate, residual = selfsimilar_rate(cfg)
     if residual > SS_TOL:
         raise DomainError(f"configuration not self-similar (residual {residual:.2e})")
-    return SelfSimilarMotion(a_rate=a_rate, b_rate=b_rate, t0=t0,
-                             theta0=theta0, alpha=cfg.alpha)
+    return SelfSimilarMotion(a_rate=a_rate, b_rate=b_rate, alpha=cfg.alpha)
 
 
 def reference_time(motion: SelfSimilarMotion) -> float:
@@ -203,4 +197,4 @@ def reference_time(motion: SelfSimilarMotion) -> float:
     a, alpha = motion.a_rate, motion.alpha
     if abs(a) <= RATE_TOL:
         raise DomainError("reference time undefined for a = 0")
-    return motion.t0 + np.sign(a) / ((4.0 - alpha) * abs(a))
+    return np.sign(a) / ((4.0 - alpha) * abs(a))

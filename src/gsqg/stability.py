@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (DomainError, SingularityError, coupling_constant, max_pair_distance,
-                     min_pair_distance)
+from .kernel import (DMIN_FACTOR, DomainError, SingularityError, coupling_constant,
+                     max_pair_distance, min_pair_distance)
 from .selfsimilar import (RATE_TOL, SS_TOL, TripleConfig, center, pair_terms,
                           selfsimilar_rate)
 
@@ -158,7 +158,7 @@ def quartic_mu2(b, c1, c2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def l_matrix(cfg: TripleConfig, a_rate: float, b_rate: float) -> StabilityMatrix:
     """Assemble the linearization matrix at the triple's positions."""
     dmin = float(min_pair_distance(cfg.a))
-    if dmin < 1e-12 * max_pair_distance(cfg.a):
+    if dmin < DMIN_FACTOR * max_pair_distance(cfg.a):
         raise SingularityError(f"coincident vortices in linearization: |d|={dmin:.3e}")
     z = cfg.a[:, None]
     off = tuple(complex(v[0]) for v in l_terms(z, cfg.xi[:, None], coupling_constant(cfg.alpha),

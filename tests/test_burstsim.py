@@ -74,6 +74,33 @@ def test_scenario_validation(thm_cfg):
             gsqg.BurstScenario(triple=thm_cfg, t_ini_sequence=(1e-4, 5e-5, 2.5e-5), **kw)
 
 
+# (field named in the message, scenario arguments with v in one entry)
+NON_FINITE = [
+    ("t_ini_sequence", lambda v: dict(t_ini_sequence=(v, 5e-5, 2.5e-5))),
+    ("burst_site", lambda v: dict(burst_site=complex(v, 0.0))),
+    ("background", lambda v: dict(background=((complex(1.0, v), 1.0),))),
+    ("background", lambda v: dict(background=((1.0 + 0j, v),))),
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field, kwargs", NON_FINITE,
+                         ids=["t_ini", "site", "position", "intensity"])
+def test_scenario_rejects_non_finite_fields(thm_cfg, field, kwargs, value):
+    # NaN compares False, so it used to pass the ordering and separation checks
+    args = dict(t_ini_sequence=(1e-4, 5e-5, 2.5e-5), horizon=1e-3) | kwargs(value)
+    with pytest.raises(DomainError, match=f"^{field}"):
+        gsqg.BurstScenario(triple=thm_cfg, **args)
+
+
+@pytest.mark.parametrize("flag", ["false", 0])
+def test_scenario_time_reversed_must_be_a_json_boolean(scenario, flag):
+    obj = json.loads(scenario.to_json())
+    obj["time_reversed"] = flag
+    with pytest.raises(DomainError, match="time_reversed must be a JSON boolean"):
+        gsqg.BurstScenario.from_json(json.dumps(obj))
+
+
 def test_merged_intensity_bookkeeping(scenario):
     assert scenario.merged_intensity == float(np.sum(scenario.triple.xi))
 

@@ -34,6 +34,9 @@ def test_find_config_auto_midpoint(tmp_path):
     out = tmp_path / "cfg.json"
     assert main(["find-config", "--alpha", "1.5", "--auto", "--x-coarse", "1e-3",
                  "--out", str(out)]) == 0
+    # the x picked depends on the grid pitch and the refinement width
+    params = json.loads(out.with_suffix(".json.manifest.json").read_text())["parameters"]
+    assert params["x_coarse"] == 1e-3 and params["refine_tol"] == 1e-7
 
 
 def test_find_config_usage_error(tmp_path, capsys):
@@ -69,14 +72,15 @@ def test_sweep_single_alpha(tmp_path):
     assert set(endpoints) == {"alpha_minus", "alpha_plus"}
 
 
-def test_sweep_straddle_guard(tmp_path, capsys):
+def test_sweep_straddle_guard(tmp_path):
+    # a range across alpha = 2 skips the guard band, as gsqg.sweep does
     out = tmp_path / "sweep.csv"
     args = ["sweep", "--alpha-min", "1.9", "--alpha-max", "2.1",
             "--alpha-step", "5e-2", "--x-coarse", "2e-3", "--out", str(out)]
-    assert main(args) == 1
-    assert capsys.readouterr().err == "gsqg sweep: range straddles alpha=2; pass --split-at-2\n"
-    assert not out.exists()
-    assert main(args + ["--split-at-2"]) == 0
+    assert main(args) == 0
+    with pytest.raises(SystemExit) as e:
+        main(args + ["--split-at-2"])
+    assert e.value.code == 1
 
 
 def test_sweep_jobs_deterministic(tmp_path):
@@ -246,7 +250,7 @@ def test_missing_or_malformed_input_exits_one(tmp_path, capsys, command, flag,
     ["find-config", "--alpha", "3.5", "--x", "0.7"],
     ["find-config", "--alpha", "2.0", "--x", "0.7"],
     ["burst", "--scenario", "{short_scenario}"],
-    ["sweep", "--alpha-min", "1.9995", "--alpha-max", "2.1", "--split-at-2"],
+    ["sweep", "--alpha-min", "1.9995", "--alpha-max", "2.1"],
     # a pitch finer than 1e-6 would build more than 10^6 x grid points
     ["find-config", "--alpha", "1.0", "--auto", "--x-coarse", "1e-7"],
 ])
@@ -267,6 +271,28 @@ def test_bad_number_exits_one(tmp_path, capsys, args):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("gsqg ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field, key, index", [
+    ("t_ini_sequence", "t_ini", 0), ("burst_site", "site", 0),
+    ("background", "position", 1), ("background", "intensity", None)])
+def test_non_finite_scenario_entry_exits_one_naming_it(tmp_path, capsys, field, key,
+                                                       index, value):
+    obj = json.loads(gsqg.BurstScenario(
+        triple=gsqg.oriented_config(1.0, THM_X), background=((1.0 + 0j, 1.0),),
+        t_ini_sequence=(1e-4, 5e-5, 2.5e-5), horizon=5e-4).to_json())
+    holder = obj["background"][0] if field == "background" else obj
+    if index is None:
+        holder[key] = value
+    else:
+        holder[key][index] = value
+    spath = tmp_path / "scenario.json"
+    spath.write_text(json.dumps(obj))
+    out = tmp_path / "runs"
+    assert main(["burst", "--scenario", str(spath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"gsqg burst: {field}")
     assert not out.exists()
 
 

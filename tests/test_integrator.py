@@ -113,30 +113,28 @@ def test_collapse_time_extrapolation(thm_centered, thm_motion):
     # time-inverted burst: exact collapse at t = 0
     t0 = gsqg.reference_time(thm_motion)
     st = gsqg.VortexState(t=-t0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
-    traj, t_star = gsqg.integrate_collapse(
-        st, gsqg.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-14), horizon=1.0)
+    traj = gsqg.integrate(st, 1.0, gsqg.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-14))
     assert traj.status is Status.COLLAPSE_DETECTED
+    t_star, _ = gsqg.collapse_time_fit(traj)
     assert abs(t_star - 0.0) <= 1e-4 * t0
 
 
 def test_collapse_exponent(thm_centered, thm_motion):
     t0 = gsqg.reference_time(thm_motion)
     st = gsqg.VortexState(t=-t0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
-    traj, _ = gsqg.integrate_collapse(st, gsqg.IntegratorConfig(rel_tol=1e-11,
-                                                                abs_tol=1e-14),
-                                      horizon=1.0)
+    traj = gsqg.integrate(st, 1.0, gsqg.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-14))
     _, expo = gsqg.collapse_time_fit(traj)
     assert expo == pytest.approx(1.0 / (4.0 - 1.0), abs=1e-3)
 
 
-def test_collapse_final_sample_sits_at_guard_radius(thm_centered, thm_motion):
+def test_collapse_final_sample_sits_at_guard_radius(thm_centered, thm_motion, monkeypatch):
     # the reported event state is the dense-output crossing of the guard,
     # not the overshooting step endpoint
     t0 = gsqg.reference_time(thm_motion)
     st = gsqg.VortexState(t=-t0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
+    monkeypatch.setattr(gsqg.integrator, "GUARD_FRACTION", 1e-4)
     dmin = 1e-4 * st.min_distance()
-    traj = gsqg.integrate(st, 0.5, gsqg.IntegratorConfig(rel_tol=1e-10,
-                                                         abs_tol=1e-13, dmin=dmin))
+    traj = gsqg.integrate(st, 0.5, gsqg.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13))
     assert traj.status is Status.COLLAPSE_DETECTED
     assert traj.min_distances()[-1] == pytest.approx(dmin, rel=1e-6)
     assert traj.times[-1] == traj.t_event
@@ -146,12 +144,11 @@ def test_collapse_fit_at_loose_tolerance(thm_centered, thm_motion):
     # at rel_tol 1e-8 the first linear fit puts t* before the last samples
     t0 = gsqg.reference_time(thm_motion)
     st = gsqg.VortexState(t=-t0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
-    traj, t_star = gsqg.integrate_collapse(
-        st, gsqg.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11), horizon=1.0)
+    traj = gsqg.integrate(st, 1.0, gsqg.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11))
     assert traj.status is Status.COLLAPSE_DETECTED
+    t_star, expo = gsqg.collapse_time_fit(traj)
     assert t_star < traj.times[-1]
     assert abs(t_star - 0.0) <= 1e-4 * t0
-    _, expo = gsqg.collapse_time_fit(traj)
     assert np.isfinite(expo)
 
 
@@ -167,16 +164,14 @@ def test_collapse_fit_needs_four_samples_before_t_star():
 def test_relative_equilibrium_never_collapses():
     w = np.exp(2j * np.pi * np.arange(3) / 3)
     st = gsqg.VortexState(t=0.0, z=w, xi=np.array([1.0, 1.0, 1.0]), alpha=1.5)
-    traj, t_star = gsqg.integrate_collapse(
-        st, gsqg.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12), horizon=2.0)
+    traj = gsqg.integrate(st, 2.0, gsqg.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12))
     assert traj.status is Status.COMPLETED
-    assert np.isnan(t_star)
 
 
-def test_step_budget_failure():
+def test_step_budget_failure(monkeypatch):
+    monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", 3)
     traj = gsqg.integrate(pair_state(), PERIOD,
-                          gsqg.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13,
-                                                max_steps=3))
+                          gsqg.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13))
     assert traj.status is Status.STEP_FAILURE
     assert traj.t_event is not None
 
@@ -289,7 +284,7 @@ def _probe_times(traj):
     return ts
 
 
-def _run(kind, thm_centered, thm_motion):
+def _run(kind, thm_centered, thm_motion, monkeypatch):
     """A forward run, a backward run and a run stopped at the collapse guard."""
     if kind == "forward":
         traj = gsqg.integrate(random_state(17, 3, 1.5), 0.8,
@@ -302,16 +297,16 @@ def _run(kind, thm_centered, thm_motion):
     else:
         t0 = gsqg.reference_time(thm_motion)
         st = gsqg.VortexState(t=-t0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
-        traj = gsqg.integrate(st, 0.5, gsqg.IntegratorConfig(
-            rel_tol=1e-8, abs_tol=1e-11, dmin=1e-4 * st.min_distance()))
+        monkeypatch.setattr(gsqg.integrator, "GUARD_FRACTION", 1e-4)
+        traj = gsqg.integrate(st, 0.5, gsqg.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11))
         assert traj.status is Status.COLLAPSE_DETECTED
     assert len(traj.times) == len(traj.h) + 1 == len(traj.segments) + 1
     return traj
 
 
 @pytest.mark.parametrize("run", ["forward", "backward", "collapse"])
-def test_eval_picks_the_step_a_scan_picks(run, thm_centered, thm_motion):
-    traj = _run(run, thm_centered, thm_motion)
+def test_eval_picks_the_step_a_scan_picks(run, thm_centered, thm_motion, monkeypatch):
+    traj = _run(run, thm_centered, thm_motion, monkeypatch)
     # the same step layout with each step's interpolant replaced by its index
     marked = Trajectory(
         times=traj.times, positions=traj.positions, xi=traj.xi, alpha=traj.alpha,
@@ -326,13 +321,13 @@ def test_eval_picks_the_step_a_scan_picks(run, thm_centered, thm_motion):
 
 
 @pytest.mark.parametrize("run", ["forward", "backward", "collapse"])
-def test_eval_at_step_ends_returns_the_samples(run, thm_centered, thm_motion):
+def test_eval_at_step_ends_returns_the_samples(run, thm_centered, thm_motion, monkeypatch):
     # times[k] ends step k - 1, whose interpolant reaches positions[k]; on a
     # collapse run the last sample is the guard crossing inside the last step.
     # t + h is rounded to the ulps of t, so (times[k] - times[k-1]) / h is 1
     # only to about ulp(t) / h (7e-13 in the last collapse steps, where the
     # positions shrink 1e4-fold): the error is measured on the run's scale.
-    traj = _run(run, thm_centered, thm_motion)
+    traj = _run(run, thm_centered, thm_motion, monkeypatch)
     scale = np.max(np.abs(traj.positions))
     for t, z in zip(traj.times[1:], traj.positions[1:]):
         assert np.max(np.abs(traj.eval(t) - z)) <= 1e-14 * scale
@@ -348,14 +343,5 @@ def test_config_validation():
     with pytest.raises(ValueError):
         gsqg.IntegratorConfig(rel_tol=0.5)
     with pytest.raises(ValueError):
-        gsqg.IntegratorConfig(max_steps=0)
-    with pytest.raises(ValueError):
         gsqg.integrate(pair_state(), 0.0)
 
-
-@pytest.mark.parametrize("dmin", [np.nan, 0.0, -1.0, np.inf])
-def test_guard_radius_must_be_finite_and_positive(dmin):
-    # a nan radius turns the reference collapse into a step failure, and
-    # dmin <= 0 switches the guard off
-    with pytest.raises(gsqg.DomainError, match="dmin"):
-        gsqg.IntegratorConfig(dmin=dmin)

@@ -82,8 +82,7 @@ def test_reduced_config_reference_values(thm_cfg):
 def test_construction_side_identities():
     for alpha, x in [(1.0, THM_X), (1.4, 0.6), (2.4, 0.45), (0.8, 0.85)]:
         y = gsqg.y_from_x(x, alpha)
-        p = gsqg.ReducedParams(alpha=alpha, x=x, y=y, branch=-1)
-        cfg = gsqg.reduced_config(p)
+        cfg = gsqg.reduced_config(alpha, x, y, -1)
         assert abs(cfg.a[0] - cfg.a[2]) == pytest.approx(x, abs=1e-12)
         assert abs(cfg.a[1] - cfg.a[2]) == pytest.approx(y, abs=1e-12)
 
@@ -106,7 +105,7 @@ def test_constructed_H_L_vanish():
 
 def test_reduced_config_rejects_collinear():
     with pytest.raises(DomainError):
-        gsqg.ReducedParams(alpha=1.0, x=0.3, y=0.69, branch=-1)
+        gsqg.reduced_config(1.0, 0.3, 0.69, -1)
 
 
 def test_burst_branch_signs():
@@ -118,8 +117,7 @@ def test_burst_branch_signs():
         a_b, _, _ = gsqg.selfsimilar_rate(gsqg.center(burst))
         assert a_b > 0
         assert burst.a[2].imag < 0
-        other = gsqg.reduced_config(
-            gsqg.ReducedParams(alpha=alpha, x=x, y=y, branch=+1))
+        other = gsqg.reduced_config(alpha, x, y, +1)
         a_c, _, _ = gsqg.selfsimilar_rate(gsqg.center(other))
         assert a_c < 0
         assert abs(a_c + a_b) <= 1e-12 * abs(a_b)
