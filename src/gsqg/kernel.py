@@ -12,10 +12,10 @@ case) is excluded because c_alpha diverges there.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 # alpha = 2 is a pole of c_alpha: refuse a band around it instead of
 # emitting enormous velocities.
@@ -23,6 +23,19 @@ ALPHA_GUARD = 1e-3
 
 # Singularity guard relative to the configuration diameter.
 DMIN_FACTOR = 1e-12
+
+
+# Rational approximation of Gamma(2 + x) on [0, 1] (cephes `Gamma`, S. L.
+# Moshier, Methods and Programs for Mathematical Functions, 1989),
+# highest power first.
+_GAMMA_P = (1.60119522476751861407E-4, 1.19135147006586384913E-3,
+            1.04213797561761569935E-2, 4.76367800457137231464E-2,
+            2.07448227648435975150E-1, 4.94214826801497100753E-1,
+            9.99999999999999996796E-1)
+_GAMMA_Q = (-2.31581873324120129819E-5, 5.39605580493303397842E-4,
+            -4.45641913851797240494E-3, 1.18139785222060435552E-2,
+            3.58236398605498653373E-2, -2.34591795718243348568E-1,
+            7.14304917030273074085E-2, 1.00000000000000000320E0)
 
 
 class DomainError(ValueError):
@@ -41,6 +54,32 @@ def coupling_constant(alpha: float) -> float:
     """
     check_alpha(alpha)
     return -1.0 / (2.0**alpha * _gamma(alpha / 2.0) ** 2 * np.sin(alpha * np.pi / 2.0))
+
+
+def _horner(c: tuple, x: float) -> float:
+    """c[0] x^k + ... + c[k], summed in the order of cephes `polevl`."""
+    ans = c[0]
+    for ci in c[1:]:
+        ans = ans * x + ci
+    return ans
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for x in (0, 1.5), with the steps and bits of cephes `Gamma`
+    (the `scipy.special.gamma` of SciPy): shift the argument up to [2, 3),
+    then apply the rational approximation there.  The result is a NumPy
+    scalar, as SciPy's is, so that its square overflows to inf, not to
+    OverflowError, for x below about 1e-154."""
+    z = np.float64(1.0)
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _horner(_GAMMA_P, x) / _horner(_GAMMA_Q, x)
 
 
 def check_alpha(alpha: float) -> None:
@@ -122,20 +161,26 @@ def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guard: float):
     ic = 1j * c_alpha
     p = alpha - 2.0
     n = len(xi)
+    # pair tables reused by every call; each call overwrites them whole
+    diff = np.empty((n, n), dtype=complex)
+    dist = np.empty((n, n))
+    diff_diag = diff.reshape(-1)[::n + 1]
+    dist_diag = dist.reshape(-1)[::n + 1]
 
     def f(z: np.ndarray) -> tuple[np.ndarray, float]:
-        diff = z[:, None] - z[None, :]
-        dist = np.abs(diff)
-        dist.reshape(-1)[::n + 1] = np.inf
+        np.subtract(z[:, None], z[None, :], out=diff)
+        np.abs(diff, out=dist)
+        dist_diag[:] = np.inf
         closest = dist.min()
         if closest < guard:
             raise SingularityError(f"pairwise distance {closest:.3e} "
                                    f"below guard {guard:.3e}")
         # the guard leaves zeros only on the diagonal: avoid 0**negative and 0/0
-        dist.reshape(-1)[::n + 1] = 1.0
-        diff.reshape(-1)[::n + 1] = 1.0
-        kern = dist**p / diff
-        kern.reshape(-1)[::n + 1] = 0.0
+        dist_diag[:] = 1.0
+        diff_diag[:] = 1.0
+        operator.ipow(dist, p)      # dist **= p, with the scalar fast paths of **
+        kern = np.divide(dist, diff, out=diff)
+        diff_diag[:] = 0.0
         return np.conj(ic * (kern @ xi_c)), closest
 
     return f

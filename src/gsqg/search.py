@@ -17,7 +17,6 @@ x_+(alpha)) which closes at two critical exponents alpha_- and alpha_+.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import io
 import warnings
@@ -53,15 +52,22 @@ class NoRootError(DomainError):
 # side-length equation
 # ---------------------------------------------------------------------------
 
-def _side_residual(xs: np.ndarray, alpha: float):
+def _side_constant(xs: np.ndarray, alpha: float) -> np.ndarray:
+    """K = x^(alpha-2) - x^2, the x side of the side-length equation."""
+    return xs ** (alpha - 2.0) - xs**2
+
+
+def _side_residual(xs: np.ndarray, alpha: float, K: np.ndarray | None = None):
     """The side-length equation at fixed x as g(y) = 0, with
-    g(y) = y^2 - y^(alpha-2) - K and K = x^(alpha-2) - x^2.
+    g(y) = y^2 - y^(alpha-2) - K and K = x^(alpha-2) - x^2 (computed here
+    unless the caller already has it).
 
     For x in (0, 1) and alpha in (0, 3), g has one positive root and
     increases on [1, inf): everywhere for alpha < 2, and past its minimum
     at ((alpha-2)/2)^(1/(4-alpha)) < 1, with g(0) = -K < 0, for alpha > 2.
     """
-    K = xs ** (alpha - 2.0) - xs**2
+    if K is None:
+        K = _side_constant(xs, alpha)
 
     def g(y):
         return y**2 - y ** (alpha - 2.0) - K
@@ -69,24 +75,26 @@ def _side_residual(xs: np.ndarray, alpha: float):
     return g
 
 
-def _past_triangle(xs: np.ndarray, alpha: float) -> np.ndarray:
+def _past_triangle(xs: np.ndarray, alpha: float, K: np.ndarray | None = None) -> np.ndarray:
     """Mask of the x whose side y(x) lies beyond 1 + x, where no triangle
     exists.  g < 0 at u = (1 + x)(1 + TRIANGLE_SLACK) >= 1 puts the root
     past u; the slack dwarfs the Newton residual and the rounding of the
     triangle test, so every masked x is rejected by `_reduced_triple` at
     the y of `_y_solve_grid` too."""
-    return _side_residual(xs, alpha)((1.0 + xs) * (1.0 + TRIANGLE_SLACK)) < 0.0
+    return _side_residual(xs, alpha, K)((1.0 + xs) * (1.0 + TRIANGLE_SLACK)) < 0.0
 
 
-def _y_solve_grid(xs: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def _y_solve_grid(xs: np.ndarray, alpha: float,
+                  K: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized safeguarded Newton for y(x) on a grid.
 
     Solves y^2 - y^(alpha-2) = x^(alpha-2) - x^2 on [max(1-x, EPS_Y), YMAX].
     Returns (y, valid); invalid entries have no sign change in the bracket
-    (root below the triangle bound or beyond YMAX).
+    (root below the triangle bound or beyond YMAX).  K, if given, is the
+    x^(alpha-2) - x^2 of xs.
     """
     xs = np.asarray(xs, dtype=float)
-    g = _side_residual(xs, alpha)
+    g = _side_residual(xs, alpha, K)
     lo = np.maximum(1.0 - xs, EPS_Y)
     hi = np.full_like(xs, YMAX)
 
@@ -225,8 +233,9 @@ def _margin_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
     ca = coupling_constant(alpha)
     xs = np.asarray(xs, dtype=float)
     out = np.full((2, len(xs)), -np.inf)
-    at = np.flatnonzero(~_past_triangle(xs, alpha))
-    y, valid = _y_solve_grid(xs[at], alpha)
+    K = _side_constant(xs, alpha)     # once, for the screen and the side solve
+    at = np.flatnonzero(~_past_triangle(xs, alpha, K))
+    y, valid = _y_solve_grid(xs[at], alpha, K[at])
     # branch Im(a3) < 0; the other branch only flips the sign of a
     z, xi, shaped = _reduced_triple(xs[at], y, -1)
     ok = valid & shaped
@@ -384,6 +393,7 @@ def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
     alphas = [a for a in alphas if a < 3.0 and abs(a - 2.0) > ALPHA_GUARD]
     run = functools.partial(x_interval, coarse=coarse, refine_tol=refine_tol)
     if jobs > 1:
+        import concurrent.futures   # here: it imports logging, which --jobs 1 never needs
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
             records = list(ex.map(run, alphas, chunksize=8))
     else:

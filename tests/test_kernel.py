@@ -1,10 +1,12 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsqg
+from gsqg import kernel
 from gsqg.kernel import DomainError, make_rhs, max_pair_distance, min_pair_distance
 
 from conftest import THM_A, THM_B, lattice_state, random_state
@@ -35,6 +37,45 @@ def test_coupling_signs():
 def test_coupling_domain_errors(alpha):
     with pytest.raises(DomainError):
         gsqg.coupling_constant(alpha)
+
+
+def _sweep_alphas(lo, hi, step=1e-3):
+    """The alphas `gsqg.sweep(lo, hi, step)` visits."""
+    return [lo + k * step for k in range(int(round((hi - lo) / step)) + 1)]
+
+
+# arguments x = alpha/2 of Gamma: a dense grid over (0, 1.5) with the points
+# where the cephes steps switch; the alphas of the desk sweep and of both
+# sweep ranges of the benchmark's sweep workload; and tiny arguments, where
+# Gamma(x) ~ 1/x
+_GAMMA_ARGS = {
+    "grid": np.concatenate([np.arange(1, 150_000) * 1e-5,
+                            [0.5, 1.0, 1e-9, np.nextafter(1e-9, 0.0), np.nextafter(1.0, 0.0),
+                             np.nextafter(1.0, 2.0), np.nextafter(1.5, 0.0)]]),
+    "sweeps": np.array([a for lo, hi in [(0.9, 1.999), (2.001, 2.2), (0.95, 1.05), (2.10, 2.16)]
+                        for a in _sweep_alphas(lo, hi)]) / 2.0,
+    "tiny": np.geomspace(1e-300, 1e-6, 3001),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GAMMA_ARGS))
+def test_gamma_port_matches_scipy_bitwise(name):
+    xs = _GAMMA_ARGS[name]
+    got = np.array([kernel._gamma(x) for x in xs.tolist()])
+    assert np.array_equal(got.view(np.int64), scipy.special.gamma(xs).view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(_GAMMA_ARGS))
+def test_coupling_matches_scipy_formula_bitwise(name):
+    # c_alpha with SciPy's Gamma, one scalar at a time as coupling_constant
+    # computes it; Gamma(alpha/2)^2 overflows to inf below alpha ~ 2e-154
+    alphas = [a for a in (2.0 * _GAMMA_ARGS[name]).tolist() if abs(a - 2.0) > gsqg.ALPHA_GUARD]
+    with np.errstate(over="ignore"):
+        got = [gsqg.coupling_constant(a) for a in alphas]
+        want = [-1.0 / (2.0**a * scipy.special.gamma(a / 2.0) ** 2 * np.sin(a * np.pi / 2.0))
+                for a in alphas]
+    assert all(type(c) is np.float64 for c in got)
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
 
 # ---------------------------------------------------------------- velocity
@@ -102,6 +143,54 @@ def test_rhs_matches_plain_sum(n, alpha):
     st_ = lattice_state(n, alpha, seed=n)
     expect = plain_rhs(st_)
     assert np.max(np.abs(gsqg.rhs(st_) - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def _rhs_per_call_tables(xi, alpha, c_alpha, guard):
+    """`make_rhs` with its pair tables allocated on every call."""
+    xi_c = xi.astype(complex)
+    n = len(xi)
+
+    def f(z):
+        diff = z[:, None] - z[None, :]
+        dist = np.abs(diff)
+        dist.reshape(-1)[::n + 1] = np.inf
+        closest = dist.min()
+        if closest < guard:
+            raise gsqg.SingularityError("below guard")
+        dist.reshape(-1)[::n + 1] = 1.0
+        diff.reshape(-1)[::n + 1] = 1.0
+        kern = dist**(alpha - 2.0) / diff
+        kern.reshape(-1)[::n + 1] = 0.0
+        return np.conj(1j * c_alpha * (kern @ xi_c)), closest
+
+    return f
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.3, 1.5, 2.5, 2.9])
+@pytest.mark.parametrize("n", [2, 3, 4, 17, 99])
+def test_rhs_tables_reused_bitwise(n, alpha):
+    # the reused tables give the bits of fresh ones, call after call, and
+    # after a call that stopped at the guard; no result is a view of them
+    st_ = lattice_state(n, alpha, seed=n)
+    guard = 0.5 * st_.min_distance()
+    f = make_rhs(st_.xi, alpha, st_.c_alpha, guard)
+    ref = _rhs_per_call_tables(st_.xi, alpha, st_.c_alpha, guard)
+    rng = np.random.default_rng(n)
+    seen = []
+    for k in range(4):
+        z = st_.z + 0.05 * k * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        if k == 2:
+            pinched = z.copy()
+            pinched[1] = pinched[0] + 0.1 * guard
+            with pytest.raises(gsqg.SingularityError):
+                f(pinched)
+        v, closest = f(z)
+        v_ref, closest_ref = ref(z)
+        assert np.array_equal(v.view(np.float64), v_ref.view(np.float64))
+        assert closest == closest_ref
+        seen.append((v, v.copy()))
+    for v, kept in seen:
+        assert np.array_equal(v, kept)
 
 
 def test_singularity_guard_threshold():

@@ -1,7 +1,11 @@
 """The package keeps only what it uses: every import of a module is used
-there, and every public function and class is reached from package code."""
+there, every public function and class is reached from package code, and a
+command loads no module it does not run."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gsqg
@@ -76,3 +80,20 @@ def test_kept_names_exist_and_are_unreferenced():
     trees = _trees()
     assert set(KEPT_UNREFERENCED) <= {name for _, name in _public_definitions(trees)}
     assert not set(KEPT_UNREFERENCED) & _package_uses(trees)
+
+
+def test_a_command_imports_neither_scipy_nor_a_process_pool(tmp_path):
+    # SciPy serves only propagator_norm, which imports scipy.linalg itself,
+    # and concurrent.futures only sweep --jobs > 1
+    code = ("import sys\n"
+            "import gsqg, gsqg.cli\n"
+            "status = gsqg.cli.main(sys.argv[1:])\n"
+            "print(status, sorted(m for m in sys.modules\n"
+            "                     if m.partition('.')[0] in ('scipy', 'concurrent')))\n")
+    argv = ["find-config", "--alpha", "1", "--x", "0.7019", "--out", str(tmp_path / "c.json")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []"

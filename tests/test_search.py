@@ -542,9 +542,9 @@ def test_side_solve_skips_screened_points(monkeypatch):
     sizes = []
     inner = search._y_solve_grid
 
-    def counted(xs, alpha):
+    def counted(xs, alpha, K):
         sizes.append(len(xs))
-        return inner(xs, alpha)
+        return inner(xs, alpha, K)
 
     monkeypatch.setattr(search, "_y_solve_grid", counted)
     _margin_grid(1.0, _DESK_GRID)
