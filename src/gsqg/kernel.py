@@ -24,6 +24,8 @@ ALPHA_GUARD = 1e-3
 # Singularity guard relative to the configuration diameter.
 DMIN_FACTOR = 1e-12
 
+# The largest Gamma(alpha/2) whose square is finite (2^512 squared overflows).
+_GAMMA_MAX = np.sqrt(np.finfo(float).max)
 
 # Rational approximation of Gamma(2 + x) on [0, 1] (cephes `Gamma`, S. L.
 # Moshier, Methods and Programs for Mathematical Functions, 1989),
@@ -50,7 +52,7 @@ def coupling_constant(alpha: float) -> float:
     """Coupling c_alpha of the interaction kernel.
 
     Negative for alpha in (0, 2), positive for alpha in (2, 3).
-    Raises DomainError outside (0, 3) or within ALPHA_GUARD of 2.
+    Raises DomainError where `check_alpha` does.
     """
     check_alpha(alpha)
     return -1.0 / (2.0**alpha * _gamma(alpha / 2.0) ** 2 * np.sin(alpha * np.pi / 2.0))
@@ -68,8 +70,7 @@ def _gamma(x: float) -> float:
     """Gamma(x) for x in (0, 1.5), with the steps and bits of cephes `Gamma`
     (the `scipy.special.gamma` of SciPy): shift the argument up to [2, 3),
     then apply the rational approximation there.  The result is a NumPy
-    scalar, as SciPy's is, so that its square overflows to inf, not to
-    OverflowError, for x below about 1e-154."""
+    scalar, as SciPy's is."""
     z = np.float64(1.0)
     while x < 2.0:
         if x < 1e-9:
@@ -86,9 +87,11 @@ def check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 3.0):
         raise DomainError(f"alpha must lie in (0, 3), got {alpha}")
     if abs(alpha - 2.0) <= ALPHA_GUARD:
-        raise DomainError(
-            f"alpha within {ALPHA_GUARD} of 2 (Euler pole of c_alpha), got {alpha}"
-        )
+        raise DomainError(f"alpha within {ALPHA_GUARD} of 2 (Euler pole of c_alpha), "
+                          f"got {alpha}")
+    # below about 1.5e-154, where c_alpha would be -0
+    if _gamma(alpha / 2.0) > _GAMMA_MAX:
+        raise DomainError(f"alpha so small that Gamma(alpha/2)^2 overflows, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -123,11 +126,8 @@ class VortexState:
     def min_distance(self) -> float:
         return float(min_pair_distance(self.z))
 
-    def diameter(self) -> float:
-        return float(max_pair_distance(self.z))
-
     def dmin(self) -> float:
-        return DMIN_FACTOR * self.diameter()
+        return DMIN_FACTOR * float(max_pair_distance(self.z))
 
 
 @dataclass(frozen=True)
@@ -161,26 +161,24 @@ def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guard: float):
     ic = 1j * c_alpha
     p = alpha - 2.0
     n = len(xi)
-    # pair tables reused by every call; each call overwrites them whole
-    diff = np.empty((n, n), dtype=complex)
-    dist = np.empty((n, n))
-    diff_diag = diff.reshape(-1)[::n + 1]
-    dist_diag = dist.reshape(-1)[::n + 1]
+    # one pair table reused by every call, its diagonal left zero: |d|^p / d at
+    # d = z_j - z_k (j < k) is computed once, and its exact negation is the value at -d
+    i, k = np.triu_indices(n, 1)
+    upper, lower = i * n + k, k * n + i
+    kern = np.zeros((n, n), dtype=complex)
+    flat = kern.reshape(-1)
 
     def f(z: np.ndarray) -> tuple[np.ndarray, float]:
-        np.subtract(z[:, None], z[None, :], out=diff)
-        np.abs(diff, out=dist)
-        dist_diag[:] = np.inf
-        closest = dist.min()
+        d = z[i] - z[k]
+        dist = np.abs(d)
+        closest = dist.min(initial=np.inf)
         if closest < guard:
             raise SingularityError(f"pairwise distance {closest:.3e} "
                                    f"below guard {guard:.3e}")
-        # the guard leaves zeros only on the diagonal: avoid 0**negative and 0/0
-        dist_diag[:] = 1.0
-        diff_diag[:] = 1.0
         operator.ipow(dist, p)      # dist **= p, with the scalar fast paths of **
-        kern = np.divide(dist, diff, out=diff)
-        diff_diag[:] = 0.0
+        v = np.divide(dist, d, out=d)
+        flat[upper] = v
+        flat[lower] = np.negative(v, out=v)
         return np.conj(ic * (kern @ xi_c)), closest
 
     return f

@@ -102,14 +102,15 @@ def centered(z: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 def pair_terms(z: np.ndarray, alpha: float) -> tuple[dict, dict]:
     """Pair values, once per pair j < k: kern[j, k] = |d|^(alpha-2) / d at
-    d = z_j - z_k, kern[k, j] its value at -d, and the bracket
-    (alpha-2) |d|^(alpha-4) - |d|^(alpha-2) / d^2, which is even in d."""
+    d = z_j - z_k, kern[k, j] = -kern[j, k] (bit for bit its value at -d),
+    and the bracket (alpha-2) |d|^(alpha-4) - |d|^(alpha-2) / d^2, even in d."""
     kern, bracket = {}, {}
     for j, k in ((0, 1), (0, 2), (1, 2)):
         d = z[j] - z[k]
         r = np.abs(d)
         p = r ** (alpha - 2.0)
-        kern[j, k], kern[k, j] = p / d, p / -d
+        kern[j, k] = p / d
+        kern[k, j] = -kern[j, k]
         bracket[j, k] = (alpha - 2.0) * r ** (alpha - 4.0) - p / d**2
     return kern, bracket
 

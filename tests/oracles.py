@@ -1,13 +1,32 @@
 """Closed-form oracles the tests check the dynamics against.
 
 `relative_motion_rate` gives d/dt |z_p - z_q|^2 of a three-vortex state in
-closed form; `signed_area` is the triangle area it is built on.  No command
-needs either, so they live with the tests.
+closed form; `signed_area` is the triangle area it is built on.
+`csv_per_value` formats a trajectory one value at a time, the reference
+for the bytes of `Trajectory.to_csv`.  No command needs them, so they live
+with the tests.
 """
+
+import io
 
 import numpy as np
 
-from gsqg.kernel import DomainError, VortexState
+from gsqg.kernel import DomainError, VortexState, conserved
+
+
+def csv_per_value(traj) -> str:
+    """`traj.to_csv()` written one NumPy scalar at a time with
+    `f"{v:.17g}"`, and each row's conserved quantities from `conserved`."""
+    n = traj.positions.shape[1]
+    cols = (["t"] + [f"{part}_z{j}" for j in range(1, n + 1) for part in ("re", "im")]
+            + ["H", "L", "C_re", "C_im"])
+    buf = io.StringIO()
+    buf.write(",".join(cols) + "\n")
+    for t, z, xy in zip(traj.times, traj.positions, traj.positions.view(float)):
+        c = conserved(VortexState(t=float(t), z=z, xi=traj.xi, alpha=traj.alpha))
+        vals = [t, *xy, c.H, c.Lmom, c.C.real, c.C.imag]
+        buf.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+    return buf.getvalue()
 
 
 def signed_area(z1: complex, z2: complex, z3: complex) -> float:

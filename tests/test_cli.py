@@ -50,6 +50,16 @@ def test_find_config_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_find_config_alpha_too_small_exits_one(tmp_path, capsys):
+    # Gamma(alpha/2)^2 overflows below alpha ~ 1.5e-154: a usage error, told
+    # without a NumPy warning, not a failed construction with c_alpha = -0
+    out = tmp_path / "cfg.json"
+    assert main(["find-config", "--alpha", "1e-300", "--x", "0.5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "gsqg find-config: alpha so small that Gamma(alpha/2)^2 overflows, got 1e-300\n")
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_one():
     with pytest.raises(SystemExit) as e:
         main(["find-config", "--bogus", "1"])

@@ -8,6 +8,7 @@ import gsqg
 from gsqg.integrator import Status, Trajectory, _dense, _initial_step
 
 from conftest import lattice_state, random_state
+from oracles import csv_per_value
 
 
 def pair_state(alpha=1.0):
@@ -261,6 +262,24 @@ def test_csv_conserved_columns_are_exact(make_state, t1):
         c = gsqg.conserved(gsqg.VortexState(t=float(t), z=z, xi=st.xi, alpha=st.alpha))
         assert [float(v) for v in row.split(",")[-4:]] == [c.H, c.Lmom, c.C.real,
                                                            c.C.imag]
+
+
+def _collapse_state(thm_centered, thm_motion):
+    # time-inverted burst: exact collapse at t = 0
+    t0 = gsqg.reference_time(thm_motion)
+    return gsqg.VortexState(t=-t0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
+
+
+@pytest.mark.parametrize("kind", ["pair", "random5", "lattice99", "collapse"])
+def test_csv_bytes_match_per_value_formatter(kind, thm_centered, thm_motion):
+    st, t1 = {"pair": lambda: (pair_state(), 0.5),
+              "random5": lambda: (random_state(5, 5, 1.5), 0.3),
+              "lattice99": lambda: (lattice_state(99, 1.0), 0.05),
+              "collapse": lambda: (_collapse_state(thm_centered, thm_motion), 1.0)}[kind]()
+    traj = gsqg.integrate(st, t1, gsqg.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11))
+    if kind == "collapse":
+        assert traj.status is Status.COLLAPSE_DETECTED and traj.times[-1] == traj.t_event
+    assert traj.to_csv() == csv_per_value(traj)
 
 
 def _scan_index(traj, t):

@@ -33,7 +33,7 @@ def test_coupling_signs():
     assert gsqg.coupling_constant(2.5) > 0
 
 
-@pytest.mark.parametrize("alpha", [0.0, 3.0, -1.0, 2.0, 2.0005, 1.9995])
+@pytest.mark.parametrize("alpha", [0.0, 3.0, -1.0, 2.0, 2.0005, 1.9995, 1e-300, 1e-155])
 def test_coupling_domain_errors(alpha):
     with pytest.raises(DomainError):
         gsqg.coupling_constant(alpha)
@@ -68,14 +68,21 @@ def test_gamma_port_matches_scipy_bitwise(name):
 @pytest.mark.parametrize("name", sorted(_GAMMA_ARGS))
 def test_coupling_matches_scipy_formula_bitwise(name):
     # c_alpha with SciPy's Gamma, one scalar at a time as coupling_constant
-    # computes it; Gamma(alpha/2)^2 overflows to inf below alpha ~ 2e-154
+    # computes it; below alpha ~ 1.5e-154 Gamma(alpha/2)^2 overflows to inf,
+    # the formula gives -0, and coupling_constant refuses the alpha
     alphas = [a for a in (2.0 * _GAMMA_ARGS[name]).tolist() if abs(a - 2.0) > gsqg.ALPHA_GUARD]
     with np.errstate(over="ignore"):
-        got = [gsqg.coupling_constant(a) for a in alphas]
         want = [-1.0 / (2.0**a * scipy.special.gamma(a / 2.0) ** 2 * np.sin(a * np.pi / 2.0))
                 for a in alphas]
+    refused = [a for a, c in zip(alphas, want) if c == 0.0]
+    for a in refused:
+        with pytest.raises(DomainError):
+            gsqg.coupling_constant(a)
+    alphas, want = zip(*[(a, c) for a, c in zip(alphas, want) if c != 0.0])
+    got = [gsqg.coupling_constant(a) for a in alphas]
     assert all(type(c) is np.float64 for c in got)
     assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    assert (len(refused) > 0) == (name == "tiny")
 
 
 # ---------------------------------------------------------------- velocity
@@ -176,9 +183,18 @@ def test_rhs_tables_reused_bitwise(n, alpha):
     f = make_rhs(st_.xi, alpha, st_.c_alpha, guard)
     ref = _rhs_per_call_tables(st_.xi, alpha, st_.c_alpha, guard)
     rng = np.random.default_rng(n)
+    zs = [st_.z + 0.05 * k * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+          for k in range(4)]
+    # edge cases of the one-triangle table: on an unjittered lattice, and on
+    # it turned by 45 degrees, pair differences are purely real, purely
+    # imaginary or have |Re d| = |Im d| (the tie of Smith's division); then
+    # one pair just above the guard
+    side = int(np.ceil(np.sqrt(n)))
+    grid = np.arange(n) % side + 1j * (np.arange(n) // side)
+    near = grid.copy()
+    near[1] = near[0] + np.nextafter(guard, np.inf)
     seen = []
-    for k in range(4):
-        z = st_.z + 0.05 * k * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    for k, z in enumerate(zs + [grid, (1 + 1j) * grid, near]):
         if k == 2:
             pinched = z.copy()
             pinched[1] = pinched[0] + 0.1 * guard
