@@ -118,12 +118,12 @@ class Trajectory:
                 + ["H", "L", "C_re", "C_im"])
         buf = io.StringIO()
         buf.write(",".join(cols) + "\n")
-        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        row = ",".join(["{:.17g}"] * len(cols)) + "\n"
         q = make_conserved(self.xi, self.alpha, coupling_constant(self.alpha))
         # a complex row viewed as floats interleaves re and im
         for t, z, xy in zip(self.times.tolist(), self.positions, self.positions.view(float)):
             c = q(z)
-            buf.write(row % (t, *xy.tolist(), c.H, c.Lmom, c.C.real, c.C.imag))
+            buf.write(row.format(t, *xy.tolist(), c.H, c.Lmom, c.C.real, c.C.imag))
         return buf.getvalue()
 
 

@@ -87,8 +87,9 @@ def check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 3.0):
         raise DomainError(f"alpha must lie in (0, 3), got {alpha}")
     if abs(alpha - 2.0) <= ALPHA_GUARD:
-        raise DomainError(f"alpha within {ALPHA_GUARD} of 2 (Euler pole of c_alpha), "
-                          f"got {alpha}")
+        raise DomainError(
+            f"alpha within {ALPHA_GUARD} of 2 (Euler pole of c_alpha), got {alpha}"
+        )
     # below about 1.5e-154, where c_alpha would be -0
     if _gamma(alpha / 2.0) > _GAMMA_MAX:
         raise DomainError(f"alpha so small that Gamma(alpha/2)^2 overflows, got {alpha}")
@@ -161,15 +162,15 @@ def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guard: float):
     ic = 1j * c_alpha
     p = alpha - 2.0
     n = len(xi)
-    # one pair table reused by every call, its diagonal left zero: |d|^p / d at
-    # d = z_j - z_k (j < k) is computed once, and its exact negation is the value at -d
+    # one table for every call, diagonal 0: pairs j < k once, mirrored by exact negation
     i, k = np.triu_indices(n, 1)
     upper, lower = i * n + k, k * n + i
     kern = np.zeros((n, n), dtype=complex)
     flat = kern.reshape(-1)
 
     def f(z: np.ndarray) -> tuple[np.ndarray, float]:
-        d = z[i] - z[k]
+        d = z[i]
+        d -= z[k]
         dist = np.abs(d)
         closest = dist.min(initial=np.inf)
         if closest < guard:

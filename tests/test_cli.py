@@ -50,16 +50,6 @@ def test_find_config_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_find_config_alpha_too_small_exits_one(tmp_path, capsys):
-    # Gamma(alpha/2)^2 overflows below alpha ~ 1.5e-154: a usage error, told
-    # without a NumPy warning, not a failed construction with c_alpha = -0
-    out = tmp_path / "cfg.json"
-    assert main(["find-config", "--alpha", "1e-300", "--x", "0.5", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "gsqg find-config: alpha so small that Gamma(alpha/2)^2 overflows, got 1e-300\n")
-    assert not out.exists()
-
-
 def test_unknown_flag_exits_one():
     with pytest.raises(SystemExit) as e:
         main(["find-config", "--bogus", "1"])
@@ -263,6 +253,8 @@ def test_missing_or_malformed_input_exits_one(tmp_path, capsys, command, flag,
     ["sweep", "--alpha-min", "1.9995", "--alpha-max", "2.1"],
     # a pitch finer than 1e-6 would build more than 10^6 x grid points
     ["find-config", "--alpha", "1.0", "--auto", "--x-coarse", "1e-7"],
+    # Gamma(alpha/2)^2 overflows below alpha ~ 1.5e-154 (c_alpha would be -0)
+    ["find-config", "--alpha", "1e-300", "--x", "0.5"],
 ])
 def test_bad_number_exits_one(tmp_path, capsys, args):
     cfg = gsqg.oriented_config(1.0, THM_X)

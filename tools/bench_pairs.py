@@ -60,7 +60,8 @@ def outputs(tree: Path, workload: str) -> dict[str, str]:
 
 
 def summary(runs: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    q1, _, q3 = (statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1
+                 else runs * 3)
     return {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
 
 
