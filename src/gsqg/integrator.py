@@ -4,7 +4,7 @@ Dormand-Prince 5(4) embedded pair with PI step-size control, FSAL, and
 the standard fourth-order dense-output interpolant.  The vortex dynamics
 blows up in finite time along collapse orbits, so the stepper watches the
 minimum pairwise distance and stops with a CollapseDetected status at the
-guard radius instead of grinding the step size to zero.
+guard radius, or at a step-size underflow after a heavy contraction.
 """
 
 from __future__ import annotations
@@ -148,8 +148,11 @@ def integrate(state0: VortexState, t1: float,
     """Integrate the vortex system from state0.t to t1 (either direction).
 
     Stops early with CollapseDetected when the minimum pairwise distance
-    falls below the guard radius, or StepFailure when the step size
-    underflows / the step budget is exhausted without a near-collision.
+    falls below the guard radius (the crossing, located by bisection on the
+    dense output, is the last sample), or when the step size underflows
+    while that distance is below max(1e3 x guard radius, 1e-2 x initial
+    distance).  Stops with StepFailure when the step size underflows
+    without such a contraction, or when the step budget is exhausted.
     """
     t0 = state0.t
     if not np.isfinite(t1):

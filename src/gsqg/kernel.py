@@ -185,14 +185,13 @@ def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guard: float):
     return f
 
 
-def rhs(state: VortexState, dmin: float | None = None) -> np.ndarray:
+def rhs(state: VortexState) -> np.ndarray:
     """dz_j/dt for all vortices.
 
-    Raises SingularityError when any pairwise distance is below `dmin`
-    (defaults to the state's own guard distance).
+    Raises SingularityError when any pairwise distance is below the
+    state's guard distance `state.dmin()`.
     """
-    guard = state.dmin() if dmin is None else dmin
-    return make_rhs(state.xi, state.alpha, state.c_alpha, guard)(state.z)[0]
+    return make_rhs(state.xi, state.alpha, state.c_alpha, state.dmin())(state.z)[0]
 
 
 def make_conserved(xi: np.ndarray, alpha: float, c_alpha: float):

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import ALPHA_GUARD, DomainError, coupling_constant
-from .selfsimilar import (TripleConfig, center, centered, check_H_L_zero, pair_terms,
-                          selfsimilar_rate, vortex_rates)
+from .kernel import ALPHA_GUARD, DomainError, conserved, coupling_constant
+from .selfsimilar import (TripleConfig, center, centered, pair_terms, selfsimilar_rate,
+                          vortex_rates)
 from .stability import l_terms, quartic_coefficients, quartic_mu2
 
 EPS_Y = 1e-6
@@ -193,9 +193,9 @@ def reduced_config(alpha: float, x: float, y: float, branch: int) -> TripleConfi
     if resid > 1e-10 * max(1.0, x**2 + y**2):
         raise DomainError(f"side-length equation violated (residual {resid:.2e})")
     cfg = TripleConfig(a=z[:, 0], xi=xi[:, 0], alpha=alpha)
-    H, L = check_H_L_zero(cfg)
-    if abs(H) > 1e-8 or abs(L) > 1e-8:
-        raise DomainError(f"constructed configuration has H={H:.2e}, L={L:.2e} != 0")
+    c = conserved(cfg.state())
+    if abs(c.H) > 1e-8 or abs(c.Lmom) > 1e-8:
+        raise DomainError(f"constructed configuration has H={c.H:.2e}, L={c.Lmom:.2e} != 0")
     return cfg
 
 

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernel import DomainError, VortexState, conserved, coupling_constant
+from .kernel import DomainError, VortexState, coupling_constant
 
 # The self-similarity relation is algebraically exact; these thresholds
 # only absorb floating-point noise.
@@ -146,12 +146,6 @@ def selfsimilar_rate(cfg: TripleConfig) -> tuple[float, float, float]:
     q, mean = vortex_rates(z, xi, coupling_constant(cfg.alpha), pair_terms(z, cfg.alpha)[0])
     residual = max(float(np.abs(qj - mean)[0]) for qj in q)
     return float(mean.real[0]), float(-mean.imag[0]), residual
-
-
-def check_H_L_zero(cfg: TripleConfig) -> tuple[float, float]:
-    """Interaction energy H and moment of inertia L of the triple."""
-    c = conserved(cfg.state())
-    return c.H, c.Lmom
 
 
 def classify(cfg: TripleConfig) -> Classification:

@@ -39,12 +39,7 @@ EIG_TOL = 1e-8
 class StabilityMatrix:
     entries: np.ndarray     # 4x4 complex
     a_rate: float
-    b_rate: float
     off: tuple[complex, complex, complex, complex]   # (L13, L14, L23, L24)
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
 
 
 @dataclass(frozen=True)
@@ -155,49 +150,6 @@ def quartic_mu2(b, c1, c2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return disc, base - s, base + s
 
 
-def l_matrix(cfg: TripleConfig, a_rate: float, b_rate: float) -> StabilityMatrix:
-    """Assemble the linearization matrix at the triple's positions."""
-    dmin = float(min_pair_distance(cfg.a))
-    if dmin < DMIN_FACTOR * max_pair_distance(cfg.a):
-        raise SingularityError(f"coincident vortices in linearization: |d|={dmin:.3e}")
-    z = cfg.a[:, None]
-    off = tuple(complex(v[0]) for v in l_terms(z, cfg.xi[:, None], coupling_constant(cfg.alpha),
-                                                 pair_terms(z, cfg.alpha)[1]))
-    D = np.diag([-a_rate - 1j * b_rate] * 2)
-    T = np.array(off).reshape(2, 2)
-    M = np.block([[D, T], [T.conj(), D.conj()]])
-    return StabilityMatrix(entries=M, a_rate=a_rate, b_rate=b_rate, off=off)
-
-
-def mu_coefficients(M: StabilityMatrix) -> tuple[float, float]:
-    """Coefficients (c1, c2) of the eigenvalue quartic (`quartic_coefficients`)."""
-    c1, c2 = quartic_coefficients(*(np.array([v]) for v in M.off))
-    return float(c1[0]), float(c2[0])
-
-
-def mu_roots(b_rate: float, c1: float, c2: float) -> MuRoots:
-    """Solve mu^4 + mu^2 (c1 - 2 b^2) + b^4 - b^2 c1 + c2 = 0 for real mu.
-
-    As a quadratic in mu^2 the roots are (2 b^2 - c1 +- sqrt(c1^2 - 4 c2))/2,
-    so four distinct real mu exist exactly when c1^2 - 4 c2 > 0 and
-    2 b^2 - c1 - sqrt(c1^2 - 4 c2) > 0.  Failure is a value, not an error.
-    """
-    disc, lo2, hi2 = (float(v[0]) for v in
-                      quartic_mu2(np.array([b_rate]), np.array([c1]), np.array([c2])))
-    if disc <= 0.0:
-        return MuRoots(None, failure=f"complex mu^2: c1^2 - 4 c2 = {disc:.6e} <= 0")
-    if lo2 <= 0.0:
-        return MuRoots(None, failure=f"negative mu^2: 2 b^2 - c1 - sqrt(disc) = {lo2:.6e} <= 0")
-    r = np.sqrt([lo2 / 2.0, hi2 / 2.0])
-    return MuRoots(np.array([-r[1], -r[0], r[0], r[1]]))
-
-
-def eigen4(M: StabilityMatrix) -> np.ndarray:
-    """Eigenvalues of the 4x4 matrix by a general dense solver (LAPACK),
-    kept as an oracle independent of the quartic route."""
-    return np.linalg.eigvals(M.entries)
-
-
 def mu_distinct(mu: np.ndarray) -> bool:
     gaps = np.diff(np.sort(mu))
     return bool(np.all(gaps > 1e-9 * (1.0 + np.max(np.abs(mu)))))
@@ -207,8 +159,9 @@ def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
     """Full stability check of a candidate triple.
 
     Pipeline: center -> self-similarity rates (residual <= SS_TOL and
-    a > 0 required) -> linearization matrix -> quartic roots cross-checked
-    against the dense eigensolver -> four distinct real mu.
+    a > 0 required) -> `l_terms`, `quartic_coefficients` and `quartic_mu2`
+    on a batch of one -> four distinct real mu, cross-checked against the
+    eigenvalues of the assembled matrix by a general dense solver (LAPACK).
     """
     cen = center(cfg)
     a_rate, b_rate, residual = selfsimilar_rate(cen)
@@ -222,11 +175,27 @@ def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
             eigen_ok=False, distinct=False, details=detail,
             a_rate=a_rate, b_rate=b_rate,
         )
-    M = l_matrix(cen, a_rate, b_rate)
-    c1, c2 = mu_coefficients(M)
-    mu = mu_roots(b_rate, c1, c2)
-    eigs = eigen4(M)
+    dmin = float(min_pair_distance(cen.a))
+    if dmin < DMIN_FACTOR * max_pair_distance(cen.a):
+        raise SingularityError(f"coincident vortices in linearization: |d|={dmin:.3e}")
+    z = cen.a[:, None]
+    L = l_terms(z, cen.xi[:, None], coupling_constant(cfg.alpha), pair_terms(z, cfg.alpha)[1])
+    c1, c2 = quartic_coefficients(*L)
+    disc, lo2, hi2 = (float(v[0]) for v in quartic_mu2(b_rate, c1, c2))
+    off = tuple(complex(v[0]) for v in L)
+    D = np.diag([-a_rate - 1j * b_rate] * 2)
+    T = np.array(off).reshape(2, 2)
+    M = StabilityMatrix(np.block([[D, T], [T.conj(), D.conj()]]), a_rate, off)
+    eigs = np.linalg.eigvals(M.entries)
     eig_ok = distinct = False
+    # four distinct real mu exist exactly when disc > 0 and lo2 > 0
+    if disc <= 0.0:
+        mu = MuRoots(None, failure=f"complex mu^2: c1^2 - 4 c2 = {disc:.6e} <= 0")
+    elif lo2 <= 0.0:
+        mu = MuRoots(None, failure=f"negative mu^2: 2 b^2 - c1 - sqrt(disc) = {lo2:.6e} <= 0")
+    else:
+        r = np.sqrt([lo2 / 2.0, hi2 / 2.0])
+        mu = MuRoots(np.array([-r[1], -r[0], r[0], r[1]]))
     detail = mu.failure
     if mu.ok:
         # oracle agreement: eigenvalues must be -a + i mu_j
@@ -240,7 +209,7 @@ def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
     return HypothesisReport(
         selfsimilar_ok=True, a_positive=True, mu=mu, eigen_ok=eig_ok,
         distinct=distinct, details=detail, a_rate=a_rate, b_rate=b_rate,
-        matrix=M, c1=c1, c2=c2, eigenvalues=eigs,
+        matrix=M, c1=float(c1[0]), c2=float(c2[0]), eigenvalues=eigs,
     )
 
 

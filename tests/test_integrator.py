@@ -7,7 +7,7 @@ import pytest
 import gsqg
 from gsqg.integrator import Status, Trajectory, _dense, _initial_step
 
-from conftest import lattice_state, random_state
+from conftest import THM_X, lattice_state, random_state
 from oracles import csv_per_value
 
 
@@ -264,18 +264,40 @@ def test_csv_conserved_columns_are_exact(make_state, t1):
                                                            c.C.imag]
 
 
-def _collapse_state(thm_centered, thm_motion):
+def _collapse_state(alpha=1.0, x=THM_X):
     # time-inverted burst: exact collapse at t = 0
-    t0 = gsqg.reference_time(thm_motion)
-    return gsqg.VortexState(t=-t0, z=thm_centered.a, xi=-thm_centered.xi, alpha=1.0)
+    cen = gsqg.center(gsqg.oriented_config(alpha, x))
+    t0 = gsqg.reference_time(gsqg.motion_from_config(cen))
+    return gsqg.VortexState(t=-t0, z=cen.a, xi=-cen.xi, alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha, x, rel_tol, rule", [
+    (1.0, THM_X, 1e-10, "underflow"), (1.0, THM_X, 1e-8, "underflow"),
+    (2.5, 0.7, 1e-8, "guard")])
+def test_collapse_stop_rule(alpha, x, rel_tol, rule):
+    # a collapse stops where the minimum distance crosses the guard radius,
+    # located inside the step by bisection on the dense output, or where the
+    # step size underflows once that distance has contracted below
+    # max(1e3 guard, 1e-2 initial distance); the reference collapse takes
+    # the second rule
+    st = _collapse_state(alpha, x)
+    guard = max(gsqg.integrator.GUARD_FRACTION * st.min_distance(), st.dmin())
+    traj = gsqg.integrate(st, 1.0, gsqg.IntegratorConfig(rel_tol=rel_tol,
+                                                         abs_tol=1e-3 * rel_tol))
+    assert traj.status is Status.COLLAPSE_DETECTED and traj.times[-1] == traj.t_event
+    last = traj.min_distances()[-1] / guard
+    if rule == "guard":
+        assert last == pytest.approx(1.0, rel=1e-6)
+    else:
+        assert 2.0 < last < max(1e3, 1e-2 / gsqg.integrator.GUARD_FRACTION)
 
 
 @pytest.mark.parametrize("kind", ["pair", "random5", "lattice99", "collapse"])
-def test_csv_bytes_match_per_value_formatter(kind, thm_centered, thm_motion):
+def test_csv_bytes_match_per_value_formatter(kind):
     st, t1 = {"pair": lambda: (pair_state(), 0.5),
               "random5": lambda: (random_state(5, 5, 1.5), 0.3),
               "lattice99": lambda: (lattice_state(99, 1.0), 0.05),
-              "collapse": lambda: (_collapse_state(thm_centered, thm_motion), 1.0)}[kind]()
+              "collapse": lambda: (_collapse_state(), 1.0)}[kind]()
     traj = gsqg.integrate(st, t1, gsqg.IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11))
     if kind == "collapse":
         assert traj.status is Status.COLLAPSE_DETECTED and traj.times[-1] == traj.t_event

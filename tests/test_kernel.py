@@ -131,7 +131,7 @@ def test_velocity_singularity_guard():
     st_ = gsqg.VortexState(t=0.0, z=np.array([0.0, 1e-9], dtype=complex),
                            xi=np.array([1.0, 1.0]), alpha=1.0)
     with pytest.raises(gsqg.SingularityError):
-        gsqg.rhs(st_, dmin=1e-6)
+        make_rhs(st_.xi, st_.alpha, st_.c_alpha, 1e-6)(st_.z)
 
 
 def plain_rhs(st_: gsqg.VortexState) -> np.ndarray:
@@ -215,11 +215,9 @@ def test_singularity_guard_threshold():
                            xi=np.array([1.0, 1.0, -0.5]), alpha=1.5)
     assert st_.min_distance() == pytest.approx(1e-3, rel=1e-12)
     with pytest.raises(gsqg.SingularityError):
-        gsqg.rhs(st_, dmin=1.001e-3)
-    with pytest.raises(gsqg.SingularityError):
         make_rhs(st_.xi, st_.alpha, st_.c_alpha, 1.001e-3)(st_.z)
     v, closest = make_rhs(st_.xi, st_.alpha, st_.c_alpha, 0.999e-3)(st_.z)
-    assert np.array_equal(gsqg.rhs(st_, dmin=0.999e-3), v)
+    assert np.array_equal(gsqg.rhs(st_), v)     # below the guard of st_.dmin()
     assert closest == st_.min_distance()
 
 

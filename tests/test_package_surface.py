@@ -3,6 +3,7 @@ there, every public function and class is reached from package code, and a
 command loads no module it does not run."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -84,16 +85,31 @@ def test_kept_names_exist_and_are_unreferenced():
 
 def test_a_command_imports_neither_scipy_nor_a_process_pool(tmp_path):
     # SciPy serves only propagator_norm, which imports scipy.linalg itself,
-    # and concurrent.futures only sweep --jobs > 1
-    code = ("import sys\n"
+    # and concurrent.futures only sweep --jobs > 1.  With sys.modules["scipy"]
+    # set to None an attempted import of SciPy raises.
+    cfg = gsqg.oriented_config(1.0, 0.7019)
+    (tmp_path / "c.json").write_text(cfg.to_json())
+    (tmp_path / "s.json").write_text(gsqg.BurstScenario(
+        triple=cfg, background=((1.0 + 0j, 1.0),), t_ini_sequence=(1e-4, 5e-5, 2.5e-5),
+        horizon=5e-4).to_json())
+    commands = [
+        ["find-config", "--alpha", "1", "--x", "0.7019", "--out", "fc.json"],
+        ["sweep", "--alpha-min", "1.5", "--alpha-max", "1.502", "--x-coarse", "1e-3",
+         "--jobs", "1", "--out", "sweep.csv"],
+        ["simulate", "--config", "c.json", "--t0", "0", "--t1", "0.5", "--out", "sim.csv"],
+        ["burst", "--scenario", "s.json", "--rel-tol", "1e-8", "--out", "burst"],
+    ]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
             "import gsqg, gsqg.cli\n"
-            "status = gsqg.cli.main(sys.argv[1:])\n"
-            "print(status, sorted(m for m in sys.modules\n"
-            "                     if m.partition('.')[0] in ('scipy', 'concurrent')))\n")
-    argv = ["find-config", "--alpha", "1", "--x", "0.7019", "--out", str(tmp_path / "c.json")]
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    status = gsqg.cli.main(argv)\n"
+            "    print('after', argv[0], status, sorted(m for m, v in sys.modules.items() if v is not None\n"
+            "                                  and m.partition('.')[0] in ('scipy', 'concurrent')))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
-                         capture_output=True, text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "0 []"
+    after = [line for line in run.stdout.splitlines() if line.startswith("after ")]
+    assert after == [f"after {argv[0]} 0 []" for argv in commands]

@@ -67,14 +67,16 @@ def test_rate_rejects_vortex_at_origin():
 # ---------------------------------------------------------------- H, L
 
 def test_H_L_zero_on_construction(thm_cfg):
-    H, L = gsqg.check_H_L_zero(thm_cfg)
+    q = gsqg.conserved(thm_cfg.state())
+    H, L = q.H, q.Lmom
     assert abs(H) <= 1e-10 and abs(L) <= 1e-10
 
 
 def test_H_L_nonzero_for_equal_equilateral():
     # the pair sum is positive; H carries the 1/c_alpha prefactor whose
     # sign is negative below alpha = 2
-    H, L = gsqg.check_H_L_zero(equilateral())
+    q = gsqg.conserved(equilateral().state())
+    H, L = q.H, q.Lmom
     assert L > 0
     assert np.sign(H) == np.sign(gsqg.coupling_constant(1.5))
     assert abs(H) > 0.1
@@ -83,9 +85,11 @@ def test_H_L_nonzero_for_equal_equilateral():
 @pytest.mark.parametrize("lam", [0.5, 2.0, 3.7])
 def test_H_L_scaling(lam):
     cfg = equilateral(alpha=1.3, xi=(1.0, 2.0, -0.7))
-    H0, L0 = gsqg.check_H_L_zero(cfg)
+    q = gsqg.conserved(cfg.state())
+    H0, L0 = q.H, q.Lmom
     scaled = gsqg.TripleConfig(a=cfg.a * lam, xi=cfg.xi, alpha=cfg.alpha)
-    H1, L1 = gsqg.check_H_L_zero(scaled)
+    q = gsqg.conserved(scaled.state())
+    H1, L1 = q.H, q.Lmom
     assert H1 == pytest.approx(H0 * lam ** (1.3 - 2.0), rel=1e-12)
     assert L1 == pytest.approx(L0 * lam**2, rel=1e-12)
 
@@ -193,7 +197,8 @@ def test_generic_triples_fail_the_residual():
     while checked < 50:
         st = random_state(int(rng.integers(1e6)), 3, 1.5)
         cfg = gsqg.center(gsqg.TripleConfig(a=st.z, xi=st.xi, alpha=1.5))
-        H, L = gsqg.check_H_L_zero(cfg)
+        q = gsqg.conserved(cfg.state())
+        H, L = q.H, q.Lmom
         if abs(H) < 1e-3 and abs(L) < 1e-3:
             continue
         _, _, res = gsqg.selfsimilar_rate(cfg)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import gsqg
 from gsqg.search import _margin_grid
-from gsqg.stability import StabilityMatrix
+from gsqg.selfsimilar import pair_terms
+from gsqg.stability import StabilityMatrix, l_terms, quartic_coefficients, quartic_mu2
 
 from conftest import THM_A
 
@@ -19,17 +20,17 @@ def make_matrix(L13, L14, L23, L24, a=0.5, b=2.0):
         [np.conj(L13), np.conj(L14), -a + 1j * b, 0],
         [np.conj(L23), np.conj(L24), 0, -a + 1j * b],
     ], dtype=complex)
-    return StabilityMatrix(entries=M, a_rate=a, b_rate=b,
-                           off=(L13, L14, L23, L24))
+    return StabilityMatrix(entries=M, a_rate=a, off=(L13, L14, L23, L24))
 
 
-# ---------------------------------------------------------------- l_matrix
+# ---------------------------------------------------------------- L matrix
 
-def test_l_matrix_trace_and_structure(thm_centered):
+def test_l_matrix_trace_and_structure(thm_centered, thm_report):
     a, b, _ = gsqg.selfsimilar_rate(thm_centered)
-    M = gsqg.l_matrix(thm_centered, a, b)
+    M = thm_report.matrix
     E = M.entries
-    assert M.trace == pytest.approx(-4 * a, rel=1e-12)
+    assert M.a_rate == a
+    assert np.trace(E) == pytest.approx(-4 * a, rel=1e-12)
     assert E[0, 0] == E[1, 1] == pytest.approx(-a - 1j * b)
     assert E[2, 2] == E[3, 3] == pytest.approx(-a + 1j * b)
     # bottom-left block is the entrywise conjugate of the top-right
@@ -43,62 +44,63 @@ def test_l_matrix_term_dropout(thm_centered):
     a1, a2, _ = thm_centered.a
     alpha = thm_centered.alpha
     near_zero = 1e-300
-    cfg = gsqg.TripleConfig(a=thm_centered.a,
-                            xi=np.array([near_zero, 1.0, near_zero]), alpha=alpha)
-    M = gsqg.l_matrix(cfg, 0.1, 0.2)
+    z = thm_centered.a[:, None]
     ca = gsqg.coupling_constant(alpha)
+    L13 = l_terms(z, np.array([[near_zero], [1.0], [near_zero]]), ca,
+                  pair_terms(z, alpha)[1])[0]
     d = a1 - a2
     bracket = (alpha - 2) * abs(d) ** (alpha - 4) - abs(d) ** (alpha - 2) / d**2
     expect = (-1j * ca / abs(a1) ** 2) * (a2 / a1) * np.conj(a1**2 * 1.0 * bracket)
-    assert M.off[0] == pytest.approx(expect, rel=1e-13)
+    assert L13[0] == pytest.approx(expect, rel=1e-13)
 
 
-def test_l_matrix_rejects_coincident_points():
-    cfg = gsqg.TripleConfig(a=np.array([0.5, -0.5, 0.5 + 1e-14j]),
-                            xi=np.array([1.0, 1.0, 1.0]), alpha=1.0)
-    with pytest.raises(gsqg.SingularityError):
-        gsqg.l_matrix(cfg, 0.1, 0.1)
+def test_l_matrix_rejects_coincident_points(thm_cfg, monkeypatch):
+    # no self-similar triple reaches the guard at DMIN_FACTOR = 1e-12, so
+    # the factor is moved to either side of the reference triple's ratio
+    a = gsqg.center(thm_cfg).a
+    d = np.abs(a[:, None] - a[None, :])[np.triu_indices(3, 1)]
+    ratio = d.min() / d.max()
+    monkeypatch.setattr(gsqg.stability, "DMIN_FACTOR", ratio * (1 + 1e-9))
+    with pytest.raises(gsqg.SingularityError, match="coincident"):
+        gsqg.hypothesis_a_check(thm_cfg)
+    monkeypatch.setattr(gsqg.stability, "DMIN_FACTOR", ratio * (1 - 1e-9))
+    assert gsqg.hypothesis_a_check(thm_cfg).passed
 
 
 # ---------------------------------------------------------------- mu machinery
 
 def test_mu_coefficients_trivial():
-    c1, c2 = gsqg.mu_coefficients(make_matrix(1.0, 0.0, 0.0, 1.0))
+    c1, c2 = quartic_coefficients(*make_matrix(1.0, 0.0, 0.0, 1.0).off)
     assert (c1, c2) == (2.0, 1.0)
 
 
 def test_mu_coefficients_decoupled():
     L13, L24 = 0.7 - 0.2j, -1.1 + 0.4j
-    c1, c2 = gsqg.mu_coefficients(make_matrix(L13, 0.0, 0.0, L24))
+    c1, c2 = quartic_coefficients(*make_matrix(L13, 0.0, 0.0, L24).off)
     assert c1 == pytest.approx(abs(L13) ** 2 + abs(L24) ** 2)
     assert c2 == pytest.approx(abs(L13) ** 2 * abs(L24) ** 2)
 
 
 def test_mu_roots_worked_example():
-    # b^2 = 5, c1 = 4, c2 = 3: disc = 4, mu^2 in {4, 2}
-    res = gsqg.mu_roots(np.sqrt(5.0), 4.0, 3.0)
-    assert res.ok
-    assert np.allclose(np.sort(res.roots), [-2, -np.sqrt(2), np.sqrt(2), 2])
+    # b^2 = 5, c1 = 4, c2 = 3: disc = 4, twice mu^2 in {4, 8}
+    disc, lo2, hi2 = quartic_mu2(np.sqrt(5.0), 4.0, 3.0)
+    assert disc == 4.0
+    assert np.allclose([lo2, hi2], [4.0, 8.0])
 
 
 def test_mu_roots_complex_failure():
-    res = gsqg.mu_roots(1.0, 1.0, 10.0)
-    assert not res.ok and "complex" in res.failure
+    rep = gsqg.hypothesis_a_check(gsqg.oriented_config(1.0, 0.9))
+    assert rep.a_positive and not rep.mu.ok and not rep.passed
+    assert rep.mu.failure.startswith("complex mu^2: c1^2 - 4 c2 = ")
 
 
 def test_mu_roots_negative_failure():
-    res = gsqg.mu_roots(0.1, 4.0, 3.0)
-    assert not res.ok and "negative" in res.failure
+    rep = gsqg.hypothesis_a_check(gsqg.oriented_config(0.9, 0.7))
+    assert rep.a_positive and not rep.mu.ok and not rep.passed
+    assert rep.mu.failure.startswith("negative mu^2: 2 b^2 - c1 - sqrt(disc) = ")
 
 
-# ---------------------------------------------------------------- eigen4
-
-def test_eigen4_diagonal():
-    M = StabilityMatrix(entries=np.diag([1.0, 2j, -1.0, -2j]).astype(complex),
-                        a_rate=0.0, b_rate=0.0, off=(0, 0, 0, 0))
-    assert np.allclose(np.sort_complex(gsqg.eigen4(M)),
-                       np.sort_complex(np.array([1.0, 2j, -1.0, -2j])))
-
+# ---------------------------------------------------------------- eigenvalues
 
 def test_eigen4_cross_checks_mu_roots(thm_report):
     assert thm_report.mu.ok
@@ -110,9 +112,9 @@ def test_eigen4_cross_checks_mu_roots(thm_report):
 def test_repeated_eigenvalues_flagged():
     # c1 = 2, c2 = 1 with b = 2: disc = 0, quartic (mu^2 - 3)^2
     M = make_matrix(1.0, 0.0, 0.0, 1.0, a=0.5, b=2.0)
-    res = gsqg.mu_roots(2.0, *gsqg.mu_coefficients(M))
-    assert not res.ok                      # strict inequality fails at disc = 0
-    eigs = gsqg.eigen4(M)
+    disc, lo2, hi2 = quartic_mu2(2.0, *quartic_coefficients(*M.off))
+    assert disc == 0.0 and lo2 == hi2      # the strict inequality disc > 0 fails
+    eigs = np.linalg.eigvals(M.entries)
     assert np.allclose(np.sort(eigs.imag), [-np.sqrt(3), -np.sqrt(3),
                                             np.sqrt(3), np.sqrt(3)], atol=1e-9)
     assert np.allclose(eigs.real, -0.5, atol=1e-12)
@@ -156,7 +158,7 @@ def test_spectrum_conjugation_closed_and_trace(seed):
     L = rng.normal(size=4) + 1j * rng.normal(size=4)
     a, b = rng.uniform(0.05, 0.5), rng.uniform(-1, 1)
     M = make_matrix(*L, a=a, b=b)
-    eigs = gsqg.eigen4(M)
+    eigs = np.linalg.eigvals(M.entries)
     # multiset closure under conjugation
     for lam in eigs:
         assert np.min(np.abs(np.conj(lam) - eigs)) <= 1e-10
@@ -189,18 +191,15 @@ def test_intensity_scaling_homogeneity(thm_centered):
     # scaling all intensities by lam scales (a, b, L) by lam and leaves the
     # eigenvalue condition's truth value unchanged
     lam = 3.7
-    a0, b0, _ = gsqg.selfsimilar_rate(thm_centered)
-    M0 = gsqg.l_matrix(thm_centered, a0, b0)
+    rep0 = gsqg.hypothesis_a_check(thm_centered)
     scaled = gsqg.TripleConfig(a=thm_centered.a, xi=lam * thm_centered.xi,
                                alpha=thm_centered.alpha)
-    a1, b1, _ = gsqg.selfsimilar_rate(scaled)
-    M1 = gsqg.l_matrix(scaled, a1, b1)
-    assert a1 == pytest.approx(lam * a0, rel=1e-12)
-    assert b1 == pytest.approx(lam * b0, rel=1e-12)
-    assert np.allclose(np.array(M1.off), lam * np.array(M0.off), rtol=1e-12)
-    c1a, c2a = gsqg.mu_coefficients(M0)
-    c1b, c2b = gsqg.mu_coefficients(M1)
-    assert gsqg.mu_roots(b0, c1a, c2a).ok == gsqg.mu_roots(b1, c1b, c2b).ok
+    rep1 = gsqg.hypothesis_a_check(scaled)
+    assert rep1.a_rate == pytest.approx(lam * rep0.a_rate, rel=1e-12)
+    assert rep1.b_rate == pytest.approx(lam * rep0.b_rate, rel=1e-12)
+    assert np.allclose(np.array(rep1.matrix.off), lam * np.array(rep0.matrix.off),
+                       rtol=1e-12)
+    assert rep1.mu.ok == rep0.mu.ok
 
 
 # ---------------------------------------------------------------- symmetry properties
