@@ -55,8 +55,9 @@ def test_l_matrix_term_dropout(thm_centered):
 
 
 def test_l_matrix_rejects_coincident_points(thm_cfg, monkeypatch):
-    # no self-similar triple reaches the guard at DMIN_FACTOR = 1e-12, so
-    # the factor is moved to either side of the reference triple's ratio
+    # the guard sits far below the distance ratio of any triple the reduced
+    # construction builds, so the factor moves to either side of the
+    # reference triple's ratio
     a = gsqg.center(thm_cfg).a
     d = np.abs(a[:, None] - a[None, :])[np.triu_indices(3, 1)]
     ratio = d.min() / d.max()
