@@ -14,8 +14,7 @@ from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
 from .stability import (EIG_TOL, HypothesisReport, MuRoots, StabilityMatrix,
                         hypothesis_a_check, propagator_norm)
 from .search import (SweepRecord, SweepResult, cardano_discriminant, cardano_y,
-                     oriented_config, reduced_config, sweep, sweep_csv, x_interval,
-                     y_from_x)
+                     oriented_config, sweep, sweep_csv, x_interval, y_from_x)
 from .burstsim import (BurstDiagnostics, BurstScenario, collapse_scenario,
                        convergence_study, make_burst_initial, run_burst)
 

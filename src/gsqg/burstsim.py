@@ -34,19 +34,14 @@ class BurstScenario:
     t_ini_sequence: tuple[float, ...] = (1e-4, 5e-5, 2.5e-5, 1.25e-5)
     horizon: float = 1e-3
     rho_sep: float = RHO_SEP_DEFAULT
-    time_reversed: bool = False
     motion: SelfSimilarMotion = field(init=False)
 
     def __post_init__(self):
         cen = center(self.triple)
         object.__setattr__(self, "triple", cen)
         object.__setattr__(self, "motion", motion_from_config(cen))
-        want = Classification.COLLAPSE if self.time_reversed else Classification.BURST
-        if self.motion.classification() is not want:
-            raise DomainError(
-                f"triple classifies as {self.motion.classification().value}, "
-                f"scenario needs a {want.value}"
-            )
+        if self.motion.classification() is Classification.RELATIVE_EQUILIBRIUM:
+            raise DomainError("triple is a relative equilibrium, not a burst or a collapse")
         t_ini = tuple(float(t) for t in self.t_ini_sequence)
         if not all(0.0 < t < np.inf for t in t_ini) or any(
             t_ini[i] <= t_ini[i + 1] for i in range(len(t_ini) - 1)
@@ -88,7 +83,6 @@ class BurstScenario:
                 "horizon": self.horizon,
                 "site": [self.burst_site.real, self.burst_site.imag],
                 "rho_sep": self.rho_sep,
-                "time_reversed": self.time_reversed,
             },
             indent=2,
         )
@@ -96,20 +90,20 @@ class BurstScenario:
     @classmethod
     def from_json(cls, text: str) -> "BurstScenario":
         o = json.loads(text)
+        unknown = sorted(set(o) - {"triple", "background", "t_ini", "horizon", "site",
+                                   "rho_sep"})
+        if unknown:
+            raise ValueError(f"unknown scenario keys {unknown}")
         triple = TripleConfig.from_json(json.dumps(o["triple"]))
         bg = tuple(
             (complex(b["position"][0], b["position"][1]), float(b["intensity"]))
             for b in o.get("background", [])
         )
         site = complex(*o.get("site", [0.0, 0.0]))
-        reversed_ = o.get("time_reversed", False)
-        if not isinstance(reversed_, bool):
-            raise DomainError(f"time_reversed must be a JSON boolean, got {reversed_!r}")
         return cls(
             triple=triple, background=bg, burst_site=site,
             t_ini_sequence=tuple(o["t_ini"]), horizon=float(o["horizon"]),
             rho_sep=float(o.get("rho_sep", RHO_SEP_DEFAULT)),
-            time_reversed=reversed_,
         )
 
 
@@ -121,15 +115,12 @@ class BurstDiagnostics:
     runs: tuple[Trajectory, ...] = field(default=(), compare=False, repr=False)
 
 
-def _signed_time(s: BurstScenario, t: float) -> float:
-    return -t if s.time_reversed else t
-
-
 def make_burst_initial(s: BurstScenario, t_ini: float) -> VortexState:
-    """Full N-vortex state with the triple at site + a_j Z(t_ini)."""
+    """Full N-vortex state with the triple at site + a_j Z(t), where
+    t = t_ini for a burst and t = -t_ini for a collapse."""
     if t_ini <= 0.0:
         raise DomainError("t_ini must be positive")
-    t = _signed_time(s, t_ini)
+    t = t_ini if s.motion.a_rate > 0.0 else -t_ini
     Z = zeta(s.motion, t)
     triple_pos = s.burst_site + s.triple.a * Z
     spread = float(max_pair_distance(triple_pos))
@@ -157,10 +148,10 @@ def run_burst(s: BurstScenario, t_ini: float,
               cfg: IntegratorConfig = IntegratorConfig()) -> tuple[Trajectory, BurstDiagnostics]:
     """Integrate one seeded run and fit the triple-spread scaling.
 
-    A burst runs from t_ini out to the horizon; a time-reversed scenario
-    runs from -horizon in toward -t_ini (the spread then shrinks).
+    A burst runs from t_ini out to the horizon; a collapse runs from
+    -horizon in toward -t_ini (the spread then shrinks).
     """
-    if s.time_reversed:
+    if s.motion.a_rate < 0.0:
         state0 = make_burst_initial(s, s.horizon)
         t_end = -t_ini
     else:
@@ -190,7 +181,7 @@ def convergence_study(s: BurstScenario,
     """
     if len(s.t_ini_sequence) < 3:
         raise DomainError("need at least three t_ini values")
-    if s.time_reversed:
+    if s.motion.a_rate < 0.0:
         raise DomainError("convergence study is defined on the burst orientation")
     runs = [run_burst(s, t_ini, cfg) for t_ini in s.t_ini_sequence]
     trajs = tuple(traj for traj, _ in runs)
@@ -202,12 +193,12 @@ def convergence_study(s: BurstScenario,
 
 
 def collapse_scenario(s: BurstScenario) -> BurstScenario:
-    """Time inversion: negate every intensity and flip the orientation
-    flag.  Applying it twice returns the original scenario."""
+    """Time inversion: negate every intensity, which turns a burst into
+    a collapse and back.  Applying it twice returns the original scenario."""
     triple = TripleConfig(a=s.triple.a, xi=-s.triple.xi, alpha=s.triple.alpha)
     background = tuple((p, -w) for p, w in s.background)
     return BurstScenario(
         triple=triple, background=background, burst_site=s.burst_site,
         t_ini_sequence=s.t_ini_sequence, horizon=s.horizon,
-        rho_sep=s.rho_sep, time_reversed=not s.time_reversed,
+        rho_sep=s.rho_sep,
     )

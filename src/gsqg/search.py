@@ -8,11 +8,12 @@ and y = |a_2 - a_3| through
     xi_3 = -1 / (x^2 + y^2),
     a_3  = (y^2 - x^2)/2 +- i sqrt(y^2 - (x^2 - y^2 - 1)^2 / 4),
 
-with the imaginary branch picking burst (growing) versus collapse
-(shrinking) orientation.  A parameter x is admissible at a given alpha
-when the constructed burst triple also satisfies the eigenvalue condition
-of the linearized dynamics; this holds on an interval (x_-(alpha),
-x_+(alpha)) which closes at two critical exponents alpha_- and alpha_+.
+where the sign of Im(a_3) picks the burst (growing) or the collapse
+(shrinking) orientation: minus is the burst below alpha = 2, plus above
+it.  A parameter x is admissible at a given alpha when the constructed
+burst triple also satisfies the eigenvalue condition of the linearized
+dynamics; this holds on an interval (x_-(alpha), x_+(alpha)) which closes
+at two critical exponents alpha_- and alpha_+.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import ALPHA_GUARD, DomainError, conserved, coupling_constant
-from .selfsimilar import (TripleConfig, center, centered, pair_terms, selfsimilar_rate,
-                          vortex_rates)
+from .selfsimilar import TripleConfig, centered, pair_terms, vortex_rates
 from .stability import l_terms, quartic_coefficients, quartic_mu2
 
 EPS_Y = 1e-6
@@ -173,19 +173,19 @@ def _reduced_triple(x: np.ndarray, y: np.ndarray, branch: int) -> tuple[np.ndarr
     return z, xi, valid
 
 
-def reduced_config(alpha: float, x: float, y: float, branch: int) -> TripleConfig:
-    """Build the normalized triple with sides (x, y) whose third vortex
-    has sign(Im a_3) = branch.
+def oriented_config(alpha: float, x: float) -> TripleConfig:
+    """Normalized triple with sides x and y(x) on the burst branch.
 
-    Checks the side-length equation residual, builds a_3 so that
-    |a_1 - a_3| = x and |a_2 - a_3| = y hold exactly, and verifies the
+    The rate a flips sign with the imaginary branch of a_3, and the burst
+    branch (a > 0) has Im(a_3) < 0 for alpha < 2; the sign flips across
+    alpha = 2 together with the coupling constant.  Checks that the sides
+    form a proper triangle, the side-length equation residual and the
     H = L = 0 identity of the construction.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x}")
-    if branch not in (-1, 1):
-        raise DomainError("branch must be +1 or -1")
-    z, xi, valid = _reduced_triple(np.array([x]), np.array([y]), branch)
+    y = y_from_x(x, alpha)
+    z, xi, valid = _reduced_triple(np.array([x]), np.array([y]), -1 if alpha < 2.0 else 1)
     if not valid[0]:
         raise DomainError(f"sides x={x}, y={y} give no proper triangle "
                           "(y > 1 - x, positive height) with xi_3 > -2")
@@ -196,21 +196,6 @@ def reduced_config(alpha: float, x: float, y: float, branch: int) -> TripleConfi
     c = conserved(cfg.state())
     if abs(c.H) > 1e-8 or abs(c.Lmom) > 1e-8:
         raise DomainError(f"constructed configuration has H={c.H:.2e}, L={c.Lmom:.2e} != 0")
-    return cfg
-
-
-def oriented_config(alpha: float, x: float) -> TripleConfig:
-    """Reduced configuration with side y(x) on the burst branch.
-
-    The rate a flips sign with the imaginary branch of a_3, so exactly one
-    branch gives a > 0.  For alpha < 2 the burst branch has Im(a_3) < 0;
-    the sign flips across alpha = 2 together with the coupling constant.
-    """
-    y = y_from_x(x, alpha)
-    cfg = reduced_config(alpha, x, y, -1)
-    a_rate, _, _ = selfsimilar_rate(center(cfg))
-    if a_rate < 0.0:
-        cfg = reduced_config(alpha, x, y, +1)
     return cfg
 
 
@@ -236,7 +221,8 @@ def _margin_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
     K = _side_constant(xs, alpha)     # once, for the screen and the side solve
     at = np.flatnonzero(~_past_triangle(xs, alpha, K))
     y, valid = _y_solve_grid(xs[at], alpha, K[at])
-    # branch Im(a3) < 0; the other branch only flips the sign of a
+    # branch Im(a3) < 0, the burst branch below alpha = 2 (`oriented_config`);
+    # the mirror image has the same margin
     z, xi, shaped = _reduced_triple(xs[at], y, -1)
     ok = valid & shaped
     at, z, xi = at[ok], z[:, ok], xi[:, ok]
@@ -260,12 +246,11 @@ class SweepRecord:
     alpha: float
     x_minus: float | None
     x_plus: float | None
-    status: str                       # "interval" or "empty"
     runs: tuple = field(default=(), compare=False)
 
     @property
     def empty(self) -> bool:
-        return self.status == "empty"
+        return self.x_minus is None
 
 
 def _refine(alpha: float, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray,
@@ -350,13 +335,13 @@ def x_interval(alpha: float, coarse: float = 1e-4,
     keep = start < stop
     runs = list(zip(start[keep].tolist(), stop[keep].tolist()))
     if not runs:
-        return SweepRecord(alpha, None, None, "empty")
+        return SweepRecord(alpha, None, None)
     if len(runs) > 1:
         warnings.warn(
             f"admissible set at alpha={alpha} looks disconnected "
             f"({len(runs)} runs); reporting the widest", stacklevel=2)
     widest = max(runs, key=lambda r: r[1] - r[0])
-    return SweepRecord(alpha, widest[0], widest[1], "interval", runs=tuple(runs))
+    return SweepRecord(alpha, widest[0], widest[1], runs=tuple(runs))
 
 
 @dataclass(frozen=True)

@@ -93,12 +93,11 @@ def test_scenario_rejects_non_finite_fields(thm_cfg, field, kwargs, value):
         gsqg.BurstScenario(triple=thm_cfg, **args)
 
 
-@pytest.mark.parametrize("flag", ["false", 0])
-def test_scenario_time_reversed_must_be_a_json_boolean(scenario, flag):
-    obj = json.loads(scenario.to_json())
-    obj["time_reversed"] = flag
-    with pytest.raises(DomainError, match="time_reversed must be a JSON boolean"):
-        gsqg.BurstScenario.from_json(json.dumps(obj))
+def test_scenario_refuses_a_relative_equilibrium():
+    # equal intensities on an equilateral triangle rotate rigidly: a = 0
+    eq = gsqg.TripleConfig(a=np.exp(2j * np.pi * np.arange(3) / 3), xi=np.ones(3), alpha=1.0)
+    with pytest.raises(DomainError, match="relative equilibrium"):
+        gsqg.BurstScenario(triple=eq, t_ini_sequence=(1e-4, 5e-5, 2.5e-5))
 
 
 def test_merged_intensity_bookkeeping(scenario):
@@ -166,7 +165,7 @@ def test_collapse_scenario_involution(scenario):
     back = gsqg.collapse_scenario(gsqg.collapse_scenario(scenario))
     assert np.array_equal(back.triple.xi, scenario.triple.xi)
     assert np.allclose(back.triple.a, scenario.triple.a, atol=1e-15)
-    assert back.time_reversed == scenario.time_reversed
+    assert back.motion.a_rate == pytest.approx(scenario.motion.a_rate, rel=1e-12)
     assert back.background == scenario.background
 
 

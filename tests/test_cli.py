@@ -311,6 +311,35 @@ def test_scenario_breaking_a_rule_exits_one_with_its_reason(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("rho-sep", 0.1), ("time_reversed", False)],
+                         ids=["typo", "stale"])
+def test_scenario_with_an_unknown_key_exits_one(tmp_path, capsys, key, value):
+    # a mistyped optional key used to run with the default rho_sep
+    obj = json.loads(gsqg.BurstScenario(
+        triple=gsqg.oriented_config(1.0, THM_X), background=((1.0 + 0j, 1.0),),
+        t_ini_sequence=(1e-4, 5e-5, 2.5e-5), horizon=5e-4).to_json())
+    spath = tmp_path / "scenario.json"
+    spath.write_text(json.dumps(obj | {key: value}))
+    out = tmp_path / "runs"
+    assert main(["burst", "--scenario", str(spath), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gsqg burst: malformed scenario {spath}") and repr(key) in err
+    assert not out.exists()
+
+
+def test_burst_on_a_collapse_scenario_exits_one(tmp_path, capsys):
+    scen = gsqg.collapse_scenario(gsqg.BurstScenario(
+        triple=gsqg.oriented_config(1.0, THM_X), background=((1.0 + 0j, 1.0),),
+        t_ini_sequence=(1e-4, 5e-5, 2.5e-5), horizon=5e-4))
+    spath = tmp_path / "scenario.json"
+    spath.write_text(scen.to_json())
+    out = tmp_path / "runs"
+    assert main(["burst", "--scenario", str(spath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "gsqg burst: convergence study is defined on the burst orientation\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, reason", [
     # x too small for a triangle: the side y(x) lies past 1 + x
     (["find-config", "--alpha", "1.0", "--x", "0.05"], "gsqg find-config: sides"),

@@ -19,7 +19,8 @@ KEPT_UNREFERENCED = {
     "reference_time": "the benchmark's workloads place the collapse run with it",
     "propagator_norm": "acceptance criterion 8, the propagator decay",
     "cardano_y": "acceptance criteria 3 and 6, the closed-form side at alpha = 1",
-    "collapse_scenario": "the time inversion that covers the collapse half of the paper",
+    "collapse_scenario": "negates the intensities of a burst scenario, which then runs as "
+                         "the collapse half of the paper",
 }
 
 

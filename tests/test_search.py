@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gsqg
@@ -82,7 +82,7 @@ def test_reduced_config_reference_values(thm_cfg):
 def test_construction_side_identities():
     for alpha, x in [(1.0, THM_X), (1.4, 0.6), (2.4, 0.45), (0.8, 0.85)]:
         y = gsqg.y_from_x(x, alpha)
-        cfg = gsqg.reduced_config(alpha, x, y, -1)
+        cfg = gsqg.oriented_config(alpha, x)
         assert abs(cfg.a[0] - cfg.a[2]) == pytest.approx(x, abs=1e-12)
         assert abs(cfg.a[1] - cfg.a[2]) == pytest.approx(y, abs=1e-12)
 
@@ -104,21 +104,22 @@ def test_constructed_H_L_vanish():
         assert abs(H) <= 1e-10 and abs(L) <= 1e-10
 
 
-def test_reduced_config_rejects_collinear():
-    with pytest.raises(DomainError):
-        gsqg.reduced_config(1.0, 0.3, 0.69, -1)
+def test_oriented_config_rejects_no_triangle():
+    # at alpha = 1 the side y(x) lies past 1 + x for x up to about 0.3
+    for x in (0.05, 0.3):
+        with pytest.raises(DomainError, match="give no proper triangle"):
+            gsqg.oriented_config(1.0, x)
 
 
 def test_burst_branch_signs():
-    # below alpha = 2 the burst branch carries Im(a3) < 0; flipping the
-    # branch flips the rate sign with equal magnitude
-    for alpha, x in [(1.0, THM_X), (1.5, 0.75)]:
-        y = gsqg.y_from_x(x, alpha)
+    # the burst branch carries Im(a3) < 0 below alpha = 2 and Im(a3) > 0
+    # above; the mirror image has the opposite rate with equal magnitude
+    for alpha, x in [(1.0, THM_X), (1.5, 0.75), (2.5, 0.7)]:
         burst = gsqg.oriented_config(alpha, x)
         a_b, _, _ = gsqg.selfsimilar_rate(gsqg.center(burst))
         assert a_b > 0
-        assert burst.a[2].imag < 0
-        other = gsqg.reduced_config(alpha, x, y, +1)
+        assert (burst.a[2].imag < 0) == (alpha < 2)
+        other = gsqg.TripleConfig(a=np.conj(burst.a), xi=burst.xi, alpha=alpha)
         a_c, _, _ = gsqg.selfsimilar_rate(gsqg.center(other))
         assert a_c < 0
         assert abs(a_c + a_b) <= 1e-12 * abs(a_b)
@@ -195,6 +196,38 @@ def test_scalar_margin_is_the_grid_margin_bitwise():
         reached[alpha > 2.0] += 1
         passed += report.passed
     assert reached[False] >= 100 and reached[True] >= 50 and passed >= 30
+
+
+def _trial_and_flip(alpha, x):
+    """The burst triple found by trial: the Im(a_3) < 0 branch, rebuilt on
+    the other branch where its rate is negative.  None where the sides give
+    no proper triangle."""
+    xs, y = np.array([x]), np.array([gsqg.y_from_x(x, alpha)])
+    z, xi, valid = _reduced_triple(xs, y, -1)
+    if not valid[0]:
+        return None
+    trial = gsqg.TripleConfig(a=z[:, 0], xi=xi[:, 0], alpha=alpha)
+    if gsqg.selfsimilar_rate(gsqg.center(trial))[0] < 0.0:
+        z, xi, _ = _reduced_triple(xs, y, +1)
+    return z[:, 0], xi[:, 0]
+
+
+def test_oriented_config_is_the_trial_and_flip_bitwise():
+    built = {False: 0, True: 0}
+    for alpha, x in _scalar_grid_points():
+        try:
+            want = _trial_and_flip(alpha, x)
+        except NoRootError:
+            want = None
+        if want is None:
+            with pytest.raises(DomainError):
+                gsqg.oriented_config(alpha, x)
+            continue
+        cfg = gsqg.oriented_config(alpha, x)
+        assert cfg.a.tobytes() == want[0].tobytes(), (alpha, x)
+        assert cfg.xi.tobytes() == want[1].tobytes(), (alpha, x)
+        built[alpha > 2.0] += 1
+    assert built[False] >= 100 and built[True] >= 50
 
 
 # ---------------------------------------------------------------- intervals
@@ -569,6 +602,20 @@ def test_triangle_screen_rejects_only_non_triangles(alpha, x):
         # most once on [EPS_Y, YMAX]
         neg = _side_residual(xs, alpha)(np.geomspace(EPS_Y, YMAX, 20001)) < 0.0
     assert neg[0] and np.count_nonzero(neg[1:] != neg[:-1]) <= 1, (alpha, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=_GUARDED_ALPHA, x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_burst_branch_rule_gives_a_burst(alpha, x):
+    # the rule of `oriented_config`: Im(a3) < 0 below alpha = 2, > 0 above
+    with np.errstate(all="ignore"):     # x^(alpha-2) overflows for tiny x
+        y, valid = _y_solve_grid(np.array([x]), alpha)
+        z, xi, shaped = _reduced_triple(np.array([x]), y, -1 if alpha < 2.0 else 1)
+    # c_alpha overflows below alpha ~ 1.5e-154 (`coupling_constant`)
+    assume(alpha > 1e-150 and valid[0] and shaped[0])
+    cfg = gsqg.center(gsqg.TripleConfig(a=z[:, 0], xi=xi[:, 0], alpha=alpha))
+    a_rate = gsqg.selfsimilar_rate(cfg)[0]
+    assert a_rate > 0.0 or abs(a_rate) <= gsqg.RATE_TOL, (alpha, x, a_rate)
 
 
 def _count_grid_calls(monkeypatch):

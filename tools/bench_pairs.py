@@ -10,7 +10,9 @@ change first when k is odd; a run is `perfbench/run.py --trace 0` of the
 exported tree, unmodified.  FILE gets, per end-to-end metric, each side's
 runs, median and quartiles (inclusive method) and the pairs the change
 wins, each run's pass count, and the sha256 of every non-manifest output
-file of each side's last run.  Standard library only.
+file of each side's last run.  A run that fails ends the script with the
+tail of its stderr, and so does a DIR left over from an earlier invocation,
+named.  Standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import tarfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# lines of a failed run's stderr shown in the exit message
+STDERR_TAIL = 20
 
 
 def export(rev: str, dest: Path) -> str:
@@ -34,7 +38,11 @@ def export(rev: str, dest: Path) -> str:
                             text=True).stdout.strip()
     tar = subprocess.run(["git", "archive", "--format=tar", commit], check=True,
                          capture_output=True).stdout
-    dest.mkdir(parents=True)
+    try:
+        dest.mkdir(parents=True)
+    except FileExistsError:
+        sys.exit(f"bench_pairs: {dest} exists from an earlier run; remove it or pass "
+                 "another --work")
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
         t.extractall(dest, filter="data")
     return commit
@@ -42,10 +50,13 @@ def export(rev: str, dest: Path) -> str:
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
     """Metric values and untraced pass count of one benchmark run."""
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                         cwd=tree, check=True, capture_output=True, text=True).stdout
-    record, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
+        sys.exit(f"bench_pairs: {tree} run exited {proc.returncode}:\n{tail}")
+    record, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     if not result["correct"]:
         sys.exit(f"bench_pairs: {tree} failed: {record['failures'][:3]}")
     values = {k: m["value"] for k, m in result["metrics"].items()}
