@@ -19,7 +19,7 @@ import numpy as np
 from .integrator import IntegratorConfig, Status, Trajectory, integrate
 from .kernel import DomainError, VortexState, max_pair_distance, min_pair_distance
 from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
-                          center, motion_from_config, zeta)
+                          center, known_keys, motion_from_config, zeta)
 
 RHO_SEP_DEFAULT = 0.5
 # points of the log-spaced time grid of the Cauchy study
@@ -89,16 +89,13 @@ class BurstScenario:
 
     @classmethod
     def from_json(cls, text: str) -> "BurstScenario":
-        o = json.loads(text)
-        unknown = sorted(set(o) - {"triple", "background", "t_ini", "horizon", "site",
-                                   "rho_sep"})
-        if unknown:
-            raise ValueError(f"unknown scenario keys {unknown}")
+        o = known_keys(json.loads(text), {"triple", "background", "t_ini", "horizon", "site",
+                                          "rho_sep"}, "scenario")
         triple = TripleConfig.from_json(json.dumps(o["triple"]))
-        bg = tuple(
-            (complex(b["position"][0], b["position"][1]), float(b["intensity"]))
-            for b in o.get("background", [])
-        )
+        entries = [known_keys(b, {"position", "intensity"}, "background entry")
+                   for b in o.get("background", [])]
+        bg = tuple((complex(b["position"][0], b["position"][1]), float(b["intensity"]))
+                   for b in entries)
         site = complex(*o.get("site", [0.0, 0.0]))
         return cls(
             triple=triple, background=bg, burst_site=site,

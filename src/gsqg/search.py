@@ -38,6 +38,8 @@ Y_MAX_ITER = 90
 TRIANGLE_SLACK = 1e-9
 # sub-brackets per bracket and round of boundary refinement
 K_SECTION = 32
+# alphas of a sweep whose sign changes are refined together
+ALPHA_BLOCK = 64
 # most alpha steps in one sweep (the desk sweep takes 1298)
 MAX_ALPHAS = 10**6
 # most x grid points per alpha (the default pitch 1e-4 takes 10001)
@@ -203,9 +205,9 @@ def oriented_config(alpha: float, x: float) -> TripleConfig:
 # admissibility margin
 # ---------------------------------------------------------------------------
 
-def _margin_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
+def _margin_grid(alpha, xs: np.ndarray) -> np.ndarray:
     """Vectorized admissibility margin components (disc, lo2) on an x grid,
-    as the rows of a (2, len(xs)) array.
+    as the rows of a (2, len(xs)) array, at one alpha or one alpha per x.
 
     Both are positive exactly where the one-point check
     `hypothesis_a_check(oriented_config(alpha, x))` passes; -inf marks
@@ -213,19 +215,25 @@ def _margin_grid(alpha: float, xs: np.ndarray) -> np.ndarray:
     the side solve, and only proper triangles enter the stability
     pipeline; every element depends on its own triple alone, so the rows
     have the bits of `quartic_mu2` on that check's (b_rate, c1, c2), in
-    any batch.
+    any batch.  One alpha per x computes c_alpha once per distinct alpha;
+    its powers skip NumPy's scalar fast paths (exponents -1 and 0.5 at
+    alpha = 1 and 2.5), which may move an element there by an ulp.
     """
-    ca = coupling_constant(alpha)
     xs = np.asarray(xs, dtype=float)
+    # c_alpha once per distinct alpha, with the bits of a scalar call
+    each, inv = np.unique(alpha, return_inverse=True)
+    ca = np.array([coupling_constant(float(a)) for a in each])[inv.reshape(np.shape(alpha))]
+    take = (lambda v, i: v[i]) if np.ndim(alpha) else (lambda v, i: v)
     out = np.full((2, len(xs)), -np.inf)
     K = _side_constant(xs, alpha)     # once, for the screen and the side solve
     at = np.flatnonzero(~_past_triangle(xs, alpha, K))
+    alpha, ca = take(alpha, at), take(ca, at)
     y, valid = _y_solve_grid(xs[at], alpha, K[at])
     # branch Im(a3) < 0, the burst branch below alpha = 2 (`oriented_config`);
     # the mirror image has the same margin
     z, xi, shaped = _reduced_triple(xs[at], y, -1)
     ok = valid & shaped
-    at, z, xi = at[ok], z[:, ok], xi[:, ok]
+    at, z, xi, alpha, ca = at[ok], z[:, ok], xi[:, ok], take(alpha, ok), take(ca, ok)
     with np.errstate(all="ignore"):
         z = centered(z, xi)
         kern, bracket = pair_terms(z, alpha)
@@ -253,32 +261,34 @@ class SweepRecord:
         return self.x_minus is None
 
 
-def _refine(alpha: float, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray,
+def _refine(alpha: np.ndarray, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray,
             up: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """K-section of sign changes of the margin components.
 
     Bracket k holds a sign change of component comp[k] (0 for disc, 1 for
-    lo2), which is positive at hi[k] where up[k] and at lo[k] otherwise.
-    Each round evaluates the K_SECTION - 1 evenly spaced interior points of
-    every open bracket in one _margin_grid call and keeps the sub-bracket
-    of the first sign change.  A bracket closes at width tol, except while
-    it overlaps a bracket of the other component, so boundaries of
-    different components end up ordered; at adjacent floats it always
-    closes.  Returns the final (lo, hi).
+    lo2) at alpha[k], which is positive at hi[k] where up[k] and at lo[k]
+    otherwise.  Each round evaluates the K_SECTION - 1 evenly spaced
+    interior points of every open bracket, of every alpha, in one
+    _margin_grid call and keeps the sub-bracket of the first sign change.
+    A bracket closes at width tol, except while it overlaps a bracket of
+    the other component at its alpha, so boundaries of different
+    components end up ordered; at adjacent floats it always closes.
+    Returns the final (lo, hi).
     """
     lo, hi = lo.copy(), hi.copy()
-    other = comp[:, None] != comp[None, :]
+    other = (comp[:, None] != comp[None, :]) & (alpha[:, None] == alpha[None, :])
     while True:
         overlap = (other & (lo[:, None] < hi[None, :]) & (lo[None, :] < hi[:, None])).any(axis=1)
         live = (np.nextafter(lo, hi) < hi) & ((hi - lo > tol) | overlap)
         if not live.any():
             return lo, hi
-        # brackets of disc and lo2 in one cell coincide until they separate;
-        # each distinct bracket is evaluated once
-        ends, inv = np.unique(np.column_stack([lo[live], hi[live]]), axis=0,
+        # brackets of disc and lo2 in one cell coincide until they separate,
+        # and two alphas may share one; each distinct bracket is evaluated once
+        ends, inv = np.unique(np.column_stack([alpha[live], lo[live], hi[live]]), axis=0,
                               return_inverse=True)
-        t = np.linspace(ends[:, 0], ends[:, 1], K_SECTION + 1, axis=1)
-        m = _margin_grid(alpha, t[:, 1:-1].ravel()).reshape(2, len(t), K_SECTION - 1)
+        t = np.linspace(ends[:, 1], ends[:, 2], K_SECTION + 1, axis=1)
+        m = _margin_grid(np.repeat(ends[:, 0], K_SECTION - 1),
+                         t[:, 1:-1].ravel()).reshape(2, len(t), K_SECTION - 1)
         inv = inv.reshape(-1)       # NumPy 2.0.0 returns it 2-D
         t, m = t[inv], m[:, inv]
         rows = np.arange(len(t))
@@ -312,36 +322,48 @@ def x_interval(alpha: float, coarse: float = 1e-4,
     """
     coupling_constant(alpha)
     _check_grid(coarse, refine_tol)
+    return _x_intervals([alpha], coarse, refine_tol)[0]
+
+
+def _x_intervals(alphas: list, coarse: float, refine_tol: float) -> list[SweepRecord]:
+    """`x_interval` at each alpha of a block: a grid scan per alpha, then
+    one `_refine` of the sign changes of all of them."""
     # the interior stops short of the closing point, so the grid increases
     # strictly for every pitch (np.arange(c, 1.0, c) may end at 1.0)
     xs = np.concatenate([[coarse * 0.5], np.arange(coarse, 1.0 - 1e-12, coarse),
                          [1.0 - 1e-12]])
-    pos = _margin_grid(alpha, xs) > 0.0
     # a component's runs of positive grid points begin and end at the sign
     # changes of its mask padded with False: edge e lies between xs[e - 1]
     # and xs[e], or at a grid end for e = 0 and e = len(xs)
-    comp, edge = np.nonzero(np.diff(pos, prepend=False, append=False))
+    scans = [np.nonzero(np.diff(_margin_grid(alpha, xs) > 0.0, prepend=False, append=False))
+             for alpha in alphas]
+    sizes = [len(c) for c, _ in scans]
+    comp, edge = map(np.concatenate, zip(*scans))
     inner = (edge > 0) & (edge < len(xs))
-    e, c = edge[inner], comp[inner]
-    lo, hi = _refine(alpha, xs[e - 1], xs[e], c, pos[c, e], refine_tol)
+    # a run begins, where its component turns positive, at every even edge
+    up = np.arange(len(edge)) % 2 == 0
+    lo, hi = _refine(np.repeat(alphas, sizes)[inner], xs[edge[inner] - 1], xs[edge[inner]],
+                     comp[inner], up[inner], refine_tol)
     bound = xs[np.minimum(edge, len(xs) - 1)]
     bound[inner] = 0.5 * (lo + hi)
-    # each component's runs in x order; overlaps of a disc run and a lo2
-    # run come out in x order too
-    ends = bound.reshape(-1, 2)
-    disc, lo2 = ends[comp[0::2] == 0], ends[comp[0::2] == 1]
-    start = np.maximum(disc[:, None, 0], lo2[None, :, 0])
-    stop = np.minimum(disc[:, None, 1], lo2[None, :, 1])
-    keep = start < stop
-    runs = list(zip(start[keep].tolist(), stop[keep].tolist()))
-    if not runs:
-        return SweepRecord(alpha, None, None)
-    if len(runs) > 1:
-        warnings.warn(
-            f"admissible set at alpha={alpha} looks disconnected "
-            f"({len(runs)} runs); reporting the widest", stacklevel=2)
-    widest = max(runs, key=lambda r: r[1] - r[0])
-    return SweepRecord(alpha, widest[0], widest[1], runs=tuple(runs))
+    runs_of = np.cumsum(sizes)[:-1] // 2
+    records = []
+    for alpha, kind, ends in zip(alphas, np.split(comp[0::2], runs_of),
+                                 np.split(bound.reshape(-1, 2), runs_of)):
+        # each component's runs in x order; overlaps of a disc run and a
+        # lo2 run come out in x order too
+        disc, lo2 = ends[kind == 0], ends[kind == 1]
+        start = np.maximum(disc[:, None, 0], lo2[None, :, 0])
+        stop = np.minimum(disc[:, None, 1], lo2[None, :, 1])
+        keep = start < stop
+        runs = tuple(zip(start[keep].tolist(), stop[keep].tolist()))
+        if len(runs) > 1:
+            warnings.warn(
+                f"admissible set at alpha={alpha} looks disconnected "
+                f"({len(runs)} runs); reporting the widest", stacklevel=3)
+        widest = max(runs, key=lambda r: r[1] - r[0], default=(None, None))
+        records.append(SweepRecord(alpha, *widest, runs=runs))
+    return records
 
 
 @dataclass(frozen=True)
@@ -357,11 +379,13 @@ def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
     """Admissibility sweep over alpha in (0, 3), skipping the guard band
     around 2.
 
-    Runs x_interval per alpha (in parallel for jobs > 1, with output
-    deterministically ordered by alpha).  A critical exponent alpha_-/alpha_+
-    is the midpoint between the outermost nonempty record and its empty
-    neighbour, so it resolves the emptiness edge to +- alpha_step/2; where
-    the sweep ends on a nonempty record, it is that record's alpha.
+    Runs `_x_intervals`, the x_interval of each alpha, on blocks of
+    ALPHA_BLOCK consecutive alphas (the blocks in parallel for jobs > 1,
+    with output deterministically ordered by alpha).  A critical exponent
+    alpha_-/alpha_+ is the midpoint between the outermost nonempty record
+    and its empty neighbour, so it resolves the emptiness edge to
+    +- alpha_step/2; where the sweep ends on a nonempty record, it is
+    that record's alpha.
     """
     if not 0.0 < alpha_min <= alpha_max < 3.0:
         raise DomainError(f"need 0 < alpha_min <= alpha_max < 3, got [{alpha_min}, {alpha_max}]")
@@ -376,13 +400,14 @@ def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
     alphas = [alpha_min + k * alpha_step for k in range(n + 1)]
     # rounding n may take the last alpha past alpha_max
     alphas = [a for a in alphas if a < 3.0 and abs(a - 2.0) > ALPHA_GUARD]
-    run = functools.partial(x_interval, coarse=coarse, refine_tol=refine_tol)
+    blocks = [alphas[i:i + ALPHA_BLOCK] for i in range(0, len(alphas), ALPHA_BLOCK)]
+    run = functools.partial(_x_intervals, coarse=coarse, refine_tol=refine_tol)
     if jobs > 1:
         import concurrent.futures   # here: it imports logging, which --jobs 1 never needs
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            records = list(ex.map(run, alphas, chunksize=8))
+            records = [r for block in ex.map(run, blocks) for r in block]
     else:
-        records = [run(a) for a in alphas]
+        records = [r for block in map(run, blocks) for r in block]
 
     def edge(i: int, j: int) -> float:
         """Critical alpha between the nonempty record i and its outer

@@ -39,6 +39,13 @@ class Classification(Enum):
     NOT_SELF_SIMILAR = "not_self_similar"
 
 
+def known_keys(obj: dict, known: set, what: str) -> dict:
+    """obj, after refusing any key outside known, naming the keys."""
+    if unknown := sorted(set(obj) - known):
+        raise ValueError(f"unknown {what} keys {unknown}")
+    return obj
+
+
 @dataclass(frozen=True)
 class TripleConfig:
     """Candidate shape for a self-similar three-vortex motion."""
@@ -70,7 +77,7 @@ class TripleConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "TripleConfig":
-        obj = json.loads(text)
+        obj = known_keys(json.loads(text), {"alpha", "positions", "intensities"}, "config")
         pos = np.array([complex(re, im) for re, im in obj["positions"]])
         return cls(a=pos, xi=np.array(obj["intensities"], dtype=float),
                    alpha=float(obj["alpha"]))

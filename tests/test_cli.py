@@ -327,6 +327,34 @@ def test_scenario_with_an_unknown_key_exits_one(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_config_with_an_unknown_key_exits_one(tmp_path, capsys):
+    # an extra key used to run, ignored, and exit 0
+    cpath = tmp_path / "config.json"
+    obj = json.loads(gsqg.oriented_config(1.0, THM_X).to_json())
+    cpath.write_text(json.dumps(obj | {"intensity_scale": 2.0}))
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(cpath), "--t0", "0", "--t1", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gsqg simulate: malformed config {cpath}")
+    assert "'intensity_scale'" in err
+    assert not out.exists()
+
+
+def test_scenario_with_an_unknown_background_key_exits_one(tmp_path, capsys):
+    obj = json.loads(gsqg.BurstScenario(
+        triple=gsqg.oriented_config(1.0, THM_X), background=((1.0 + 0j, 1.0),),
+        t_ini_sequence=(1e-4, 5e-5, 2.5e-5), horizon=5e-4).to_json())
+    obj["background"][0]["strength"] = 2.0
+    spath = tmp_path / "scenario.json"
+    spath.write_text(json.dumps(obj))
+    out = tmp_path / "runs"
+    assert main(["burst", "--scenario", str(spath), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"gsqg burst: malformed scenario {spath}") and "'strength'" in err
+    assert not out.exists()
+
+
 def test_burst_on_a_collapse_scenario_exits_one(tmp_path, capsys):
     scen = gsqg.collapse_scenario(gsqg.BurstScenario(
         triple=gsqg.oriented_config(1.0, THM_X), background=((1.0 + 0j, 1.0),),

@@ -489,6 +489,28 @@ def test_x_interval_matches_sequential_search_bitwise(alpha, coarse, tol):
         assert _bits((rec.x_minus, rec.x_plus)) == _bits(widest)
 
 
+@pytest.mark.parametrize("lo, hi, step, exact", [
+    # NumPy's scalar fast paths of ** (exponents -1 and 0.5) give the grid
+    # other bits than the per-point alphas of a refinement round here
+    (1.0, 1.03, 1e-2, 1.0), (2.47, 2.5, 1e-2, 2.5),
+    # disc and lo2 roots share grid cells next to alpha_-
+    (0.969, 0.975, 1e-3, None)])
+def test_sweep_records_match_sequential_search_bitwise(lo, hi, step, exact):
+    coarse, tol = 1e-3, 1e-7
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = gsqg.sweep(lo, hi, alpha_step=step, coarse=coarse, refine_tol=tol)
+    alphas = [r.alpha for r in res.records]
+    assert exact is None or exact in alphas
+    for rec in res.records:
+        runs = _seq_x_interval(rec.alpha, coarse, tol)
+        assert _bits(rec.runs) == _bits(runs), rec.alpha
+        assert rec.empty == (not runs)
+        if runs:
+            widest = max(runs, key=lambda r: r[1] - r[0])
+            assert _bits((rec.x_minus, rec.x_plus)) == _bits(widest)
+
+
 def test_oracle_cases_cross_both_exponents():
     for alpha in (0.969, 0.9705, 2.135, 2.14):
         assert gsqg.x_interval(alpha).empty
@@ -660,6 +682,26 @@ def test_refinement_evaluates_each_point_once(monkeypatch):
     assert all(len(np.unique(xs)) == len(xs) for xs in points)
 
 
+def test_sweep_refines_a_block_of_alphas_per_call(monkeypatch):
+    # one grid call per alpha, at scalar alpha; then the refinement rounds
+    # of a block of ALPHA_BLOCK alphas, one call each, none larger than
+    # the grid and no more rounds than one alpha next to alpha_- may take
+    calls = []
+    inner = search._margin_grid
+
+    def recorded(alpha, xs):
+        calls.append((np.ndim(alpha), len(xs)))
+        return inner(alpha, xs)
+
+    monkeypatch.setattr(search, "_margin_grid", recorded)
+    res = gsqg.sweep(0.95, 1.05)
+    blocks = -(-len(res.records) // search.ALPHA_BLOCK)
+    assert len(res.records) == 101 and blocks >= 2
+    assert max(size for _, size in calls) == 10001
+    assert [size for ndim, size in calls if ndim == 0] == [10001] * 101
+    assert 0 < sum(ndim for ndim, _ in calls) <= 5 * blocks
+
+
 # ---------------------------------------------------------------- stubbed components
 
 def _stub_grid(monkeypatch, disc_of, lo2_of):
@@ -771,7 +813,7 @@ def test_refinement_to_zero_width_stops_at_adjacent_floats(monkeypatch):
     ends = _margin_grid(1.5, np.array([x_in, x_out])) > 0.0
     (c,) = np.flatnonzero(ends[:, 0] != ends[:, 1])
     sizes = _count_grid_calls(monkeypatch)
-    lo, hi = _refine(1.5, np.array([x_in]), np.array([x_out]), np.array([c]),
+    lo, hi = _refine(np.array([1.5]), np.array([x_in]), np.array([x_out]), np.array([c]),
                      ends[c, 1:], 0.0)
     # the bracket closes on two adjacent floats around the root of component c
     assert hi[0] == np.nextafter(lo[0], 1.0)
