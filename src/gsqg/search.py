@@ -205,7 +205,7 @@ def oriented_config(alpha: float, x: float) -> TripleConfig:
 # admissibility margin
 # ---------------------------------------------------------------------------
 
-def _margin_grid(alpha, xs: np.ndarray) -> np.ndarray:
+def _margin_grid(alpha: float | np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Vectorized admissibility margin components (disc, lo2) on an x grid,
     as the rows of a (2, len(xs)) array, at one alpha or one alpha per x.
 
@@ -224,7 +224,6 @@ def _margin_grid(alpha, xs: np.ndarray) -> np.ndarray:
     each, inv = np.unique(alpha, return_inverse=True)
     ca = np.array([coupling_constant(float(a)) for a in each])[inv.reshape(np.shape(alpha))]
     take = (lambda v, i: v[i]) if np.ndim(alpha) else (lambda v, i: v)
-    out = np.full((2, len(xs)), -np.inf)
     K = _side_constant(xs, alpha)     # once, for the screen and the side solve
     at = np.flatnonzero(~_past_triangle(xs, alpha, K))
     alpha, ca = take(alpha, at), take(ca, at)
@@ -234,13 +233,15 @@ def _margin_grid(alpha, xs: np.ndarray) -> np.ndarray:
     z, xi, shaped = _reduced_triple(xs[at], y, -1)
     ok = valid & shaped
     at, z, xi, alpha, ca = at[ok], z[:, ok], xi[:, ok], take(alpha, ok), take(ca, ok)
+    del K, y, valid, shaped     # the peak memory of a grid is in the pipeline below
     with np.errstate(all="ignore"):
         z = centered(z, xi)
         kern, bracket = pair_terms(z, alpha)
         b = -np.imag(vortex_rates(z, xi, ca, kern)[1])       # branch-independent
-        del kern    # keeps the peak memory of a grid down
+        del kern    # keeps that peak down
         disc, lo2, _ = quartic_mu2(b, *quartic_coefficients(*l_terms(z, xi, ca, bracket)))
         ok = np.isfinite(np.minimum(disc, lo2))
+    out = np.full((2, len(xs)), -np.inf)      # allocated past that peak
     out[0, at[ok]], out[1, at[ok]] = disc[ok], lo2[ok]
     return out
 
@@ -340,16 +341,16 @@ def _x_intervals(alphas: list, coarse: float, refine_tol: float) -> list[SweepRe
     sizes = [len(c) for c, _ in scans]
     comp, edge = map(np.concatenate, zip(*scans))
     inner = (edge > 0) & (edge < len(xs))
-    # a run begins, where its component turns positive, at every even edge
+    # edges alternate: a run begins where its component turns positive
     up = np.arange(len(edge)) % 2 == 0
     lo, hi = _refine(np.repeat(alphas, sizes)[inner], xs[edge[inner] - 1], xs[edge[inner]],
                      comp[inner], up[inner], refine_tol)
     bound = xs[np.minimum(edge, len(xs) - 1)]
     bound[inner] = 0.5 * (lo + hi)
-    runs_of = np.cumsum(sizes)[:-1] // 2
+    split = np.cumsum(sizes)[:-1] // 2      # two edges per run
     records = []
-    for alpha, kind, ends in zip(alphas, np.split(comp[0::2], runs_of),
-                                 np.split(bound.reshape(-1, 2), runs_of)):
+    for alpha, kind, ends in zip(alphas, np.split(comp[0::2], split),
+                                 np.split(bound.reshape(-1, 2), split)):
         # each component's runs in x order; overlaps of a disc run and a
         # lo2 run come out in x order too
         disc, lo2 = ends[kind == 0], ends[kind == 1]
