@@ -1,12 +1,13 @@
 """Bursts seeded among background vortices, and their time reversals.
 
-A Hypothesis-A triple placed at a burst site with its self-similar scale
+A Hypothesis-A triple placed at the origin with its self-similar scale
 Z(t_ini), surrounded by well-separated background vortices, is integrated
-under the full N-vortex dynamics.  Shrinking t_ini toward the singular
-time produces runs that converge to the limiting burst solution; the
-Cauchy gaps between successive runs are the numerical evidence for that
-limit (the construction itself is an existence argument, not an
-algorithm, so the study is evidence rather than proof).
+under the full N-vortex dynamics (translation invariant, so the origin
+loses nothing).  Shrinking t_ini toward the singular time produces runs
+that converge to the limiting burst solution; the Cauchy gaps between
+successive runs are the numerical evidence for that limit (the
+construction itself is an existence argument, not an algorithm, so the
+study is evidence rather than proof).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ CAUCHY_GRID = 120
 class BurstScenario:
     triple: TripleConfig                      # centered on construction
     background: tuple[tuple[complex, float], ...] = ()
-    burst_site: complex = 0.0 + 0.0j
     t_ini_sequence: tuple[float, ...] = (1e-4, 5e-5, 2.5e-5, 1.25e-5)
     horizon: float = 1e-3
     rho_sep: float = RHO_SEP_DEFAULT
@@ -52,18 +52,16 @@ class BurstScenario:
             raise DomainError(f"horizon must be finite and past every t_ini, got {self.horizon}")
         if not 0.0 < self.rho_sep < np.inf:
             raise DomainError(f"rho_sep must be finite and positive, got {self.rho_sep}")
-        if not np.isfinite(self.burst_site):
-            raise DomainError(f"burst_site must be finite, got {self.burst_site}")
         try:    # the vortex-set checks: finite positions, finite nonzero intensities
             VortexState(t=0.0, z=[p for p, _ in self.background],
                         xi=[w for _, w in self.background], alpha=self.triple.alpha)
         except DomainError as e:
             raise DomainError(f"background: {e}") from None
-        pts = np.array([self.burst_site] + [p for p, _ in self.background], dtype=complex)
+        pts = np.array([0.0] + [p for p, _ in self.background], dtype=complex)
         if min_pair_distance(pts) < self.rho_sep:
             raise DomainError(
                 "background vortices must stay rho_sep away from each "
-                "other and from the burst site"
+                "other and from the triple at the origin"
             )
 
     @property
@@ -81,7 +79,6 @@ class BurstScenario:
                 ],
                 "t_ini": list(self.t_ini_sequence),
                 "horizon": self.horizon,
-                "site": [self.burst_site.real, self.burst_site.imag],
                 "rho_sep": self.rho_sep,
             },
             indent=2,
@@ -89,18 +86,16 @@ class BurstScenario:
 
     @classmethod
     def from_json(cls, text: str) -> "BurstScenario":
-        o = known_keys(json.loads(text), {"triple", "background", "t_ini", "horizon", "site",
+        o = known_keys(json.loads(text), {"triple", "background", "t_ini", "horizon",
                                           "rho_sep"}, "scenario")
         triple = TripleConfig.from_json(json.dumps(o["triple"]))
         entries = [known_keys(b, {"position", "intensity"}, "background entry")
                    for b in o.get("background", [])]
         bg = tuple((complex(b["position"][0], b["position"][1]), float(b["intensity"]))
                    for b in entries)
-        site = complex(*o.get("site", [0.0, 0.0]))
         return cls(
-            triple=triple, background=bg, burst_site=site,
-            t_ini_sequence=tuple(o["t_ini"]), horizon=float(o["horizon"]),
-            rho_sep=float(o.get("rho_sep", RHO_SEP_DEFAULT)),
+            triple=triple, background=bg, t_ini_sequence=tuple(o["t_ini"]),
+            horizon=float(o["horizon"]), rho_sep=float(o.get("rho_sep", RHO_SEP_DEFAULT)),
         )
 
 
@@ -113,13 +108,13 @@ class BurstDiagnostics:
 
 
 def make_burst_initial(s: BurstScenario, t_ini: float) -> VortexState:
-    """Full N-vortex state with the triple at site + a_j Z(t), where
-    t = t_ini for a burst and t = -t_ini for a collapse."""
+    """Full N-vortex state with the triple at a_j Z(t), where t = t_ini
+    for a burst and t = -t_ini for a collapse."""
     if t_ini <= 0.0:
         raise DomainError("t_ini must be positive")
     t = t_ini if s.motion.a_rate > 0.0 else -t_ini
     Z = zeta(s.motion, t)
-    triple_pos = s.burst_site + s.triple.a * Z
+    triple_pos = s.triple.a * Z
     spread = float(max_pair_distance(triple_pos))
     if spread > s.rho_sep / 2.0:
         raise DomainError(
@@ -156,7 +151,7 @@ def run_burst(s: BurstScenario, t_ini: float,
         t_end = s.horizon
     traj = integrate(state0, t_end, cfg)
     if traj.status is Status.STEP_FAILURE:
-        raise RuntimeError(f"integration failed at t={traj.t_event}")
+        raise RuntimeError(f"integration failed at t={traj.times[-1]}")
     expo = _fit_exponent(traj.times, max_pair_distance(traj.positions[:, :3]))
     drift = 0.0
     if s.background:
@@ -195,7 +190,6 @@ def collapse_scenario(s: BurstScenario) -> BurstScenario:
     triple = TripleConfig(a=s.triple.a, xi=-s.triple.xi, alpha=s.triple.alpha)
     background = tuple((p, -w) for p, w in s.background)
     return BurstScenario(
-        triple=triple, background=background, burst_site=s.burst_site,
-        t_ini_sequence=s.t_ini_sequence, horizon=s.horizon,
-        rho_sep=s.rho_sep,
+        triple=triple, background=background, t_ini_sequence=s.t_ini_sequence,
+        horizon=s.horizon, rho_sep=s.rho_sep,
     )

@@ -56,7 +56,7 @@ def _read_input(kind: str, path: str, parse):
 
 
 def _manifest(command: str, params: dict, outputs: list[Path], t0: float) -> None:
-    base = outputs[0] if outputs else Path(f"{command}.out")
+    base = outputs[0]
     man = {
         "command": command,
         "parameters": params,
@@ -72,7 +72,7 @@ def cmd_find_config(args) -> int:
     out = Path(args.out)
     check_alpha(args.alpha)     # a usage error, not a failed construction
     if args.auto:
-        rec = x_interval(args.alpha, coarse=args.x_coarse, refine_tol=args.refine_tol)
+        rec = x_interval(args.alpha)
         if rec.empty:
             print(f"gsqg find-config: no admissible x at alpha={args.alpha}", file=sys.stderr)
             return EXIT_NEGATIVE
@@ -91,8 +91,7 @@ def cmd_find_config(args) -> int:
         _write(out, cfg.to_json()),
         _write(out.with_suffix(".report.json"), report.to_json()),
     ]
-    _manifest("find-config", {"alpha": args.alpha, "x": x, "auto": args.auto,
-                              "x_coarse": args.x_coarse, "refine_tol": args.refine_tol},
+    _manifest("find-config", {"alpha": args.alpha, "x": x, "auto": args.auto},
               outputs, t_start)
     print(f"x = {x:.12g}: hypothesis {'PASS' if report.passed else 'FAIL'}"
           f" ({report.details})")
@@ -127,7 +126,7 @@ def cmd_simulate(args) -> int:
     cfg = _read_input("config", args.config, TripleConfig.from_json)
     cen = center(cfg)
     state0 = VortexState(t=args.t0, z=cen.a, xi=cen.xi, alpha=cen.alpha)
-    icfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.rel_tol * 1e-3)
+    icfg = IntegratorConfig(rel_tol=args.rel_tol)
     kind = classify(cen)
     traj = integrate(state0, args.t1, icfg)
     t_star = None
@@ -148,7 +147,7 @@ def cmd_simulate(args) -> int:
 def cmd_burst(args) -> int:
     t_start = time.monotonic()
     scenario = _read_input("scenario", args.scenario, BurstScenario.from_json)
-    icfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.rel_tol * 1e-3)
+    icfg = IntegratorConfig(rel_tol=args.rel_tol)
     try:
         diag = convergence_study(scenario, icfg)
     except RuntimeError as e:   # a step failure, as simulate's, is a negative result
@@ -181,8 +180,6 @@ def build_parser() -> _Parser:
     which.add_argument("--x", type=float)
     which.add_argument("--auto", action="store_true",
                        help="pick the midpoint of the admissible interval")
-    fc.add_argument("--x-coarse", type=float, default=1e-4)
-    fc.add_argument("--refine-tol", type=float, default=1e-7)
     fc.add_argument("--out", type=str, required=True)
     fc.set_defaults(func=cmd_find_config)
 

@@ -55,14 +55,18 @@ GUARD_FRACTION = 1e-6
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Error tolerances of `integrate`."""
+    """Error tolerances of `integrate`: rel_tol, and abs_tol = 1e-3 rel_tol."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
+    abs_tol: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-2 and 0.0 < self.abs_tol <= 1e-2):
-            raise DomainError("tolerances must lie in (0, 1e-2]")
+        abs_tol = self.rel_tol * 1e-3      # _error_norm divides by it: keep it normal
+        tiny = float(np.finfo(float).tiny)
+        if not (tiny <= abs_tol and self.rel_tol <= 1e-2):
+            raise DomainError(f"rel_tol must lie in [{tiny / 1e-3:.17g}, 1e-2], "
+                              f"got {self.rel_tol}")
+        object.__setattr__(self, "abs_tol", abs_tol)
 
 
 def _dense(r: np.ndarray, s: float) -> np.ndarray:
@@ -76,7 +80,8 @@ def _dense(r: np.ndarray, s: float) -> np.ndarray:
 class Trajectory:
     """Accepted-step samples plus dense output of one integration run.
     Step k starts at times[k], has size h[k] and the dense-output
-    coefficients segments[k], so len(times) == len(segments) + 1."""
+    coefficients segments[k], so len(times) == len(segments) + 1.  A run
+    that stops early ends at its stop time."""
 
     times: np.ndarray                 # strictly monotone
     positions: np.ndarray             # (len(times), n) complex
@@ -85,7 +90,6 @@ class Trajectory:
     status: Status
     h: np.ndarray                     # signed step sizes
     segments: list[np.ndarray] = field(repr=False)   # (5, n) complex per step
-    t_event: float | None = None      # collapse or failure time
 
     def final_state(self) -> VortexState:
         return VortexState(t=float(self.times[-1]), z=self.positions[-1],
@@ -179,20 +183,18 @@ def integrate(state0: VortexState, t1: float,
     err_prev = 1.0
     n_steps = 0
     status = Status.COMPLETED
-    t_event = None
     h_floor = 16.0 * np.finfo(float).eps
 
     while direction * (t1 - t) > 0.0:
         if n_steps >= MAX_STEPS:
-            status, t_event = Status.STEP_FAILURE, t
+            status = Status.STEP_FAILURE
             break
         if abs(h) < h_floor * max(abs(t), 1.0):
             # step underflow next to a heavy contraction is the collapse
             # signature even when the exact guard radius was not reached
-            if min_pair_distance(z) < max(1e3 * dmin, 1e-2 * d_init):
-                status, t_event = Status.COLLAPSE_DETECTED, t
-            else:
-                status, t_event = Status.STEP_FAILURE, t
+            status = (Status.COLLAPSE_DETECTED
+                      if min_pair_distance(z) < max(1e3 * dmin, 1e-2 * d_init)
+                      else Status.STEP_FAILURE)
             break
         if direction * (t + h - t1) > 0.0:
             h = t1 - t
@@ -253,7 +255,7 @@ def integrate(state0: VortexState, t1: float,
 
     return Trajectory(times=np.array(times), positions=np.array(zs), xi=xi,
                       alpha=alpha, status=status, h=np.array(hs),
-                      segments=segments, t_event=t_event)
+                      segments=segments)
 
 
 def collapse_time_fit(traj: Trajectory) -> tuple[float, float]:

@@ -90,9 +90,10 @@ def check_alpha(alpha: float) -> None:
         raise DomainError(
             f"alpha within {ALPHA_GUARD} of 2 (Euler pole of c_alpha), got {alpha}"
         )
-    # below about 1.5e-154, where c_alpha would be -0
-    if _gamma(alpha / 2.0) > _GAMMA_MAX:
-        raise DomainError(f"alpha so small that Gamma(alpha/2)^2 overflows, got {alpha}")
+    # below about 1.5e-154 c_alpha would be -0; a subnormal alpha overflows Gamma itself
+    with np.errstate(over="ignore", divide="ignore"):
+        if _gamma(alpha / 2.0) > _GAMMA_MAX:
+            raise DomainError(f"alpha so small that Gamma(alpha/2)^2 overflows, got {alpha}")
 
 
 @dataclass(frozen=True)

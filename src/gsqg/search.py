@@ -122,6 +122,7 @@ def _y_solve_grid(xs: np.ndarray, alpha: float,
     return y, valid
 
 
+@np.errstate(over="ignore")    # K overflows at a tiny x: no root, as for any infinite K
 def y_from_x(x: float, alpha: float) -> float:
     """Side length y solving x^(alpha-2) + y^(alpha-2) = x^2 + y^2 with
     y > max(0, 1 - x), by safeguarded Newton with bisection fallback."""

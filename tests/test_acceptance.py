@@ -17,7 +17,7 @@ from gsqg.search import _margin_grid
 
 from conftest import THM_X, log_criterion, random_state
 
-RELTOL = gsqg.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
+RELTOL = gsqg.IntegratorConfig(rel_tol=1e-10)
 
 # measured critical exponents of this pipeline (regression pins; the
 # inherited targets 0.97424 / 2.13903 sit ~3.5e-3 / ~4.8e-3 away and are

@@ -32,11 +32,22 @@ def test_find_config_negative_result(tmp_path, capsys):
 
 def test_find_config_auto_midpoint(tmp_path):
     out = tmp_path / "cfg.json"
-    assert main(["find-config", "--alpha", "1.5", "--auto", "--x-coarse", "1e-3",
-                 "--out", str(out)]) == 0
-    # the x picked depends on the grid pitch and the refinement width
+    assert main(["find-config", "--alpha", "1.5", "--auto", "--out", str(out)]) == 0
+    # the window of x_interval at its default pitch and refinement width
+    rec = gsqg.x_interval(1.5)
     params = json.loads(out.with_suffix(".json.manifest.json").read_text())["parameters"]
-    assert params["x_coarse"] == 1e-3 and params["refine_tol"] == 1e-7
+    assert params == {"alpha": 1.5, "x": 0.5 * (rec.x_minus + rec.x_plus), "auto": True}
+
+
+@pytest.mark.parametrize("flag", ["--x-coarse", "--refine-tol"])
+def test_find_config_has_no_pitch_flags(tmp_path, capsys, flag):
+    # the pitch and refinement width are flags of sweep only
+    out = tmp_path / "cfg.json"
+    with pytest.raises(SystemExit) as e:
+        main(["find-config", "--alpha", "1.5", "--auto", flag, "1e-3", "--out", str(out)])
+    assert e.value.code == 1
+    assert f"unrecognized arguments: {flag} 1e-3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_find_config_usage_error(tmp_path, capsys):
@@ -186,7 +197,7 @@ def test_burst_integrates_each_t_ini_once(tmp_path, monkeypatch):
     spath.write_text(scen.to_json())
     # the scenario and tolerances exactly as the CLI reads and sets them
     scen = gsqg.BurstScenario.from_json(spath.read_text())
-    icfg = gsqg.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-9 * 1e-3)
+    icfg = gsqg.IntegratorConfig(rel_tol=1e-9)
     expect = [gsqg.run_burst(scen, t_ini, icfg)[0].to_csv()
               for t_ini in scen.t_ini_sequence]
     calls = []
@@ -251,10 +262,17 @@ def test_missing_or_malformed_input_exits_one(tmp_path, capsys, command, flag,
     ["find-config", "--alpha", "2.0", "--x", "0.7"],
     ["burst", "--scenario", "{short_scenario}"],
     ["sweep", "--alpha-min", "1.9995", "--alpha-max", "2.1"],
-    # a pitch finer than 1e-6 would build more than 10^6 x grid points
-    ["find-config", "--alpha", "1.0", "--auto", "--x-coarse", "1e-7"],
     # Gamma(alpha/2)^2 overflows below alpha ~ 1.5e-154 (c_alpha would be -0)
     ["find-config", "--alpha", "1e-300", "--x", "0.5"],
+    # Gamma(alpha/2) itself overflows at a subnormal alpha, and divides by
+    # zero at 5e-324; both used to warn before the refusal
+    ["find-config", "--alpha", "1e-320", "--x", "0.7"],
+    ["find-config", "--alpha", "5e-324", "--x", "0.7"],
+    ["sweep", "--alpha-min", "1e-320", "--alpha-max", "1.0"],
+    ["sweep", "--alpha-min", "1.0", "--alpha-max", "5e-324"],
+    # a rel_tol whose absolute tolerance (1e-3 of it) is subnormal
+    ["simulate", "--config", "{cfg}", "--t0", "0", "--t1", "1", "--rel-tol", "1e-320"],
+    ["burst", "--scenario", "{scenario}", "--rel-tol", "1e-320"],
 ])
 def test_bad_number_exits_one(tmp_path, capsys, args):
     cfg = gsqg.oriented_config(1.0, THM_X)
@@ -278,8 +296,8 @@ def test_bad_number_exits_one(tmp_path, capsys, args):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("field, key, index", [
-    ("t_ini_sequence", "t_ini", 0), ("burst_site", "site", 0),
-    ("background", "position", 1), ("background", "intensity", None)])
+    ("t_ini_sequence", "t_ini", 0), ("background", "position", 1),
+    ("background", "intensity", None)])
 def test_non_finite_scenario_entry_exits_one_naming_it(tmp_path, capsys, field, key,
                                                        index, value):
     obj = json.loads(gsqg.BurstScenario(
@@ -311,8 +329,8 @@ def test_scenario_breaking_a_rule_exits_one_with_its_reason(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("rho-sep", 0.1), ("time_reversed", False)],
-                         ids=["typo", "stale"])
+@pytest.mark.parametrize("key, value", [("rho-sep", 0.1), ("time_reversed", False),
+                                        ("site", [0.0, 0.0])], ids=["typo", "stale", "site"])
 def test_scenario_with_an_unknown_key_exits_one(tmp_path, capsys, key, value):
     # a mistyped optional key used to run with the default rho_sep
     obj = json.loads(gsqg.BurstScenario(
@@ -375,6 +393,9 @@ def test_burst_on_a_collapse_scenario_exits_one(tmp_path, capsys):
     (["find-config", "--alpha", "1.0", "--x", "0.01"], "gsqg find-config: no sign change"),
     (["burst", "--scenario", "{scenario}", "--rel-tol", "1e-100"],
      "gsqg burst: integration failed at t="),
+    # K = x^(alpha-2) - x^2 overflows: no root, and no overflow warning
+    (["find-config", "--alpha", "1.0", "--x", "1e-320"], "gsqg find-config: no sign change"),
+    (["find-config", "--alpha", "0.5", "--x", "1e-320"], "gsqg find-config: no sign change"),
 ])
 def test_negative_result_exits_two(tmp_path, capsys, args, reason):
     scen = gsqg.BurstScenario(triple=gsqg.oriented_config(1.0, THM_X),
