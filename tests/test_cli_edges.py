@@ -5,8 +5,9 @@ RuntimeWarning raised in gsqg into an error, so a value that NumPy warns
 about before it is refused fails here too.  One flag varies per case; the
 other inputs are small (a 1e-2 x pitch, a 0.1 time span, three t_ini), and
 the step budget is cut to 10^3 as in `test_step_budget_failure`: at the
-default budget `simulate --t1 1e308 --rel-tol 1e-6` on the collapse config
-steps on for 10^6 steps before its step failure.
+default budget `simulate --t1 -1e308` on the collapse config, a burst
+backward in time that never reaches its end, takes 10^6 steps before its
+step failure.
 """
 
 import contextlib
@@ -64,7 +65,8 @@ def inputs(tmp_path_factory):
 def test_numeric_flag_edge_ends_in_an_exit_code(tmp_path, monkeypatch, inputs, base, flag,
                                                 value):
     monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", 1000)
-    argv = [a.format(**inputs) for a in base] + [flag, value, "--out", str(tmp_path / "o")]
+    # --flag=value: argparse takes "-1e308" or "-inf" after a space for an option
+    argv = [a.format(**inputs) for a in base] + [f"{flag}={value}", "--out", str(tmp_path / "o")]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
