@@ -178,8 +178,9 @@ def convergence_study(s: BurstScenario,
     runs = [run_burst(s, t_ini, cfg) for t_ini in s.t_ini_sequence]
     trajs = tuple(traj for traj, _ in runs)
     grid = [float(t) for t in np.geomspace(s.t_ini_sequence[0], s.horizon, CAUCHY_GRID)]
-    gaps = tuple(max(float(np.max(np.abs(a.eval(t) - b.eval(t)))) for t in grid)
-                 for a, b in zip(trajs, trajs[1:]))
+    # each run evaluated once on the grid, one row per time
+    vals = [np.array([traj.eval(t) for t in grid]) for traj in trajs]
+    gaps = tuple(max(np.abs(a - b).max(axis=1).tolist()) for a, b in zip(vals, vals[1:]))
     # exponent and drift come from the run closest to the singular time
     return replace(runs[-1][1], cauchy_gaps=gaps, runs=trajs)
 

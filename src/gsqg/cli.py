@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -32,14 +33,29 @@ EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 
 
+# a float literal after a minus sign; argparse alone reads only plain decimals
+# such as -1 or -0.5 as values, and -1e3 or -inf as an unknown option
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-(inf|infinity|nan)",
+                              re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):   # argparse default exits 2; keep 2 for science
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_NUMBER.fullmatch(arg_string):
+            return None         # a value, for the command's own checks
+        return super()._parse_optional(arg_string)
+
 
 def _write(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    """Write one output file; a path that cannot be written is a usage error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise DomainError(f"cannot write {path}: {e.strerror}") from e
     return path
 
 

@@ -51,6 +51,9 @@ MAX_STEPS = 1_000_000
 # distance (the kernel's own hard guard of 1e-12 x diameter is far below
 # anything reachable in finite float time along a collapse orbit).
 GUARD_FRACTION = 1e-6
+# pair values per block of rows whose conserved columns `Trajectory.to_csv`
+# computes in one call (one row per block once a row has more pairs)
+CSV_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,8 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """t, per-vortex positions and the conserved quantities, at 17
-        significant digits."""
+        significant digits.  The conserved columns come from blocks of about
+        CSV_BLOCK pair values, each row with the bits of that row alone."""
         n = self.positions.shape[1]
         cols = (["t"] + [f"{part}_z{j}" for j in range(1, n + 1) for part in ("re", "im")]
                 + ["H", "L", "C_re", "C_im"])
@@ -124,10 +128,16 @@ class Trajectory:
         buf.write(",".join(cols) + "\n")
         row = ",".join(["{:.17g}"] * len(cols)) + "\n"
         q = make_conserved(self.xi, self.alpha, coupling_constant(self.alpha))
-        # a complex row viewed as floats interleaves re and im
-        for t, z, xy in zip(self.times.tolist(), self.positions, self.positions.view(float)):
-            c = q(z)
-            buf.write(row.format(t, *xy.tolist(), c.H, c.Lmom, c.C.real, c.C.imag))
+        rows = max(1, CSV_BLOCK // max(n * (n - 1) // 2, 1))
+        times = self.times.tolist()
+        for a in range(0, len(times), rows):
+            z = self.positions[a:a + rows]
+            C, H, L = q(z)
+            # a complex row viewed as floats interleaves re and im
+            for t, xy, h, lm, cr, ci in zip(times[a:a + rows], z.view(float).tolist(),
+                                            H.tolist(), L.tolist(), C.real.tolist(),
+                                            C.imag.tolist()):
+                buf.write(row.format(t, *xy, h, lm, cr, ci))
         return buf.getvalue()
 
 

@@ -197,24 +197,31 @@ def rhs(state: VortexState) -> np.ndarray:
 
 def make_conserved(xi: np.ndarray, alpha: float, c_alpha: float):
     """`conserved` as a function of the positions alone, for fixed
-    intensities and exponent (the pair table is built once)."""
+    intensities and exponent (the pair table is built once).  The positions
+    may carry any leading batch axes, the vortex axis last; C, H and L come
+    back as arrays over those axes, each row with the bits of that row
+    alone."""
     i, k = np.triu_indices(len(xi), 1)
     pair = xi[i] * xi[k]
     p = alpha - 2.0
 
-    def q(z: np.ndarray) -> ConservedQuantities:
-        C = complex(np.sum(xi * z))
-        if len(xi) < 2:
-            return ConservedQuantities(C=C, H=0.0, Lmom=0.0)
-        d = np.abs(z[i] - z[k])
+    def q(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # sums along a C-ordered last axis run in the order of one row alone;
+        # z[..., i] would gather into an F-ordered array and sum across rows
+        z = np.ascontiguousarray(z)
+        C = np.sum(xi * z, axis=-1)
+        if len(xi) < 2:     # no pairs: 2 * 0 / c_alpha would be -0 for c_alpha < 0
+            return C, np.zeros(C.shape), np.zeros(C.shape)
+        d = np.abs(np.take(z, i, axis=-1) - np.take(z, k, axis=-1))
         # sums run over ordered pairs j != k: twice the upper triangle
-        H = 2.0 * float(np.sum(pair * d**p)) / c_alpha
-        Lmom = 2.0 * float(np.sum(pair * d**2))
-        return ConservedQuantities(C=C, H=H, Lmom=Lmom)
+        H = 2.0 * np.sum(pair * d**p, axis=-1) / c_alpha
+        Lmom = 2.0 * np.sum(pair * d**2, axis=-1)
+        return C, H, Lmom
 
     return q
 
 
 def conserved(state: VortexState) -> ConservedQuantities:
     """Evaluate the three conserved quantities of the dynamics."""
-    return make_conserved(state.xi, state.alpha, state.c_alpha)(state.z)
+    C, H, Lmom = make_conserved(state.xi, state.alpha, state.c_alpha)(state.z)
+    return ConservedQuantities(C=complex(C), H=float(H), Lmom=float(Lmom))

@@ -2,29 +2,44 @@
 
 `relative_motion_rate` gives d/dt |z_p - z_q|^2 of a three-vortex state in
 closed form; `signed_area` is the triangle area it is built on.
-`csv_per_value` formats a trajectory one value at a time, the reference
-for the bytes of `Trajectory.to_csv`.  No command needs them, so they live
-with the tests.
+`conserved_row` computes one row's conserved quantities on its own, and
+`csv_per_value` formats a trajectory one value at a time with them, the
+reference for the bytes of `Trajectory.to_csv`.  No command needs them, so
+they live with the tests.
 """
 
 import io
 
 import numpy as np
 
-from gsqg.kernel import DomainError, VortexState, conserved
+from gsqg.kernel import DomainError, VortexState, coupling_constant
+
+
+def conserved_row(z: np.ndarray, xi: np.ndarray, alpha: float) -> tuple[complex, float, float]:
+    """(C, H, L) of one configuration z of shape (N,), summed in the order
+    of that row alone."""
+    i, k = np.triu_indices(len(xi), 1)
+    C = complex(np.sum(xi * z))
+    if len(xi) < 2:
+        return C, 0.0, 0.0
+    pair = xi[i] * xi[k]
+    d = np.abs(z[i] - z[k])
+    H = 2.0 * float(np.sum(pair * d**(alpha - 2.0))) / coupling_constant(alpha)
+    Lmom = 2.0 * float(np.sum(pair * d**2))
+    return C, float(H), Lmom
 
 
 def csv_per_value(traj) -> str:
     """`traj.to_csv()` written one NumPy scalar at a time with
-    `f"{v:.17g}"`, and each row's conserved quantities from `conserved`."""
+    `f"{v:.17g}"`, and each row's conserved quantities from `conserved_row`."""
     n = traj.positions.shape[1]
     cols = (["t"] + [f"{part}_z{j}" for j in range(1, n + 1) for part in ("re", "im")]
             + ["H", "L", "C_re", "C_im"])
     buf = io.StringIO()
     buf.write(",".join(cols) + "\n")
     for t, z, xy in zip(traj.times, traj.positions, traj.positions.view(float)):
-        c = conserved(VortexState(t=float(t), z=z, xi=traj.xi, alpha=traj.alpha))
-        vals = [t, *xy, c.H, c.Lmom, c.C.real, c.C.imag]
+        C, H, Lmom = conserved_row(z, traj.xi, traj.alpha)
+        vals = [t, *xy, H, Lmom, C.real, C.imag]
         buf.write(",".join(f"{v:.17g}" for v in vals) + "\n")
     return buf.getvalue()
 

@@ -158,6 +158,23 @@ def test_cauchy_gaps_with_background(scenario):
     assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
 
 
+def test_cauchy_study_evaluates_each_run_once(scenario, monkeypatch):
+    calls = []
+    real_eval = gsqg.Trajectory.eval
+    monkeypatch.setattr(gsqg.Trajectory, "eval",
+                        lambda self, t: calls.append(t) or real_eval(self, t))
+    diag = gsqg.convergence_study(scenario, CFG)
+    assert len(calls) == len(scenario.t_ini_sequence) * gsqg.burstsim.CAUCHY_GRID
+    monkeypatch.undo()
+    # the gaps of evaluating both runs of a pair at every grid time
+    grid = [float(t) for t in np.geomspace(scenario.t_ini_sequence[0], scenario.horizon,
+                                           gsqg.burstsim.CAUCHY_GRID)]
+    two_eval = tuple(max(float(np.max(np.abs(a.eval(t) - b.eval(t)))) for t in grid)
+                     for a, b in zip(diag.runs, diag.runs[1:]))
+    assert np.array(diag.cauchy_gaps).view(np.uint64).tolist() == \
+        np.array(two_eval).view(np.uint64).tolist()
+
+
 # ---------------------------------------------------------------- reversal
 
 def test_collapse_scenario_involution(scenario):

@@ -12,6 +12,7 @@ step failure.
 
 import contextlib
 import io
+import json
 
 import pytest
 
@@ -65,7 +66,7 @@ def inputs(tmp_path_factory):
 def test_numeric_flag_edge_ends_in_an_exit_code(tmp_path, monkeypatch, inputs, base, flag,
                                                 value):
     monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", 1000)
-    # --flag=value: argparse takes "-1e308" or "-inf" after a space for an option
+    # --flag=value; the space form of a negative value has its own test below
     argv = [a.format(**inputs) for a in base] + [f"{flag}={value}", "--out", str(tmp_path / "o")]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -77,3 +78,72 @@ def test_numeric_flag_edge_ends_in_an_exit_code(tmp_path, monkeypatch, inputs, b
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("gsqg "), err.getvalue()
+
+
+def _run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:     # argparse refusing the value
+            code = e.code
+    return code, err.getvalue()
+
+
+# a negative value after a space, in the forms argparse alone reads as an
+# unknown option: it reaches the command's own checks
+SPACE_CASES = [
+    (["simulate", "--config", "{cfg}", "--t0", "0", "--rel-tol", "1e-6"], "--t1", "-1e-3", None),
+    (["simulate", "--config", "{cfg}", "--t0", "0", "--rel-tol", "1e-6"], "--t1", "-1e3", None),
+    (["simulate", "--config", "{cfg}", "--t0", "0", "--rel-tol", "1e-6"], "--t1", "-.5E-3",
+     None),
+    (["simulate", "--config", "{cfg}", "--t0", "0", "--rel-tol", "1e-6"], "--t1", "-inf",
+     "gsqg simulate: t1 must be finite, got -inf"),
+    (["simulate", "--config", "{cfg}", "--t0", "0", "--rel-tol", "1e-6"], "--t1", "-Infinity",
+     "gsqg simulate: t1 must be finite, got -inf"),
+    (["simulate", "--config", "{cfg}", "--t0", "0", "--rel-tol", "1e-6"], "--t1", "-nan",
+     "gsqg simulate: t1 must be finite, got nan"),
+    (["simulate", "--config", "{cfg}", "--t1", "0.1", "--rel-tol", "1e-6"], "--t0", "-1e-3",
+     None),
+    (["find-config", "--x", "0.7"], "--alpha", "-1e-3",
+     "gsqg find-config: alpha must lie in (0, 3), got -0.001"),
+    (["sweep", "--alpha-min", "1.5", "--alpha-max", "1.502"], "--x-coarse", "-1e-2",
+     "gsqg sweep: coarse x grid pitch must lie in [1e-06, 1), got -0.01"),
+]
+
+
+@pytest.mark.parametrize("base, flag, value, message", [
+    pytest.param(*case, id=" ".join(case[0] + [case[1], case[2]])) for case in SPACE_CASES])
+def test_negative_value_after_a_space(tmp_path, monkeypatch, inputs, base, flag, value,
+                                      message):
+    monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", 1000)
+    out = tmp_path / "o.csv"
+    code, err = _run([a.format(**inputs) for a in base] + [flag, value, "--out", str(out)])
+    if message is None:     # the run took the value: its manifest records it
+        assert code in (0, 2), err
+        manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+        assert manifest["parameters"][flag[2:]] == float(value)
+    else:
+        assert code == 1
+        assert err.startswith(message), err
+
+
+@pytest.mark.parametrize("command", ["find-config", "burst"])
+@pytest.mark.parametrize("case", ["directory", "under a file"])
+def test_unwritable_out_is_a_usage_error(tmp_path, inputs, command, case):
+    # an output path that is a directory, or one whose parent is a file
+    argv = {"find-config": ["find-config", "--alpha", "1", "--x", str(THM_X)],
+            "burst": ["burst", "--scenario", str(inputs["scenario"]), "--rel-tol", "1e-6"]}
+    (tmp_path / "file").write_text("")
+    if case == "under a file":
+        out = tmp_path / "file" / "x.json"
+        path = out if command == "find-config" else out / "trajectory_tini_0.0001.csv"
+    elif command == "find-config":
+        out = path = tmp_path
+    else:
+        out = tmp_path / "run"
+        path = out / "diagnostics.json"
+        path.mkdir(parents=True)
+    code, err = _run(argv[command] + ["--out", str(out)])
+    assert code == 1
+    assert err.startswith(f"gsqg {command}: cannot write {path}: "), err

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 import gsqg
 from gsqg import kernel
-from gsqg.kernel import DomainError, make_rhs, max_pair_distance, min_pair_distance
+from gsqg.integrator import CSV_BLOCK, Status, Trajectory
+from gsqg.kernel import (DomainError, make_conserved, make_rhs, max_pair_distance,
+                         min_pair_distance)
 
 from conftest import THM_A, THM_B, lattice_state, random_state
-from oracles import relative_motion_rate, signed_area
+from oracles import conserved_row, csv_per_value, relative_motion_rate, signed_area
 
 
 # ---------------------------------------------------------------- coupling
@@ -245,6 +247,42 @@ def test_conserved_label_permutation_invariant():
     assert c1.H == pytest.approx(c0.H, rel=1e-13)
     assert c1.Lmom == pytest.approx(c0.Lmom, rel=1e-13)
     assert c1.C == pytest.approx(c0.C, abs=1e-13)
+
+
+def _bits(*values) -> list[int]:
+    return np.array(values, dtype=complex).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.3, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 99])
+def test_conserved_batch_rows_keep_their_bits(n, alpha):
+    # a batch spanning several to_csv blocks, C- and F-ordered: every row
+    # equals the batch of one and the row-alone oracle bit for bit, and the
+    # blocked CSV equals the per-value one
+    rng = np.random.default_rng(n)
+    per_block = max(1, CSV_BLOCK // max(n * (n - 1) // 2, 1))
+    rows = 2 * per_block + 7
+    z = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    xi = rng.uniform(0.4, 1.6, n) * rng.choice([-1.0, 1.0], n)
+    q = make_conserved(xi, alpha, gsqg.coupling_constant(alpha))
+    for batch in (z, np.asfortranarray(z)):
+        C, H, L = q(batch)
+        assert C.shape == H.shape == L.shape == (rows,)
+        for r in range(rows):
+            assert _bits(C[r], H[r], L[r]) == _bits(*q(z[r])) == _bits(
+                *conserved_row(z[r], xi, alpha))
+    traj = Trajectory(times=np.arange(rows, dtype=float), positions=z, xi=xi, alpha=alpha,
+                      status=Status.COMPLETED, h=np.ones(rows - 1), segments=[])
+    assert traj.to_csv() == csv_per_value(traj)
+
+
+def test_conserved_returns_python_scalars():
+    c = gsqg.conserved(random_state(3, 4, 1.5))
+    assert (type(c.C), type(c.H), type(c.Lmom)) == (complex, float, float)
+    lone = gsqg.conserved(gsqg.VortexState(t=0.0, z=[1j], xi=[2.0], alpha=1.0))
+    # no pairs: H and L are +0 even though c_alpha < 0
+    assert _bits(lone.H, lone.Lmom) == _bits(0.0, 0.0)
+    assert lone.C == 2j
 
 
 # ---------------------------------------------------------------- geometry

@@ -10,9 +10,18 @@ change first when k is odd; a run is `perfbench/run.py --trace 0` of the
 exported tree, unmodified.  FILE gets, per end-to-end metric, each side's
 runs, median and quartiles (inclusive method) and the pairs the change
 wins, each run's pass count, and the sha256 of every non-manifest output
-file of each side's last run.  A run that fails ends the script with the
-tail of its stderr, and so does a DIR left over from an earlier invocation,
-named.  Standard library only.
+file of each side's last run.
+
+A 30 s run keeps every pass's results, so its peak_rss_mb grows with the
+number of passes that fit in it, and a faster tree reads more memory.  So
+after the pairs, each tree also runs K passes of its own, unmodified
+`perfbench/run.py` `run_pass` in a fresh process with PYTHONHASHSEED=0,
+keeping the results as `run.py` does; K is the parent's median pass count,
+and RSS_RUNS such processes per side alternate sides.  FILE gets each
+side's peak RSS of those processes, in MB as peak_rss_mb.
+
+A run that fails ends the script with the tail of its stderr, and so does a
+DIR left over from an earlier invocation, named.  Standard library only.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -30,6 +40,29 @@ from pathlib import Path
 SIDES = ("parent", "change")
 # lines of a failed run's stderr shown in the exit message
 STDERR_TAIL = 20
+# fixed-pass processes per side
+RSS_RUNS = 3
+# one fixed-pass process: argv is workload, seed, pass count; the set-up is
+# that of run.py's main without its probes
+FIXED_PASSES = """
+import json, os, resource, shutil, sys
+sys.path.insert(0, "perfbench")
+import run
+workload, seed, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+for var in run.THREAD_VARS:
+    os.environ.setdefault(var, "1")
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+gsqg = run.import_gsqg()
+import spans, workloads
+base = run.OUT / workload
+shutil.rmtree(base, ignore_errors=True)
+ref = workloads.write_inputs(workload, seed, base / "in")
+ops = workloads.ops(workload, base / "in", base / "out", ref)
+passes = [run.run_pass(gsqg, ops, base / "out") for _ in range(count)]
+print(json.dumps({"ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                  "failures": [r["failure"] for res in passes for r in res
+                               if r["failure"] is not None][:3]}))
+"""
 
 
 def export(rev: str, dest: Path) -> str:
@@ -61,6 +94,20 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int
         sys.exit(f"bench_pairs: {tree} failed: {record['failures'][:3]}")
     values = {k: m["value"] for k, m in result["metrics"].items()}
     return values, len(record["pass_seconds"]["untraced"])
+
+
+def fixed_pass_rss(tree: Path, workload: str, seed: int, count: int) -> float:
+    """Peak RSS in MB of a fresh process that runs count passes."""
+    proc = subprocess.run([sys.executable, "-c", FIXED_PASSES, workload, str(seed), str(count)],
+                          cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONHASHSEED": "0"})
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
+        sys.exit(f"bench_pairs: {tree} fixed-pass run exited {proc.returncode}:\n{tail}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if result["failures"]:
+        sys.exit(f"bench_pairs: {tree} fixed-pass run failed: {result['failures']}")
+    return result["ru_maxrss_kb"] / 1024.0
 
 
 def outputs(tree: Path, workload: str) -> dict[str, str]:
@@ -105,9 +152,16 @@ def main(argv=None) -> int:
         metrics[name] = {**{side: summary(series[side]) for side in SIDES},
                          "change_better_pairs": wins, "pairs": args.pairs}
     digests = {side: outputs(trees[side], args.workload) for side in SIDES}
+    count = statistics.median_low(passes["parent"])
+    rss = {side: [] for side in SIDES}
+    for k in range(RSS_RUNS):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            rss[side].append(fixed_pass_rss(trees[side], args.workload, args.seed, count))
     args.out.write_text(json.dumps({
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "commits": commits, "metrics": metrics, "passes": passes,
+        "fixed_pass_rss_mb": {"passes": count, "hash_seed": 0,
+                              **{side: summary(rss[side]) for side in SIDES}},
         "outputs": {**digests, "identical": digests["parent"] == digests["change"],
                     "files": len(digests["change"])},
     }, indent=1) + "\n")
