@@ -9,7 +9,6 @@ guard radius, or at a step-size underflow after a heavy contraction.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,8 +50,8 @@ MAX_STEPS = 1_000_000
 # distance (the kernel's own hard guard of 1e-12 x diameter is far below
 # anything reachable in finite float time along a collapse orbit).
 GUARD_FRACTION = 1e-6
-# pair values per block of rows whose conserved columns `Trajectory.to_csv`
-# computes in one call (one row per block once a row has more pairs)
+# pair values per block of rows that `Trajectory.to_csv` computes and formats
+# in one call (one row per block once a row has more pairs)
 CSV_BLOCK = 256
 
 
@@ -119,26 +118,24 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """t, per-vortex positions and the conserved quantities, at 17
-        significant digits.  The conserved columns come from blocks of about
-        CSV_BLOCK pair values, each row with the bits of that row alone."""
+        significant digits.  Rows go in blocks of about CSV_BLOCK pair
+        values: one conserved-quantity call and one `str.format` call per
+        block, each row with the bits of that row alone."""
         n = self.positions.shape[1]
         cols = (["t"] + [f"{part}_z{j}" for j in range(1, n + 1) for part in ("re", "im")]
                 + ["H", "L", "C_re", "C_im"])
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
         row = ",".join(["{:.17g}"] * len(cols)) + "\n"
         q = make_conserved(self.xi, self.alpha, coupling_constant(self.alpha))
         rows = max(1, CSV_BLOCK // max(n * (n - 1) // 2, 1))
-        times = self.times.tolist()
-        for a in range(0, len(times), rows):
+        parts = [",".join(cols) + "\n"]
+        for a in range(0, len(self.times), rows):
             z = self.positions[a:a + rows]
             C, H, L = q(z)
             # a complex row viewed as floats interleaves re and im
-            for t, xy, h, lm, cr, ci in zip(times[a:a + rows], z.view(float).tolist(),
-                                            H.tolist(), L.tolist(), C.real.tolist(),
-                                            C.imag.tolist()):
-                buf.write(row.format(t, *xy, h, lm, cr, ci))
-        return buf.getvalue()
+            block = np.column_stack((self.times[a:a + rows], z.view(float), H, L,
+                                     C.real, C.imag))
+            parts.append((row * len(block)).format(*block.ravel().tolist()))
+        return "".join(parts)
 
 
 def _error_norm(err: np.ndarray, z0: np.ndarray, z1: np.ndarray,
