@@ -62,24 +62,6 @@ def inputs(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("base, flag, value", CASES)
-def test_numeric_flag_edge_ends_in_an_exit_code(tmp_path, monkeypatch, inputs, base, flag,
-                                                value):
-    monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", 1000)
-    # --flag=value; the space form of a negative value has its own test below
-    argv = [a.format(**inputs) for a in base] + [f"{flag}={value}", "--out", str(tmp_path / "o")]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as e:     # argparse refusing the value
-            code = e.code
-    assert code in (0, 1, 2), (code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    if code == 1:
-        assert err.getvalue().startswith("gsqg "), err.getvalue()
-
-
 def _run(argv) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -88,6 +70,19 @@ def _run(argv) -> tuple[int, str]:
         except SystemExit as e:     # argparse refusing the value
             code = e.code
     return code, err.getvalue()
+
+
+@pytest.mark.parametrize("base, flag, value", CASES)
+def test_numeric_flag_edge_ends_in_an_exit_code(tmp_path, monkeypatch, inputs, base, flag,
+                                                value):
+    monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", 1000)
+    # --flag=value; the space form of a negative value has its own test below
+    argv = [a.format(**inputs) for a in base] + [f"{flag}={value}", "--out", str(tmp_path / "o")]
+    code, err = _run(argv)
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("gsqg "), err
 
 
 # a negative value after a space, in the forms argparse alone reads as an
