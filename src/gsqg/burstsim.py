@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .integrator import IntegratorConfig, Status, Trajectory, integrate
+from .integrator import IntegratorConfig, Status, Trajectory, integrate, integrate_batch
 from .kernel import DomainError, VortexState, max_pair_distance, min_pair_distance
 from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
                           center, known_keys, motion_from_config, zeta)
@@ -136,6 +136,15 @@ def _fit_exponent(times: np.ndarray, spread: np.ndarray) -> float:
     return float(slope)
 
 
+def _diagnostics(s: BurstScenario, t_ini: float, traj: Trajectory) -> BurstDiagnostics:
+    """Triple-spread exponent and background drift of one seeded run."""
+    if traj.status is Status.STEP_FAILURE:
+        raise RuntimeError(f"integration failed at t={traj.times[-1]} (t_ini={t_ini})")
+    expo = _fit_exponent(traj.times, max_pair_distance(traj.positions[:, :3]))
+    drift = np.max(np.abs(traj.positions[-1, 3:] - [p for p, _ in s.background]), initial=0.0)
+    return BurstDiagnostics(exponent_fit=expo, cauchy_gaps=(), background_drift=float(drift))
+
+
 def run_burst(s: BurstScenario, t_ini: float,
               cfg: IntegratorConfig = IntegratorConfig()) -> tuple[Trajectory, BurstDiagnostics]:
     """Integrate one seeded run and fit the triple-spread scaling.
@@ -144,45 +153,36 @@ def run_burst(s: BurstScenario, t_ini: float,
     -horizon in toward -t_ini (the spread then shrinks).
     """
     if s.motion.a_rate < 0.0:
-        state0 = make_burst_initial(s, s.horizon)
-        t_end = -t_ini
+        traj = integrate(make_burst_initial(s, s.horizon), -t_ini, cfg)
     else:
-        state0 = make_burst_initial(s, t_ini)
-        t_end = s.horizon
-    traj = integrate(state0, t_end, cfg)
-    if traj.status is Status.STEP_FAILURE:
-        raise RuntimeError(f"integration failed at t={traj.times[-1]}")
-    expo = _fit_exponent(traj.times, max_pair_distance(traj.positions[:, :3]))
-    drift = 0.0
-    if s.background:
-        bg0 = np.array([p for p, _ in s.background])
-        drift = float(np.max(np.abs(traj.positions[-1, 3:] - bg0)))
-    return traj, BurstDiagnostics(
-        exponent_fit=expo, cauchy_gaps=(), background_drift=drift
-    )
+        traj = integrate(make_burst_initial(s, t_ini), s.horizon, cfg)
+    return traj, _diagnostics(s, t_ini, traj)
 
 
 def convergence_study(s: BurstScenario,
                       cfg: IntegratorConfig = IntegratorConfig()) -> BurstDiagnostics:
     """Cauchy study over the t_ini refinement sequence.
 
-    Successive runs are compared in the sup norm over a shared log-spaced
-    time grid; decreasing gaps are the numerical evidence that the seeded
-    runs converge to a limiting burst among the background vortices.  The
-    trajectories come back in the `runs` field, in t_ini order.
+    Successive runs, integrated in lockstep with the bits of their `run_burst`,
+    are compared in the sup norm over a shared log-spaced time grid;
+    decreasing gaps are the numerical evidence that the seeded runs converge
+    to a limiting burst among the background vortices.  The trajectories
+    come back in the `runs` field, in t_ini order.
     """
     if len(s.t_ini_sequence) < 3:
         raise DomainError("need at least three t_ini values")
     if s.motion.a_rate < 0.0:
         raise DomainError("convergence study is defined on the burst orientation")
-    runs = [run_burst(s, t_ini, cfg) for t_ini in s.t_ini_sequence]
-    trajs = tuple(traj for traj, _ in runs)
-    grid = [float(t) for t in np.geomspace(s.t_ini_sequence[0], s.horizon, CAUCHY_GRID)]
+    trajs = integrate_batch([make_burst_initial(s, t_ini) for t_ini in s.t_ini_sequence],
+                            s.horizon, cfg)
+    # in t_ini order, so a failure names the first failing run
+    diags = [_diagnostics(s, t_ini, traj) for t_ini, traj in zip(s.t_ini_sequence, trajs)]
+    grid = np.geomspace(s.t_ini_sequence[0], s.horizon, CAUCHY_GRID)
     # each run evaluated once on the grid, one row per time
-    vals = [np.array([traj.eval(t) for t in grid]) for traj in trajs]
+    vals = [traj.eval(grid) for traj in trajs]
     gaps = tuple(max(np.abs(a - b).max(axis=1).tolist()) for a, b in zip(vals, vals[1:]))
     # exponent and drift come from the run closest to the singular time
-    return replace(runs[-1][1], cauchy_gaps=gaps, runs=trajs)
+    return replace(diags[-1], cauchy_gaps=gaps, runs=tuple(trajs))
 
 
 def collapse_scenario(s: BurstScenario) -> BurstScenario:

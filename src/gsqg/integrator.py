@@ -50,9 +50,10 @@ MAX_STEPS = 1_000_000
 # distance (the kernel's own hard guard of 1e-12 x diameter is far below
 # anything reachable in finite float time along a collapse orbit).
 GUARD_FRACTION = 1e-6
-# pair values per block of rows that `Trajectory.to_csv` computes and formats
-# in one call (one row per block once a row has more pairs)
-CSV_BLOCK = 256
+# pair values per block of rows that one array call takes: the rows that
+# `Trajectory.to_csv` formats, the times `eval` evaluates and the runs of an
+# `integrate_batch` pass (one row per block once a row has more pairs)
+PAIR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class Trajectory:
     """Accepted-step samples plus dense output of one integration run.
     Step k starts at times[k], has size h[k] and the dense-output
     coefficients segments[k], so len(times) == len(segments) + 1.  A run
-    that stops early ends at its stop time."""
+    that stops early ends at its stop time, after len(h) accepted steps."""
 
     times: np.ndarray                 # strictly monotone
     positions: np.ndarray             # (len(times), n) complex
@@ -92,33 +93,39 @@ class Trajectory:
     status: Status
     h: np.ndarray                     # signed step sizes
     segments: list[np.ndarray] = field(repr=False)   # (5, n) complex per step
+    rejected: int = 0                 # refused by the error test
+    singular: int = 0                 # retried after a SingularityError
 
     def final_state(self) -> VortexState:
         return VortexState(t=float(self.times[-1]), z=self.positions[-1],
                            xi=self.xi, alpha=self.alpha)
 
-    def eval(self, t: float) -> np.ndarray:
-        """Dense-output positions at time t inside the covered span, from
-        the first step covering t (the last step if none does), so a step
-        boundary belongs to the earlier step."""
+    def eval(self, t) -> np.ndarray:
+        """Dense-output positions (t.shape + (n,)) at times t inside the covered
+        span, each from the first step covering it (the last step if none
+        does), so a step boundary belongs to the earlier step."""
         if not self.segments:
             raise ValueError("trajectory carries no dense output")
-        lo, hi = self.times[0], self.times[-1]
-        if not (min(lo, hi) - 1e-12 <= t <= max(lo, hi) + 1e-12):
+        t = np.asarray(t, dtype=float)
+        ts, lo, hi = t.reshape(-1, 1), self.times[0], self.times[-1]
+        if not ((min(lo, hi) - 1e-12 <= ts) & (ts <= max(lo, hi) + 1e-12)).all():
             raise ValueError(f"t={t} outside trajectory span [{lo}, {hi}]")
-        s = (t - self.times[:-1]) / self.h
-        covers = (-1e-12 <= s) & (s <= 1.0 + 1e-12)
-        k = int(np.argmax(covers))
-        if not covers[k]:
-            k = -1
-        return _dense(self.segments[k], s[k])
+        n = self.positions.shape[1]
+        rows, z = max(1, PAIR_BLOCK // max(n * (n - 1) // 2, 1)), []
+        for a in range(0, len(ts), rows):
+            s = (ts[a:a + rows] - self.times[:-1]) / self.h
+            covers = (-1e-12 <= s) & (s <= 1.0 + 1e-12)
+            k = np.where(covers.any(axis=1), np.argmax(covers, axis=1), -1)
+            r = np.stack([self.segments[j] for j in k.tolist()], axis=1)
+            z.append(_dense(r, s[np.arange(len(k)), k][:, None]))
+        return np.concatenate(z).reshape(t.shape + (-1,))
 
     def min_distances(self) -> np.ndarray:
         return min_pair_distance(self.positions)
 
     def to_csv(self) -> str:
         """t, per-vortex positions and the conserved quantities, at 17
-        significant digits.  Rows go in blocks of about CSV_BLOCK pair
+        significant digits.  Rows go in blocks of about PAIR_BLOCK pair
         values: one conserved-quantity call and one `str.format` call per
         block, each row with the bits of that row alone."""
         n = self.positions.shape[1]
@@ -126,7 +133,7 @@ class Trajectory:
                 + ["H", "L", "C_re", "C_im"])
         row = ",".join(["{:.17g}"] * len(cols)) + "\n"
         q = make_conserved(self.xi, self.alpha, coupling_constant(self.alpha))
-        rows = max(1, CSV_BLOCK // max(n * (n - 1) // 2, 1))
+        rows = max(1, PAIR_BLOCK // max(n * (n - 1) // 2, 1))
         parts = [",".join(cols) + "\n"]
         for a in range(0, len(self.times), rows):
             z = self.positions[a:a + rows]
@@ -139,21 +146,21 @@ class Trajectory:
 
 
 def _error_norm(err: np.ndarray, z0: np.ndarray, z1: np.ndarray,
-                cfg: IntegratorConfig) -> float:
+                cfg: IntegratorConfig) -> list[float]:
+    """Scaled RMS norm of each row of err (b, n)."""
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(z0), np.abs(z1))
-    return math.sqrt((np.abs(err / scale) ** 2).sum() / len(err))
+    sq = np.add.reduce(np.abs(err / scale) ** 2, axis=-1).tolist()
+    return [math.sqrt(s / err.shape[-1]) for s in sq]
 
 
 @np.errstate(over="ignore")    # norms that overflow at a tiny tolerance give no ratio
 def _initial_step(f0: np.ndarray, z0: np.ndarray, span: float,
                   cfg: IntegratorConfig) -> float:
-    d0 = _error_norm(z0, z0, z0, cfg)
-    d1 = _error_norm(f0, z0, z0, cfg)
+    (d0,), (d1,) = (_error_norm(x[None], z0[None], z0[None], cfg) for x in (z0, f0))
     h0 = 0.01 * d0 / d1 if 1e-5 <= d0 < np.inf and 1e-5 <= d1 < np.inf else 1e-6
     return float(min(h0, abs(span)))
 
 
-@np.errstate(over="ignore")    # an error norm that overflows rejects its step
 def integrate(state0: VortexState, t1: float,
               cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate the vortex system from state0.t to t1 (either direction).
@@ -165,104 +172,128 @@ def integrate(state0: VortexState, t1: float,
     distance).  Stops with StepFailure when the step size underflows
     without such a contraction, or when the step budget is exhausted.
     """
-    t0 = state0.t
+    return integrate_batch([state0], t1, cfg)[0]
+
+
+@np.errstate(over="ignore")    # an error norm that overflows rejects its step
+def integrate_batch(states: list[VortexState], t1: float,
+                    cfg: IntegratorConfig = IntegratorConfig()) -> list[Trajectory]:
+    """`integrate` of states sharing xi and alpha, each with the bits it has
+    alone, in lockstep batches of max(1, PAIR_BLOCK // pairs): a pass does the
+    array math of all live runs at once and the step control run by run."""
     if not np.isfinite(t1):
         raise DomainError(f"t1 must be finite, got {t1}")
-    if t1 == t0:
+    if any(st.t == t1 for st in states):
         raise DomainError("t1 must differ from the initial time")
-    direction = 1.0 if t1 > t0 else -1.0
-    xi, alpha = state0.xi.copy(), state0.alpha
-    d_init = state0.min_distance()
-    dmin = max(GUARD_FRACTION * d_init, state0.dmin())
-    f = make_rhs(xi, alpha, state0.c_alpha, dmin * 0.5)
-
-    t = t0
-    z = state0.z.astype(complex)
-    # z is never written in place: every accepted step makes a new array
-    times, zs = [t], [z]
-    hs: list[float] = []
-    segments: list[np.ndarray] = []
-
-    # one stage buffer per run; row 0 holds f(z)
-    k = np.empty((7, len(z)), dtype=complex)
-    k[0] = f(z)[0]
-    h = direction * _initial_step(k[0], z, t1 - t0, cfg)
-    err_prev = 1.0
-    n_steps = 0
-    status = Status.COMPLETED
-    h_floor = 16.0 * np.finfo(float).eps
-
-    while direction * (t1 - t) > 0.0:
-        if n_steps >= MAX_STEPS:
-            status = Status.STEP_FAILURE
-            break
-        if abs(h) < h_floor * max(abs(t), 1.0):
-            # step underflow next to a heavy contraction is the collapse
-            # signature even when the exact guard radius was not reached
-            status = (Status.COLLAPSE_DETECTED
-                      if min_pair_distance(z) < max(1e3 * dmin, 1e-2 * d_init)
-                      else Status.STEP_FAILURE)
-            break
-        if direction * (t + h - t1) > 0.0:
-            h = t1 - t
-        n_steps += 1
+    xi, alpha, c_alpha, n = states[0].xi.copy(), states[0].alpha, states[0].c_alpha, states[0].n
+    if any(st.alpha != alpha or not np.array_equal(st.xi, xi) for st in states):
+        raise DomainError("the states of a batch must share xi and alpha")
+    size = max(1, PAIR_BLOCK // max(n * (n - 1) // 2, 1))
+    if len(states) > size:
+        return integrate_batch(states[:size], t1, cfg) + integrate_batch(states[size:], t1, cfg)
+    out = runs = [_Run(st, t1, cfg) for st in states]
+    # z is never written in place once read; stage buffer row 0 holds f(z)
+    z, k = np.array([st.z for st in states]), np.empty((len(runs), 7, n), dtype=complex)
+    k[:, 0], b = [r.f0 for r in runs], 0
+    # row j: live run j's h in every column (a float or (b, 1) array costs more per product)
+    h = np.empty(z.shape, dtype=complex)
+    while True:
+        live = []
+        for m, r in enumerate(runs):
+            if r.status is not None:
+                continue
+            if not r.sign * (t1 - r.t) > 0.0:
+                r.status = Status.COMPLETED
+            elif len(r.hs) + r.rejected + r.singular >= MAX_STEPS:
+                r.status = Status.STEP_FAILURE
+            elif abs(r.h) < 16 * 2.0 ** -52 * max(abs(r.t), 1.0):     # 16 eps
+                # step underflow next to a heavy contraction is the collapse
+                # signature even when the exact guard radius was not reached
+                r.status = (Status.COLLAPSE_DETECTED
+                            if min_pair_distance(z[m]) < max(1e3 * r.dmin, 1e-2 * r.d_init)
+                            else Status.STEP_FAILURE)
+            else:   # the last step ends at t1
+                r.h = t1 - r.t if r.sign * (r.t + r.h - t1) > 0.0 else r.h
+                h[len(live)] = r.h
+                live.append(m)
+                continue
+            r.z = z[m]
+        if len(live) < b or not b:
+            if not live:
+                break
+            runs, z, k, h, b = [runs[m] for m in live], z[live], k[live], h[:len(live)], len(live)
+            f = make_rhs(xi, alpha, c_alpha, [r.dmin * 0.5 for r in runs])
+            rows = [k[:, i] for i in range(7)]
+            stages = list(zip(_A, [k[:, :i] for i in range(1, 7)], rows[1:]))
         try:
-            # after the last stage z1 is the end point of the step and md
+            # after the last stage z1 is the end point of each step and md
             # its minimum pairwise distance
-            for i, a in enumerate(_A, 1):
-                z1 = z + h * (a @ k[:i])
-                k[i], md = f(z1)
-        except SingularityError:
-            h *= 0.25
+            for a, earlier, row in stages:
+                z1 = z + h * (a @ earlier)
+                row[...], md = f(z1)
+        except SingularityError as e:
+            for m in range(len(runs)) if e.members is None else e.members:
+                runs[m].h *= 0.25
+                runs[m].singular += 1
             continue
-        err = _error_norm(h * (_E @ k), z, z1, cfg)
-        if not err <= 1.0:
-            # rejected (a NaN error norm too): shrink with the plain controller
-            h *= max(0.2, 0.9 * err ** (-0.2))
-            continue
-        # accepted step: dense output coefficients
-        dz = z1 - z
-        rcont = np.empty((5, len(z)), dtype=complex)
-        rcont[0] = z
-        rcont[1] = dz
-        rcont[2] = h * k[0] - dz
-        rcont[3] = dz - h * k[6] - rcont[2]
-        rcont[4] = h * (_D @ k)
-        hs.append(h)
-        segments.append(rcont)
-
-        if md < dmin:
-            # locate the guard crossing inside the step by bisection on
-            # the dense output (the interpolant stays parameterized by the
-            # original step length; s is taken from the absolute time, as
-            # eval takes it)
-            lo, hi = 0.0, 1.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if min_pair_distance(_dense(rcont, (t + mid * h - t) / h)) < dmin:
-                    hi = mid
-                else:
-                    lo = mid
-            t_event = t + hi * h
-            z_event = _dense(rcont, (t_event - t) / h) if t_event != t else z1
-            times.append(t_event)
-            zs.append(z_event)
-            status = Status.COLLAPSE_DETECTED
-            break
-
-        t = t + h
+        errs = _error_norm(h * (_E @ k), z, z1, cfg)
+        # dense output of every step: c[j] writes coefficient j, rcont[m] is run m's
+        rcont = np.empty((len(runs), 5, n), dtype=complex)
+        c = rcont.transpose(1, 0, 2)
+        c[0] = z
+        dz = np.subtract(z1, z, out=c[1])
+        c[2] = h * rows[0] - dz
+        c[3] = dz - h * rows[6] - c[2]
+        c[4] = h * (_D @ k)
+        for m, (r, err) in enumerate(zip(runs, errs)):
+            if not err <= 1.0:
+                # rejected (a NaN error norm too): shrink with the plain controller
+                r.h *= max(0.2, 0.9 * err ** (-0.2))
+                r.rejected += 1
+                z1[m] = z[m]
+                continue
+            r.hs.append(r.h)
+            r.segments.append(rcont[m])
+            if md[m] < r.dmin:
+                # the guard crossing inside the step, by bisection on the dense
+                # output; s is taken from the absolute time, as eval takes it
+                lo, hi = 0.0, 1.0
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    if min_pair_distance(_dense(rcont[m], (r.t + mid * r.h - r.t) / r.h)) < r.dmin:
+                        hi = mid
+                    else:
+                        lo = mid
+                t_event = r.t + hi * r.h
+                r.times.append(t_event)
+                r.z = _dense(rcont[m], (t_event - r.t) / r.h) if t_event != r.t else z1[m]
+                r.status = Status.COLLAPSE_DETECTED
+                continue
+            r.t = r.t + r.h
+            rows[0][m] = rows[6][m]     # FSAL, copied: a retried step rewrites row 6
+            r.times.append(r.t)
+            # PI controller
+            fac = 0.9 * err ** (-0.7 / 5.0) * r.err_prev ** (0.4 / 5.0)
+            r.h *= min(10.0, max(0.2, fac))
+            r.err_prev = max(err, 1e-10)
         z = z1
-        k[0] = k[6]        # FSAL, copied: a retried step rewrites row 6
-        times.append(t)
-        zs.append(z)
-        # PI controller
-        fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
-        h *= min(10.0, max(0.2, fac))
-        err_prev = max(err, 1e-10)
+    # a step starts at its sample: positions[k] is segments[k][0]
+    return [Trajectory(np.array(r.times), np.array([seg[0] for seg in r.segments] + [r.z]),
+                       xi, alpha, r.status, np.array(r.hs), r.segments, r.rejected,
+                       r.singular) for r in out]
 
-    return Trajectory(times=np.array(times), positions=np.array(zs), xi=xi,
-                      alpha=alpha, status=status, h=np.array(hs),
-                      segments=segments)
+
+class _Run:
+    """Step control of one run of a lockstep batch, in Python floats."""
+
+    def __init__(self, st: VortexState, t1: float, cfg: IntegratorConfig):
+        self.t, self.sign, self.err_prev = st.t, 1.0 if t1 > st.t else -1.0, 1.0
+        self.d_init = st.min_distance()
+        self.dmin = max(GUARD_FRACTION * self.d_init, st.dmin())
+        self.f0 = make_rhs(st.xi, st.alpha, st.c_alpha, self.dmin * 0.5)(st.z)[0]
+        self.h = self.sign * _initial_step(self.f0, st.z, t1 - st.t, cfg)
+        self.times, self.hs, self.segments, self.rejected, self.singular = [st.t], [], [], 0, 0
+        self.status = self.z = None         # set when the run stops; z its end
 
 
 def collapse_time_fit(traj: Trajectory) -> tuple[float, float]:

@@ -47,6 +47,8 @@ class DomainError(ValueError):
 class SingularityError(RuntimeError):
     """Two vortices closer than the collision guard distance."""
 
+    members: list[int] | None = None    # the rows of a batch below their guard; None: all
+
 
 def coupling_constant(alpha: float) -> float:
     """Coupling c_alpha of the interaction kernel.
@@ -156,32 +158,39 @@ def max_pair_distance(z: np.ndarray):
     return np.abs(z[..., :, None] - z[..., None, :]).max(axis=(-2, -1), initial=0.0)
 
 
-def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guard: float):
+def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guard):
     """`rhs` and the minimum pairwise distance as a function of the positions
-    alone, for fixed intensities, exponent and guard distance."""
-    xi_c = xi.astype(complex)
-    ic = 1j * c_alpha
-    p = alpha - 2.0
-    n = len(xi)
-    # one table for every call, diagonal 0: pairs j < k once, mirrored by exact negation
+    alone, for fixed intensities, exponent and guard: of positions (n,) with a
+    scalar guard, or of (b, n) with b guards, each row with the bits it has alone."""
+    # 0-d arrays: a ufunc converts a scalar operand on every call
+    xi_c, ic, p = xi.astype(complex), np.array(1j * c_alpha), np.array(alpha - 2.0)
+    n, guards = len(xi), np.ravel(guard).tolist()
+    # one table per row for every call, diagonal 0: pairs j < k once, mirrored
+    # by exact negation; 1-d flat indices into the raveled positions and tables
     i, k = np.triu_indices(n, 1)
-    upper, lower = i * n + k, k * n + i
-    kern = np.zeros((n, n), dtype=complex)
+    row = np.arange(len(guards))[:, None] * n
+    zi, zk, upper, lower = (a.ravel() for a in (row + i, row + k, (row + i) * n + k,
+                                                (row + k) * n + i))
+    starts = np.arange(len(guards)) * len(i)     # each row's first pair
+    kern = np.zeros((len(guards), n, n), dtype=complex)
     flat = kern.reshape(-1)
 
-    def f(z: np.ndarray) -> tuple[np.ndarray, float]:
-        d = z[i]
-        d -= z[k]
+    def f(z: np.ndarray):
+        zf = z.ravel()
+        d = zf[zi]
+        d -= zf[zk]
         dist = np.abs(d)
-        closest = dist.min(initial=np.inf)
-        if closest < guard:
-            raise SingularityError(f"pairwise distance {closest:.3e} "
-                                   f"below guard {guard:.3e}")
+        closest = np.minimum.reduceat(dist, starts).tolist() if len(i) else [np.inf] * len(guards)
+        if any(map(operator.lt, closest, guards)):
+            e = SingularityError(f"closest pairwise distances {closest} below guards {guards}")
+            e.members = [m for m, (c, g) in enumerate(zip(closest, guards)) if c < g]
+            raise e
         operator.ipow(dist, p)      # dist **= p, with the scalar fast paths of **
         v = np.divide(dist, d, out=d)
         flat[upper] = v
         flat[lower] = np.negative(v, out=v)
-        return np.conj(ic * (kern @ xi_c)), closest
+        vel = np.conj(ic * (kern @ xi_c))
+        return (vel, closest) if z.ndim > 1 else (vel[0], closest[0])
 
     return f
 

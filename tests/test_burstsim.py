@@ -159,12 +159,12 @@ def test_cauchy_gaps_with_background(scenario):
 
 
 def test_cauchy_study_evaluates_each_run_once(scenario, monkeypatch):
-    calls = []
+    times = []
     real_eval = gsqg.Trajectory.eval
     monkeypatch.setattr(gsqg.Trajectory, "eval",
-                        lambda self, t: calls.append(t) or real_eval(self, t))
+                        lambda self, t: times.extend(np.ravel(t)) or real_eval(self, t))
     diag = gsqg.convergence_study(scenario, CFG)
-    assert len(calls) == len(scenario.t_ini_sequence) * gsqg.burstsim.CAUCHY_GRID
+    assert len(times) == len(scenario.t_ini_sequence) * gsqg.burstsim.CAUCHY_GRID
     monkeypatch.undo()
     # the gaps of evaluating both runs of a pair at every grid time
     grid = [float(t) for t in np.geomspace(scenario.t_ini_sequence[0], scenario.horizon,

@@ -201,13 +201,13 @@ def test_burst_integrates_each_t_ini_once(tmp_path, monkeypatch):
     expect = [gsqg.run_burst(scen, t_ini, icfg)[0].to_csv()
               for t_ini in scen.t_ini_sequence]
     calls = []
-    integrate = gsqg.burstsim.integrate
+    integrate_batch = gsqg.burstsim.integrate_batch
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].t)
-        return integrate(*args, **kwargs)
+    def counting(states, *args, **kwargs):
+        calls.extend(st.t for st in states)
+        return integrate_batch(states, *args, **kwargs)
 
-    monkeypatch.setattr(gsqg.burstsim, "integrate", counting)
+    monkeypatch.setattr(gsqg.burstsim, "integrate_batch", counting)
     out_dir = tmp_path / "runs"
     assert main(["burst", "--scenario", str(spath), "--rel-tol", "1e-9",
                  "--out", str(out_dir)]) == 0

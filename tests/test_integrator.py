@@ -187,7 +187,7 @@ def test_tiny_tolerance_fails_with_finite_times(thm_centered):
 
 
 def test_nan_error_norm_rejects_the_step(monkeypatch):
-    monkeypatch.setattr(gsqg.integrator, "_error_norm", lambda *args: float("nan"))
+    monkeypatch.setattr(gsqg.integrator, "_error_norm", lambda *args: [float("nan")])
     traj = gsqg.integrate(pair_state(), 1.0)
     assert traj.status is Status.STEP_FAILURE
     assert len(traj.times) == 1
@@ -199,7 +199,7 @@ def test_rejected_steps_mid_run_restart_from_the_step_start(monkeypatch):
     norm, calls = gsqg.integrator._error_norm, count(1)
 
     def rejecting(*args):
-        return 2.0 if next(calls) in (10, 20, 21) else norm(*args)
+        return [2.0] if next(calls) in (10, 20, 21) else norm(*args)
 
     monkeypatch.setattr(gsqg.integrator, "_error_norm", rejecting)
     traj = gsqg.integrate(pair_state(), PERIOD / 3,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gsqg
 from gsqg import kernel
-from gsqg.integrator import CSV_BLOCK, Status, Trajectory
+from gsqg.integrator import PAIR_BLOCK, Status, Trajectory
 from gsqg.kernel import (DomainError, make_conserved, make_rhs, max_pair_distance,
                          min_pair_distance)
 
@@ -260,7 +260,7 @@ def test_conserved_batch_rows_keep_their_bits(n, alpha):
     # equals the batch of one and the row-alone oracle bit for bit, and the
     # blocked CSV equals the per-value one
     rng = np.random.default_rng(n)
-    per_block = max(1, CSV_BLOCK // max(n * (n - 1) // 2, 1))
+    per_block = max(1, PAIR_BLOCK // max(n * (n - 1) // 2, 1))
     rows = 2 * per_block + 7
     z = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     xi = rng.uniform(0.4, 1.6, n) * rng.choice([-1.0, 1.0], n)

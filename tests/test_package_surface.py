@@ -21,6 +21,8 @@ KEPT_UNREFERENCED = {
     "cardano_y": "acceptance criteria 3 and 6, the closed-form side at alpha = 1",
     "collapse_scenario": "negates the intensities of a burst scenario, which then runs as "
                          "the collapse half of the paper",
+    "run_burst": "one seeded run alone, the only way to run a collapse scenario, and a "
+                 "traced span of the benchmark",
 }
 
 
