@@ -6,7 +6,7 @@ from .kernel import (ALPHA_GUARD, ConservedQuantities, DomainError,
                      SingularityError, VortexState, conserved,
                      coupling_constant, rhs)
 from .integrator import (IntegratorConfig, Status, Trajectory,
-                         collapse_time_fit, integrate)
+                         collapse_time_fit, integrate, integrate_batch)
 from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
                           center, classify, motion_from_config,
                           reference_time, selfsimilar_rate, zeta, RATE_TOL,

@@ -50,9 +50,9 @@ MAX_STEPS = 1_000_000
 # distance (the kernel's own hard guard of 1e-12 x diameter is far below
 # anything reachable in finite float time along a collapse orbit).
 GUARD_FRACTION = 1e-6
-# pair values per block of rows that one array call takes: the rows that
-# `Trajectory.to_csv` formats, the times `eval` evaluates and the runs of an
-# `integrate_batch` pass (one row per block once a row has more pairs)
+# pair values per block of rows that one array call takes, the rows that
+# `Trajectory.to_csv` formats and the runs of an `integrate_batch` pass (one
+# row per block once a row has more pairs); `eval` takes blocks of positions
 PAIR_BLOCK = 256
 
 
@@ -110,8 +110,7 @@ class Trajectory:
         ts, lo, hi = t.reshape(-1, 1), self.times[0], self.times[-1]
         if not ((min(lo, hi) - 1e-12 <= ts) & (ts <= max(lo, hi) + 1e-12)).all():
             raise ValueError(f"t={t} outside trajectory span [{lo}, {hi}]")
-        n = self.positions.shape[1]
-        rows, z = max(1, PAIR_BLOCK // max(n * (n - 1) // 2, 1)), []
+        rows, z = max(1, PAIR_BLOCK // self.positions.shape[1]), []
         for a in range(0, len(ts), rows):
             s = (ts[a:a + rows] - self.times[:-1]) / self.h
             covers = (-1e-12 <= s) & (s <= 1.0 + 1e-12)

@@ -175,6 +175,19 @@ def test_cauchy_study_evaluates_each_run_once(scenario, monkeypatch):
         np.array(two_eval).view(np.uint64).tolist()
 
 
+def test_cauchy_study_failure_names_the_first_failing_t_ini(scenario, monkeypatch):
+    # on a step budget between the attempts of the second and the third run,
+    # the third and the fourth fail; the error names the third, as a loop
+    # over the runs in t_ini order would
+    runs = gsqg.convergence_study(scenario, CFG).runs
+    attempts = [len(r.h) + r.rejected + r.singular for r in runs]
+    assert attempts == sorted(set(attempts))
+    monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", (attempts[1] + attempts[2]) // 2)
+    with pytest.raises(RuntimeError, match=r"^integration failed at t=\S+ "
+                                           r"\(t_ini=2\.5e-05\)$"):
+        gsqg.convergence_study(scenario, CFG)
+
+
 # ---------------------------------------------------------------- reversal
 
 def test_collapse_scenario_involution(scenario):

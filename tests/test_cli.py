@@ -410,6 +410,26 @@ def test_negative_result_exits_two(tmp_path, capsys, args, reason):
     assert not out.exists()
 
 
+def test_burst_run_failure_exits_two_naming_the_first_failing_t_ini(tmp_path, capsys,
+                                                                    monkeypatch):
+    # a step budget that the second and third runs exhaust, not the first
+    scen = gsqg.BurstScenario(triple=gsqg.oriented_config(1.0, THM_X),
+                              background=((1.0 + 0j, 1.0),),
+                              t_ini_sequence=(1e-4, 5e-5, 2.5e-5), horizon=5e-4)
+    runs = gsqg.convergence_study(scen, gsqg.IntegratorConfig(rel_tol=1e-9)).runs
+    attempts = [len(r.h) + r.rejected + r.singular for r in runs]
+    monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", (attempts[0] + attempts[1]) // 2)
+    spath = tmp_path / "scenario.json"
+    spath.write_text(scen.to_json())
+    out = tmp_path / "out"
+    assert main(["burst", "--scenario", str(spath), "--rel-tol", "1e-9",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gsqg burst: integration failed at t=")
+    assert err.endswith(" (t_ini=5e-05)\n")
+    assert not out.exists()
+
+
 def test_simulate_at_tiny_tolerance_is_a_step_failure(tmp_path, capsys):
     # at rel_tol 1e-300 the initial-step norms overflow; the run used to
     # "complete" at t = nan

@@ -357,6 +357,23 @@ def test_eval_picks_the_step_a_scan_picks(run, thm_centered, thm_motion, monkeyp
 
 
 @pytest.mark.parametrize("run", ["forward", "backward", "collapse"])
+def test_eval_of_an_array_is_the_scalar_eval_of_each_time(run, thm_centered, thm_motion,
+                                                         monkeypatch):
+    # every probe time in one call, in one block of rows or in blocks of
+    # three (the last one short), with the bits of one call per time; the
+    # shape of t leads the result's
+    traj = _run(run, thm_centered, thm_motion, monkeypatch)
+    ts = np.array(_probe_times(traj))
+    ts = ts[:len(ts) // 3 * 3 - 2]
+    each = np.array([traj.eval(t) for t in ts])
+    for block in (256, 9):
+        monkeypatch.setattr(gsqg.integrator, "PAIR_BLOCK", block)
+        assert traj.eval(ts).view(np.uint64).tolist() == each.view(np.uint64).tolist()
+    assert traj.eval(ts[:6].reshape(3, 2)).shape == (3, 2, 3)
+    assert traj.eval(ts[0]).shape == (3,)
+
+
+@pytest.mark.parametrize("run", ["forward", "backward", "collapse"])
 def test_eval_at_step_ends_returns_the_samples(run, thm_centered, thm_motion, monkeypatch):
     # times[k] ends step k - 1, whose interpolant reaches positions[k]; on a
     # collapse run the last sample is the guard crossing inside the last step.
@@ -398,3 +415,111 @@ def test_config_refuses_rel_tol_out_of_range(rel_tol):
     with pytest.raises(gsqg.DomainError,
                        match=r"^rel_tol must lie in \[2\.2250738585072014e-305, 1e-2\]"):
         gsqg.IntegratorConfig(rel_tol=rel_tol)
+
+
+# ---------------------------------------------------------------- lockstep batches
+
+def _same_run(a, b):
+    """Every array of two trajectories bit for bit, and their stop and counts."""
+    assert (a.status, a.rejected, a.singular) == (b.status, b.rejected, b.singular)
+    for x, y in ((a.times, b.times), (a.positions, b.positions), (a.h, b.h)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert len(a.segments) == len(b.segments)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.segments, b.segments))
+
+
+def _scaled_collapses(scales):
+    # the collapse triple shrunk or grown: the same xi, each run collapsing
+    # (or not, within the span) at its own pass
+    st = _collapse_state()
+    return [gsqg.VortexState(t=st.t, z=s * st.z, xi=st.xi, alpha=1.0) for s in scales]
+
+
+def _lattice_members(k):
+    st = lattice_state(99, 1.0)
+    rng = np.random.default_rng(k)
+    return [gsqg.VortexState(t=0.01 * j, z=st.z + 0.02 * (rng.uniform(-1, 1, 99)
+                                                          + 1j * rng.uniform(-1, 1, 99)),
+                             xi=st.xi, alpha=1.0) for j in range(k)]
+
+
+def _both_ways(span):
+    st = random_state(17, 3, 1.5)
+    return [gsqg.VortexState(t=t, z=st.z * (1 + 0.1 * j), xi=st.xi, alpha=1.5)
+            for j, t in enumerate(span)]
+
+
+# (states, t1, rel_tol, GUARD_FRACTION, MAX_STEPS, statuses of the members)
+BATCHES = {
+    # four seeded bursts among one background vortex (N = 4), as the study runs them
+    "bursts_n4": (lambda: [gsqg.make_burst_initial(gsqg.BurstScenario(
+        triple=gsqg.oriented_config(1.0, THM_X), background=((1.0 + 0j, 1.0),)), t)
+        for t in (1e-4, 5e-5, 2.5e-5, 1.25e-5)], 1e-3, 1e-8, None, None, ["completed"] * 4),
+    # N = 99 in one batch, started at different times
+    "lattice_n99": (lambda: _lattice_members(3), 0.05, 1e-6, None, None, ["completed"] * 3),
+    # forward and backward runs to one t1, ending at different passes
+    "both_ways": (lambda: _both_ways((-0.8, 0.5, -0.2, 0.9)), 0.0, 1e-8, None, None,
+                  ["completed"] * 4),
+    # rejected steps, a singular retry, guard crossings at different passes,
+    # and a run that completes
+    "guard": (lambda: _scaled_collapses((1.0, 0.8, 1.3)), 0.5, 1e-3, 1e-4, None,
+              ["collapse_detected", "collapse_detected", "completed"]),
+    # the same runs on a budget that two of them exhaust
+    "budget": (lambda: _scaled_collapses((1.0, 0.8, 1.3)), 0.5, 1e-3, 1e-4, 60,
+               ["step_failure", "step_failure", "completed"]),
+    # the reference collapse stopping on step underflow, beside guard crossings
+    "underflow": (lambda: _scaled_collapses((1.0, 0.9, 1.1)), 1.0, 1e-8, None, None,
+                  ["collapse_detected"] * 3),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCHES))
+def test_batch_members_keep_the_bits_they_have_alone(case, monkeypatch):
+    make, t1, rel_tol, guard, budget, statuses = BATCHES[case]
+    if guard is not None:
+        monkeypatch.setattr(gsqg.integrator, "GUARD_FRACTION", guard)
+    if budget is not None:
+        monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", budget)
+    # one lockstep batch, whatever N
+    monkeypatch.setattr(gsqg.integrator, "PAIR_BLOCK", 10**5)
+    states, cfg = make(), gsqg.IntegratorConfig(rel_tol=rel_tol)
+    together = gsqg.integrate_batch(states, t1, cfg)
+    alone = [gsqg.integrate(st, t1, cfg) for st in states]
+    for a, b in zip(together, alone):
+        _same_run(a, b)
+    assert [traj.status.value for traj in together] == statuses
+    # the runs end at different passes
+    assert len({len(traj.h) + traj.rejected + traj.singular for traj in together}) > 1
+    if case == "guard":
+        # each path ran: rejections, a singular retry, a crossing at the guard
+        assert min(traj.rejected for traj in together[:2]) > 0
+        assert sum(traj.singular for traj in together) > 0
+        for st, traj in zip(states[:2], together):
+            # on the guard radius, not above it as after a step underflow
+            assert traj.min_distances()[-1] == pytest.approx(1e-4 * st.min_distance(),
+                                                             rel=1e-3)
+    if case == "underflow":
+        for st, traj in zip(states, together):
+            guard = gsqg.integrator.GUARD_FRACTION * st.min_distance()
+            assert traj.min_distances()[-1] > 2.0 * guard
+    if case == "budget":
+        assert [len(t.h) + t.rejected + t.singular for t in together[:2]] == [60, 60]
+
+
+def test_batches_split_by_pair_values(monkeypatch):
+    # runs of more than PAIR_BLOCK pair values go one batch at a time, each
+    # with the bits it has alone; their xi and alpha must match
+    states = _lattice_members(2)
+    calls = []
+    make = gsqg.integrator.make_rhs
+    monkeypatch.setattr(gsqg.integrator, "make_rhs",
+                        lambda *args: calls.append(np.size(args[3])) or make(*args))
+    cfg = gsqg.IntegratorConfig(rel_tol=1e-6)
+    together = gsqg.integrate_batch(states, 0.05, cfg)
+    # one start slope per run, then one batch RHS per run
+    assert calls == [1, 1, 1, 1]
+    for a, st in zip(together, states):
+        _same_run(a, gsqg.integrate(st, 0.05, cfg))
+    other = gsqg.VortexState(t=0.0, z=states[0].z, xi=-states[0].xi, alpha=1.0)
+    with pytest.raises(gsqg.DomainError, match="share xi and alpha"):
+        gsqg.integrate_batch([states[0], other], 0.05, cfg)

@@ -223,6 +223,28 @@ def test_singularity_guard_threshold():
     assert closest == st_.min_distance()
 
 
+@pytest.mark.parametrize("n", [2, 4, 99])
+def test_rhs_batch_rows_keep_their_bits_and_name_the_rows_below_guard(n):
+    # a batch of three configurations, each row guarded by its own distance,
+    # gives each row the velocities and distance of that row alone
+    st_ = lattice_state(n, 1.3, seed=n)
+    rng = np.random.default_rng(n)
+    zs = st_.z + 0.05 * (rng.uniform(-1, 1, (3, n)) + 1j * rng.uniform(-1, 1, (3, n)))
+    guards = [0.5 * float(min_pair_distance(z)) for z in zs]
+    v, closest = make_rhs(st_.xi, 1.3, st_.c_alpha, guards)(zs)
+    assert v.shape == (3, n) and len(closest) == 3
+    for z, guard, row, c in zip(zs, guards, v, closest):
+        alone, c_alone = make_rhs(st_.xi, 1.3, st_.c_alpha, guard)(z)
+        assert row.tobytes() == alone.tobytes() and c == c_alone == min_pair_distance(z)
+    # rows 0 and 2 below their guards, row 1 not
+    with pytest.raises(gsqg.SingularityError) as err:
+        make_rhs(st_.xi, 1.3, st_.c_alpha, [3 * guards[0], guards[1], 3 * guards[2]])(zs)
+    assert err.value.members == [0, 2]
+    with pytest.raises(gsqg.SingularityError) as err:
+        make_rhs(st_.xi, 1.3, st_.c_alpha, 3 * guards[0])(zs[0])
+    assert err.value.members == [0]
+
+
 # ---------------------------------------------------------------- conserved
 
 def test_conserved_trivial_pair():
