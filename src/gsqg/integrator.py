@@ -193,7 +193,7 @@ def integrate_batch(states: list[VortexState], t1: float,
     out = runs = [_Run(st, t1, cfg) for st in states]
     # z is never written in place once read; stage buffer row 0 holds f(z)
     z, k = np.array([st.z for st in states]), np.empty((len(runs), 7, n), dtype=complex)
-    k[:, 0], b = [r.f0 for r in runs], 0
+    k[:, 0], b = [r.f0 for r in runs], 0     # b: the batch's size, 0 before the first
     # row j: live run j's h in every column (a float or (b, 1) array costs more per product)
     h = np.empty(z.shape, dtype=complex)
     while True:
@@ -252,7 +252,7 @@ def integrate_batch(states: list[VortexState], t1: float,
                 z1[m] = z[m]
                 continue
             r.hs.append(r.h)
-            r.segments.append(rcont[m])
+            r.segments.append(rcont[m].copy())      # a view would keep a second header
             if md[m] < r.dmin:
                 # the guard crossing inside the step, by bisection on the dense
                 # output; s is taken from the absolute time, as eval takes it
