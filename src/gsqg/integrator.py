@@ -271,8 +271,8 @@ def integrate_batch(states: list[VortexState], t1: float,
             r.t = r.t + r.h
             rows[0][m] = rows[6][m]     # FSAL, copied: a retried step rewrites row 6
             r.times.append(r.t)
-            # PI controller
-            fac = 0.9 * err ** (-0.7 / 5.0) * r.err_prev ** (0.4 / 5.0)
+            # PI controller; a zero error takes its limit as err -> 0+, the largest growth
+            fac = 0.9 * err ** (-0.7 / 5.0) * r.err_prev ** (0.4 / 5.0) if err > 0.0 else 10.0
             r.h *= min(10.0, max(0.2, fac))
             r.err_prev = max(err, 1e-10)
         z = z1

@@ -103,22 +103,24 @@ def _y_solve_grid(xs: np.ndarray, alpha: float,
     def gp(y):
         return 2.0 * y - (alpha - 2.0) * y ** (alpha - 3.0)
 
-    glo, ghi = g(lo), g(hi)
-    valid = (glo < 0.0) & (ghi > 0.0)
+    valid = (g(lo) < 0.0) & (g(hi) > 0.0)
     y = 0.5 * (lo + hi)
+    if not valid.all():     # Newton on the bracketed points only
+        y[valid] = _y_solve_grid(xs[valid], alpha, K if K is None else K[valid])[0]
+        return y, valid
     for _ in range(Y_MAX_ITER):
         gy = g(y)
         done = np.abs(gy) <= Y_TOL
-        if np.all(done | ~valid):
+        if done.all():
             break
-        # maintain the bracket
-        lo = np.where((gy < 0.0) & valid, y, lo)
-        hi = np.where((gy >= 0.0) & valid, y, hi)
+        # maintain the bracket; a NaN residual moves neither bound
+        lo = np.where(gy < 0.0, y, lo)
+        hi = np.where(gy >= 0.0, y, hi)
         with np.errstate(all="ignore"):
             step = gy / gp(y)
             yn = y - step
         inside = (yn > lo) & (yn < hi) & np.isfinite(yn)
-        y = np.where(valid & ~done, np.where(inside, yn, 0.5 * (lo + hi)), y)
+        y = np.where(done, y, np.where(inside, yn, 0.5 * (lo + hi)))
     return y, valid
 
 
@@ -164,15 +166,15 @@ def _reduced_triple(x: np.ndarray, y: np.ndarray, branch: int) -> tuple[np.ndarr
     """Normalized triples for arrays of sides x and y, vortex axis first:
     positions (1/2, -1/2, a_3) with sign(Im a_3) = branch, intensities
     (1, 1, xi_3), and the mask of proper triangles with xi_3 > -2."""
+    z, xi = np.empty((3, *x.shape), dtype=complex), np.ones((3, *x.shape))
+    z[0], z[1] = 0.5, -0.5
     with np.errstate(all="ignore"):
+        x2, y2 = x**2, y**2
         valid = y > 1.0 - x
-        im2 = y**2 - (x**2 - y**2 - 1.0) ** 2 / 4.0
+        im2 = y2 - (x2 - y2 - 1.0) ** 2 / 4.0
         valid &= im2 > 0.0
-        xi3 = -1.0 / (x**2 + y**2)
-        valid &= xi3 > -2.0
-        a3 = (y**2 - x**2) / 2.0 + branch * 1j * np.sqrt(np.where(valid, im2, 1.0))
-    z = np.stack([np.full_like(a3, 0.5), np.full_like(a3, -0.5), a3])
-    xi = np.stack([np.ones_like(x), np.ones_like(x), xi3])
+        valid &= np.divide(-1.0, x2 + y2, out=xi[2]) > -2.0
+        np.add((y2 - x2) / 2.0, branch * 1j * np.sqrt(np.where(valid, im2, 1.0)), out=z[2])
     return z, xi, valid
 
 
@@ -214,27 +216,31 @@ def _margin_grid(alpha: float | np.ndarray, xs: np.ndarray) -> np.ndarray:
     `hypothesis_a_check(oriented_config(alpha, x))` passes; -inf marks
     geometric rejection.  Only the x that pass the triangle screen enter
     the side solve, and only proper triangles enter the stability
-    pipeline; every element depends on its own triple alone, so the rows
-    have the bits of `quartic_mu2` on that check's (b_rate, c1, c2), in
-    any batch.  One alpha per x computes c_alpha once per distinct alpha;
-    its powers skip NumPy's scalar fast paths (exponents -1 and 0.5 at
-    alpha = 1 and 2.5), which may move an element there by an ulp.
+    pipeline, through a copy only where some screened x gives none (on the
+    desk sweep every one is proper).  Every element depends on its own
+    triple alone, so the rows have the bits of `quartic_mu2` on that
+    check's (b_rate, c1, c2), in any batch.  One alpha per x computes
+    c_alpha once per distinct alpha; its powers skip NumPy's scalar fast
+    paths (exponents -1 and 0.5 at alpha = 1 and 2.5), which may move an
+    element there by an ulp.
     """
     xs = np.asarray(xs, dtype=float)
-    # c_alpha once per distinct alpha, with the bits of a scalar call
-    each, inv = np.unique(alpha, return_inverse=True)
-    ca = np.array([coupling_constant(float(a)) for a in each])[inv.reshape(np.shape(alpha))]
-    take = (lambda v, i: v[i]) if np.ndim(alpha) else (lambda v, i: v)
+    if np.ndim(alpha):      # c_alpha once per distinct alpha, with the bits of a scalar call
+        each, inv = np.unique(alpha, return_inverse=True)
+        ca, take = np.array([coupling_constant(float(a)) for a in each])[inv], lambda v, i: v[i]
+    else:
+        ca, take = coupling_constant(float(alpha)), lambda v, i: v
     K = _side_constant(xs, alpha)     # once, for the screen and the side solve
     at = np.flatnonzero(~_past_triangle(xs, alpha, K))
-    alpha, ca = take(alpha, at), take(ca, at)
-    y, valid = _y_solve_grid(xs[at], alpha, K[at])
+    alpha, ca, x = take(alpha, at), take(ca, at), xs[at]
+    y, valid = _y_solve_grid(x, alpha, K[at])
     # branch Im(a3) < 0, the burst branch below alpha = 2 (`oriented_config`);
     # the mirror image has the same margin
-    z, xi, shaped = _reduced_triple(xs[at], y, -1)
+    z, xi, shaped = _reduced_triple(x, y, -1)
     ok = valid & shaped
-    at, z, xi, alpha, ca = at[ok], z[:, ok], xi[:, ok], take(alpha, ok), take(ca, ok)
-    del K, y, valid, shaped     # the peak memory of a grid is in the pipeline below
+    if not ok.all():    # the proper triangles alone
+        at, z, xi, alpha, ca = at[ok], z[:, ok], xi[:, ok], take(alpha, ok), take(ca, ok)
+    del K, x, y, valid, shaped      # the peak memory of a grid is in the pipeline below
     with np.errstate(all="ignore"):
         z = centered(z, xi)
         kern, bracket = pair_terms(z, alpha)

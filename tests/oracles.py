@@ -4,8 +4,11 @@
 closed form; `signed_area` is the triangle area it is built on.
 `conserved_row` computes one row's conserved quantities on its own, and
 `csv_per_value` formats a trajectory one value at a time with them, the
-reference for the bytes of `Trajectory.to_csv`.  No command needs them, so
-they live with the tests.
+reference for the bytes of `Trajectory.to_csv`.  `l_terms_each_use` and
+`quartic_coefficients_each_use` are the linearization with every term
+computed where it is used, the reference for the bits of
+`stability.l_terms` and `stability.quartic_coefficients`.  No command needs
+them, so they live with the tests.
 """
 
 import io
@@ -83,3 +86,28 @@ def relative_motion_rate(state: VortexState, pair: tuple[int, int] = (1, 2)) -> 
         * xi[other]
         * (d_oq ** (alpha - 4.0) - d_op ** (alpha - 4.0))
     )
+
+
+def l_terms_each_use(z, xi, c_alpha, br):
+    """(L13, L14, L23, L24) as the sum of ten terms, each computed at its
+    use, with r2 and r3 alive throughout."""
+    pre = -1j * c_alpha / np.abs(z[0]) ** 2
+    z1sq = z[0] ** 2
+
+    def term(m, bracket):
+        return pre * np.conj(z1sq * m * bracket)
+
+    r2, r3 = z[1] / z[0], z[2] / z[0]
+    L13 = term(xi[2], br[1, 2]) + term(xi[0], br[0, 1]) + r2 * term(xi[1], br[0, 1])
+    L14 = term(xi[2], br[1, 2]) + r2 * term(xi[2], br[0, 2])
+    L23 = term(xi[1], br[1, 2]) + r3 * term(xi[1], br[0, 1])
+    L24 = term(xi[1], br[1, 2]) + term(xi[0], br[0, 2]) + r3 * term(xi[1], br[0, 2])
+    return L13, L14, L23, L24
+
+
+def quartic_coefficients_each_use(L13, L14, L23, L24):
+    """(c1, c2) with |L13|^2 and |L24|^2 computed at each use."""
+    c1 = np.abs(L13) ** 2 + np.abs(L24) ** 2 + 2.0 * np.real(L23 * np.conj(L14))
+    c2 = (np.abs(L13) ** 2 * np.abs(L24) ** 2 + np.abs(L23) ** 2 * np.abs(L14) ** 2
+          - 2.0 * np.real(L14 * np.conj(L13) * L23 * np.conj(L24)))
+    return c1, c2

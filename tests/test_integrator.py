@@ -168,6 +168,17 @@ def test_relative_equilibrium_never_collapses():
     assert traj.status is Status.COMPLETED
 
 
+@pytest.mark.parametrize("t1", [1.0, -1.0])
+def test_zero_error_norm_takes_the_largest_growth(t1):
+    # a lone vortex does not move, so every step's error norm is exactly 0;
+    # the controller's limit as err -> 0+ grows each step tenfold
+    st = gsqg.VortexState(t=0.0, z=[0.3 + 0.1j], xi=[1.0], alpha=1.0)
+    traj = gsqg.integrate(st, t1)
+    assert traj.status is Status.COMPLETED and traj.times[-1] == t1
+    assert np.array_equal(traj.positions, np.full((len(traj.times), 1), 0.3 + 0.1j))
+    assert len(traj.h) > 2 and np.array_equal(traj.h[1:-1], traj.h[:-2] * 10.0)
+
+
 def test_step_budget_failure(monkeypatch):
     monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", 3)
     traj = gsqg.integrate(pair_state(), PERIOD,

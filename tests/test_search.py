@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ from gsqg import search
 from gsqg.cli import main
 from gsqg.kernel import DomainError, coupling_constant
 from gsqg.search import (EPS_Y, K_SECTION, YMAX, NoRootError, _margin_grid, _past_triangle,
-                         _reduced_triple, _refine, _side_residual, _y_solve_grid)
+                         _reduced_triple, _refine, _side_constant, _side_residual,
+                         _y_solve_grid)
 from gsqg.selfsimilar import centered, pair_terms, vortex_rates
 from gsqg.stability import l_terms, quartic_coefficients, quartic_mu2
 
@@ -518,23 +520,45 @@ def test_oracle_cases_cross_both_exponents():
         assert not gsqg.x_interval(alpha).empty
 
 
+def _screened_improper(alpha, xs):
+    """Mask of the x that pass the triangle screen and still give no proper
+    triangle.  `_margin_grid` selects the proper triangles (compacts its
+    arrays) exactly on a grid where one of them is set; on the desk grid
+    none is, and next to the screen edge some are."""
+    with np.errstate(all="ignore"):
+        y, valid = _y_solve_grid(xs, alpha)
+        return ~_past_triangle(xs, alpha) & ~(valid & _reduced_triple(xs, y, -1)[2])
+
+
 @pytest.mark.parametrize("alpha", [0.9, 0.9708, 1.0, 1.5, 2.1343, 2.5])
 def test_margin_grid_matches_sequential_form_bitwise(alpha):
+    # the grid, and scans across the screen edge, where the scan compacts
     xs = np.arange(1e-4, 1.0, 1e-4)
-    got, want = np.minimum(*_margin_grid(alpha, xs)), _seq_margin_grid(alpha, xs)
     assert len(xs) == 9999
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    compacts = set()
+    for xs in [xs, *_screen_edge_scans(alpha, xs)]:
+        got, want = np.minimum(*_margin_grid(alpha, xs)), _seq_margin_grid(alpha, xs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        compacts.add(bool(_screened_improper(alpha, xs).any()))
+    assert compacts == {False, True}
 
 
 @settings(max_examples=25, deadline=None)
 @given(alpha=st.one_of(st.floats(0.9, 1.99), st.floats(2.01, 2.6)),
        xs=st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=40))
 def test_margin_grid_element_independent_of_batch(alpha, xs):
-    # the lockstep refinement relies on this, for both components
+    # the lockstep refinement relies on this, for both components and both
+    # paths: the drawn x that give proper triangles or fail the screen, and
+    # those among screened x next to the screen edge that give none
     xs = np.array(xs)
-    got = _margin_grid(alpha, xs)
-    alone = np.column_stack([_margin_grid(alpha, xs[i:i + 1]) for i in range(len(xs))])
-    assert np.array_equal(got.view(np.int64), alone.view(np.int64))
+    edge = _screen_edge_scans(alpha, _DESK_GRID)[0]
+    compacts = set()
+    for xs in [xs[~_screened_improper(alpha, xs)], np.concatenate([xs, edge[::50]])]:
+        got = _margin_grid(alpha, xs)
+        alone = np.column_stack([_margin_grid(alpha, xs[i:i + 1]) for i in range(len(xs))])
+        assert np.array_equal(got.view(np.int64), alone.view(np.int64))
+        compacts.add(bool(_screened_improper(alpha, xs).any()))
+    assert compacts == {False, True}
 
 
 def _unmasked_margin_grid(alpha, xs):
@@ -582,14 +606,50 @@ def test_screened_margin_grid_matches_unmasked_bitwise(alpha):
     rng = np.random.default_rng(int(alpha * 1e4))
     scans = _screen_edge_scans(alpha, _DESK_GRID)
     assert len(_DESK_GRID) == 10001 and scans
-    kinds = set()
+    kinds, compacts = set(), set()
     for xs in [_DESK_GRID, rng.uniform(0.0, 1.0, 2000), *scans]:
         got, want = _margin_grid(alpha, xs), _unmasked_margin_grid(alpha, xs)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         y, valid = _y_solve_grid(xs, alpha)
         kinds |= set(zip(_past_triangle(xs, alpha).tolist(),
                          (valid & _reduced_triple(xs, y, -1)[2]).tolist()))
+        compacts.add(bool(_screened_improper(alpha, xs).any()))
     assert kinds == {(True, False), (False, False), (False, True)}
+    assert compacts == {False, True}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+def test_side_solve_of_a_mixed_grid_is_each_x_solved_alone(alpha):
+    # below alpha = 2 the small x have their root past YMAX, and at alpha <= 1
+    # K overflows at the subnormal x: no bracket; the Newton rounds run on
+    # the bracketed x alone
+    xs = np.concatenate([[5e-324, 1e-310, 1e-200], _DESK_GRID[::7]])
+    with np.errstate(over="ignore"):
+        K = _side_constant(xs, alpha)
+        alone = [_y_solve_grid(xs[i:i + 1], alpha) for i in range(len(xs))]
+        for y, valid in (_y_solve_grid(xs, alpha), _y_solve_grid(xs, alpha, K)):
+            assert np.array_equal(valid, [v[0] for _, v in alone])
+            assert np.array_equal(y.view(np.int64), np.concatenate([y for y, _ in alone])
+                                  .view(np.int64))
+    assert valid.any() and not valid.all() and (alpha > 1.0 or not np.isfinite(K[:2]).any())
+    # an x without a bracket keeps the midpoint of [max(1 - x, EPS_Y), YMAX]
+    mid = 0.5 * (np.maximum(1.0 - xs, EPS_Y) + YMAX)
+    assert np.array_equal(y[~valid].view(np.int64), mid[~valid].view(np.int64))
+
+
+@pytest.mark.parametrize("alpha, parent_bytes", [(1.0, 1_468_099), (2.13, 2_020_743)])
+def test_desk_grid_scan_peak_memory(alpha, parent_bytes):
+    # tracemalloc's peak of one scan of the desk grid (NumPy counts its array
+    # data there), against the reading before each intermediate was computed
+    # once; a grid array held past its last use shows as about 0.1 MB
+    _margin_grid(alpha, _DESK_GRID)
+    tracemalloc.start()
+    try:
+        _margin_grid(alpha, _DESK_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= parent_bytes
 
 
 def test_side_solve_skips_screened_points(monkeypatch):

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsqg
-from gsqg.search import _margin_grid
-from gsqg.selfsimilar import pair_terms
+from gsqg.search import _margin_grid, _past_triangle, _reduced_triple, _y_solve_grid
+from gsqg.selfsimilar import centered, pair_terms
 from gsqg.stability import StabilityMatrix, l_terms, quartic_coefficients, quartic_mu2
 
 from conftest import THM_A
+from oracles import l_terms_each_use, quartic_coefficients_each_use
 
 
 def make_matrix(L13, L14, L23, L24, a=0.5, b=2.0):
@@ -66,6 +67,44 @@ def test_l_matrix_rejects_coincident_points(thm_cfg, monkeypatch):
         gsqg.hypothesis_a_check(thm_cfg)
     monkeypatch.setattr(gsqg.stability, "DMIN_FACTOR", ratio * (1 - 1e-9))
     assert gsqg.hypothesis_a_check(thm_cfg).passed
+
+
+def _assert_linearization_is_the_each_use_form(z, xi, alpha):
+    """l_terms and quartic_coefficients of the triples z, xi (vortex axis
+    first) against the forms that compute each term at its use, bit for bit."""
+    ca = gsqg.coupling_constant(alpha)
+    with np.errstate(all="ignore"):
+        z = centered(z, xi)
+        br = pair_terms(z, alpha)[1]
+        got, want = l_terms(z, xi, ca, br), l_terms_each_use(z, xi, ca, br)
+        c_got, c_want = quartic_coefficients(*got), quartic_coefficients_each_use(*got)
+    for g, w in zip(got + c_got, want + c_want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+_POINT = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.one_of(st.floats(0.05, 1.99), st.floats(2.01, 2.95)), triples=st.lists(
+    st.tuples(_POINT, _POINT, _POINT, st.floats(0.1, 3.0), st.floats(-3.0, -0.1),
+              st.floats(3.5, 9.0)), min_size=1, max_size=12))
+def test_l_terms_are_the_ten_term_sum_bitwise(alpha, triples):
+    # three distinct intensities per triple, so that a term read with the
+    # wrong xi shows, which xi_1 = xi_2 = 1 of the reduced triples hides
+    t = np.array(triples, dtype=complex).T
+    _assert_linearization_is_the_each_use_form(t[:3], t[3:].real, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.13])
+def test_l_terms_on_the_desk_grid_are_the_ten_term_sum_bitwise(alpha):
+    xs = np.concatenate([[5e-5], np.arange(1e-4, 1.0 - 1e-12, 1e-4), [1.0 - 1e-12]])
+    xs = xs[~_past_triangle(xs, alpha)]
+    y, valid = _y_solve_grid(xs, alpha)
+    z, xi, shaped = _reduced_triple(xs, y, -1)
+    assert (valid & shaped).sum() > 4000
+    _assert_linearization_is_the_each_use_form(z[:, valid & shaped], xi[:, valid & shaped],
+                                               alpha)
 
 
 # ---------------------------------------------------------------- mu machinery
