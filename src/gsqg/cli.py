@@ -25,7 +25,7 @@ from .burstsim import BurstScenario, convergence_study
 from .integrator import IntegratorConfig, Status, collapse_time_fit, integrate
 from .kernel import DomainError, VortexState, check_alpha
 from .selfsimilar import Classification, TripleConfig, center, classify
-from .search import oriented_config, sweep, sweep_csv, x_interval
+from .search import COARSE, REFINE_TOL, oriented_config, sweep, sweep_csv, x_interval
 from .stability import hypothesis_a_check
 
 EXIT_OK = 0
@@ -203,8 +203,8 @@ def build_parser() -> _Parser:
     sw.add_argument("--alpha-min", type=float, required=True)
     sw.add_argument("--alpha-max", type=float, required=True)
     sw.add_argument("--alpha-step", type=float, default=1e-3)
-    sw.add_argument("--x-coarse", type=float, default=1e-4)
-    sw.add_argument("--refine-tol", type=float, default=1e-7)
+    sw.add_argument("--x-coarse", type=float, default=COARSE)
+    sw.add_argument("--refine-tol", type=float, default=REFINE_TOL)
     sw.add_argument("--jobs", type=int, default=1, help="worker processes")
     sw.add_argument("--out", type=str, required=True)
     sw.set_defaults(func=cmd_sweep)

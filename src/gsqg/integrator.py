@@ -231,7 +231,7 @@ def integrate_batch(states: list[VortexState], t1: float,
                 z1 = z + h * (a @ earlier)
                 row[...], md = f(z1)
         except SingularityError as e:
-            for m in range(len(runs)) if e.members is None else e.members:
+            for m in e.members:
                 runs[m].h *= 0.25
                 runs[m].singular += 1
             continue

@@ -47,7 +47,7 @@ class DomainError(ValueError):
 class SingularityError(RuntimeError):
     """Two vortices closer than the collision guard distance."""
 
-    members: list[int] | None = None    # the rows of a batch below their guard; None: all
+    members: list[int]      # the rows of a batch below their guard, set by `make_rhs`
 
 
 def coupling_constant(alpha: float) -> float:

@@ -38,6 +38,8 @@ Y_MAX_ITER = 90
 TRIANGLE_SLACK = 1e-9
 # sub-brackets per bracket and round of boundary refinement
 K_SECTION = 32
+# x grid pitch and refined boundary width of `x_interval`, the defaults of `sweep`
+COARSE, REFINE_TOL = 1e-4, 1e-7
 # alphas of a sweep whose sign changes are refined together
 ALPHA_BLOCK = 64
 # most alpha steps in one sweep (the desk sweep takes 1298)
@@ -86,14 +88,15 @@ def _past_triangle(xs: np.ndarray, alpha: float, K: np.ndarray | None = None) ->
     return _side_residual(xs, alpha, K)((1.0 + xs) * (1.0 + TRIANGLE_SLACK)) < 0.0
 
 
-def _y_solve_grid(xs: np.ndarray, alpha: float,
+def _y_solve_grid(xs: np.ndarray, alpha: float | np.ndarray,
                   K: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized safeguarded Newton for y(x) on a grid.
+    """Safeguarded Newton for y(x) on a grid, at one alpha or one per x.
 
     Solves y^2 - y^(alpha-2) = x^(alpha-2) - x^2 on [max(1-x, EPS_Y), YMAX].
     Returns (y, valid); invalid entries have no sign change in the bracket
-    (root below the triangle bound or beyond YMAX).  K, if given, is the
-    x^(alpha-2) - x^2 of xs.
+    (root below the triangle bound or beyond YMAX), count as solved from
+    the start and keep its midpoint.  K, if given, is the x^(alpha-2) - x^2
+    of xs.
     """
     xs = np.asarray(xs, dtype=float)
     g = _side_residual(xs, alpha, K)
@@ -105,12 +108,10 @@ def _y_solve_grid(xs: np.ndarray, alpha: float,
 
     valid = (g(lo) < 0.0) & (g(hi) > 0.0)
     y = 0.5 * (lo + hi)
-    if not valid.all():     # Newton on the bracketed points only
-        y[valid] = _y_solve_grid(xs[valid], alpha, K if K is None else K[valid])[0]
-        return y, valid
+    done = ~valid
     for _ in range(Y_MAX_ITER):
         gy = g(y)
-        done = np.abs(gy) <= Y_TOL
+        done |= np.abs(gy) <= Y_TOL
         if done.all():
             break
         # maintain the bracket; a NaN residual moves neither bound
@@ -214,32 +215,29 @@ def _margin_grid(alpha: float | np.ndarray, xs: np.ndarray) -> np.ndarray:
 
     Both are positive exactly where the one-point check
     `hypothesis_a_check(oriented_config(alpha, x))` passes; -inf marks
-    geometric rejection.  Only the x that pass the triangle screen enter
-    the side solve, and only proper triangles enter the stability
-    pipeline, through a copy only where some screened x gives none (on the
-    desk sweep every one is proper).  Every element depends on its own
-    triple alone, so the rows have the bits of `quartic_mu2` on that
-    check's (b_rate, c1, c2), in any batch.  One alpha per x computes
-    c_alpha once per distinct alpha; its powers skip NumPy's scalar fast
-    paths (exponents -1 and 0.5 at alpha = 1 and 2.5), which may move an
-    element there by an ulp.
+    geometric rejection.  Every x that passes the triangle screen runs the
+    side solve and the stability pipeline, and the results are masked once,
+    at the scatter: an x without a bracket, a proper triangle or a finite
+    margin keeps -inf.  Every element depends on its own triple alone, so
+    the rows have the bits of `quartic_mu2` on that check's (b_rate, c1,
+    c2), in any batch.  One alpha per x computes c_alpha once per distinct
+    alpha; its powers skip NumPy's scalar fast paths (exponents -1 and 0.5
+    at alpha = 1 and 2.5), which may move an element there by an ulp.
     """
     xs = np.asarray(xs, dtype=float)
-    if np.ndim(alpha):      # c_alpha once per distinct alpha, with the bits of a scalar call
-        each, inv = np.unique(alpha, return_inverse=True)
-        ca, take = np.array([coupling_constant(float(a)) for a in each])[inv], lambda v, i: v[i]
-    else:
-        ca, take = coupling_constant(float(alpha)), lambda v, i: v
     K = _side_constant(xs, alpha)     # once, for the screen and the side solve
     at = np.flatnonzero(~_past_triangle(xs, alpha, K))
-    alpha, ca, x = take(alpha, at), take(ca, at), xs[at]
+    if np.ndim(alpha):      # c_alpha once per distinct alpha, with the bits of a scalar call
+        each, inv = np.unique(alpha, return_inverse=True)
+        alpha, ca = alpha[at], np.array([coupling_constant(float(a)) for a in each])[inv[at]]
+    else:
+        ca = coupling_constant(float(alpha))
+    x = xs[at]
     y, valid = _y_solve_grid(x, alpha, K[at])
     # branch Im(a3) < 0, the burst branch below alpha = 2 (`oriented_config`);
     # the mirror image has the same margin
     z, xi, shaped = _reduced_triple(x, y, -1)
     ok = valid & shaped
-    if not ok.all():    # the proper triangles alone
-        at, z, xi, alpha, ca = at[ok], z[:, ok], xi[:, ok], take(alpha, ok), take(ca, ok)
     del K, x, y, valid, shaped      # the peak memory of a grid is in the pipeline below
     with np.errstate(all="ignore"):
         z = centered(z, xi)
@@ -247,7 +245,7 @@ def _margin_grid(alpha: float | np.ndarray, xs: np.ndarray) -> np.ndarray:
         b = -np.imag(vortex_rates(z, xi, ca, kern)[1])       # branch-independent
         del kern    # keeps that peak down
         disc, lo2, _ = quartic_mu2(b, *quartic_coefficients(*l_terms(z, xi, ca, bracket)))
-        ok = np.isfinite(np.minimum(disc, lo2))
+        ok &= np.isfinite(np.minimum(disc, lo2))
     out = np.full((2, len(xs)), -np.inf)      # allocated past that peak
     out[0, at[ok]], out[1, at[ok]] = disc[ok], lo2[ok]
     return out
@@ -307,30 +305,21 @@ def _refine(alpha: np.ndarray, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray,
         lo[live], hi[live] = t[rows, j], t[rows, j + 1]
 
 
-def _check_grid(coarse: float, refine_tol: float) -> None:
-    if not (0.0 < coarse < 1.0 and 1.0 / coarse <= MAX_GRID):
-        raise DomainError(f"coarse x grid pitch must lie in [{1.0 / MAX_GRID:g}, 1), "
-                          f"got {coarse}")
-    if not 0.0 < refine_tol < np.inf:
-        raise DomainError(f"refine_tol must be finite and positive, got {refine_tol}")
-
-
-def x_interval(alpha: float, coarse: float = 1e-4,
-               refine_tol: float = 1e-7) -> SweepRecord:
+def x_interval(alpha: float) -> SweepRecord:
     """Locate the admissible x interval at one alpha.
 
     The admissible set is the overlap of the sets where the margin
     components disc and lo2 are positive.  Both are evaluated on the grid
-    [coarse/2, coarse, 2 coarse, ..., 1 - 1e-12], ends included, and every
-    sign change of either is refined by `_refine` to width `refine_tol`.
+    [coarse/2, coarse, 2 coarse, ..., 1 - 1e-12] at coarse = COARSE, ends
+    included, and every sign change of either is refined by `_refine` to
+    width REFINE_TOL (`sweep` takes other values).
     A window is bounded by a root of disc or lo2, or by a grid end; one
     thinner than the pitch lies between two roots in one grid cell, where
     refinement goes on until the two are ordered.  When several disjoint
     runs appear, all are recorded and the widest is reported.
     """
     coupling_constant(alpha)
-    _check_grid(coarse, refine_tol)
-    return _x_intervals([alpha], coarse, refine_tol)[0]
+    return _x_intervals([alpha], COARSE, REFINE_TOL)[0]
 
 
 def _x_intervals(alphas: list, coarse: float, refine_tol: float) -> list[SweepRecord]:
@@ -382,7 +371,7 @@ class SweepResult:
 
 
 def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
-          coarse: float = 1e-4, refine_tol: float = 1e-7,
+          coarse: float = COARSE, refine_tol: float = REFINE_TOL,
           jobs: int = 1) -> SweepResult:
     """Admissibility sweep over alpha in (0, 3), skipping the guard band
     around 2.
@@ -401,7 +390,11 @@ def sweep(alpha_min: float, alpha_max: float, alpha_step: float = 1e-3,
         raise DomainError(f"alpha_step must be finite and positive, got {alpha_step}")
     if not (alpha_max - alpha_min) / alpha_step <= MAX_ALPHAS:
         raise DomainError(f"alpha_step {alpha_step} gives more than {MAX_ALPHAS} alphas")
-    _check_grid(coarse, refine_tol)
+    if not (0.0 < coarse < 1.0 and 1.0 / coarse <= MAX_GRID):
+        raise DomainError(f"coarse x grid pitch must lie in [{1.0 / MAX_GRID:g}, 1), "
+                          f"got {coarse}")
+    if not 0.0 < refine_tol < np.inf:
+        raise DomainError(f"refine_tol must be finite and positive, got {refine_tol}")
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     n = int(round((alpha_max - alpha_min) / alpha_step))

@@ -108,16 +108,15 @@ def centered(z: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 def pair_terms(z: np.ndarray, alpha: float) -> tuple[dict, dict]:
-    """Pair values, once per pair j < k: kern[j, k] = |d|^(alpha-2) / d at
-    d = z_j - z_k, kern[k, j] = -kern[j, k] (bit for bit its value at -d),
-    and the bracket (alpha-2) |d|^(alpha-4) - |d|^(alpha-2) / d^2, even in d."""
+    """Pair values, once per pair j < k and stored under (j, k) alone:
+    kern[j, k] = |d|^(alpha-2) / d at d = z_j - z_k, odd in d, and the
+    bracket (alpha-2) |d|^(alpha-4) - |d|^(alpha-2) / d^2, even in d."""
     kern, bracket = {}, {}
     for j, k in ((0, 1), (0, 2), (1, 2)):
         d = z[j] - z[k]
         r = np.abs(d)
         p = r ** (alpha - 2.0)
         kern[j, k] = p / d
-        kern[k, j] = -kern[j, k]
         bracket[j, k] = (alpha - 2.0) * r ** (alpha - 4.0) - p / d**2
     return kern, bracket
 
@@ -125,9 +124,11 @@ def pair_terms(z: np.ndarray, alpha: float) -> tuple[dict, dict]:
 def vortex_rates(z: np.ndarray, xi: np.ndarray, c_alpha: float,
                  kern: dict) -> tuple[list, np.ndarray]:
     """q_j = (i c_alpha sum_{k != j} xi_k kern[j, k]) / conj(z_j) for each
-    vortex of a centered triple, and their mean a - i b."""
-    q = [1j * c_alpha * (xi[k] * kern[j, k] + xi[m] * kern[j, m]) / np.conj(z[j])
-         for j, k, m in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    vortex of a centered triple, and their mean a - i b.  A term with
+    j > k subtracts xi_k kern[k, j]: `pair_terms` stores j < k alone."""
+    q = [1j * c_alpha * (xi[1] * kern[0, 1] + xi[2] * kern[0, 2]) / np.conj(z[0]),
+         1j * c_alpha * (xi[2] * kern[1, 2] - xi[0] * kern[0, 1]) / np.conj(z[1]),
+         1j * c_alpha * (-(xi[0] * kern[0, 2]) - xi[1] * kern[1, 2]) / np.conj(z[2])]
     return q, (q[0] + q[1] + q[2]) / 3.0
 
 

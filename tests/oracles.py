@@ -7,8 +7,12 @@ closed form; `signed_area` is the triangle area it is built on.
 reference for the bytes of `Trajectory.to_csv`.  `l_terms_each_use` and
 `quartic_coefficients_each_use` are the linearization with every term
 computed where it is used, the reference for the bits of
-`stability.l_terms` and `stability.quartic_coefficients`.  No command needs
-them, so they live with the tests.
+`stability.l_terms` and `stability.quartic_coefficients`.
+`pair_terms_mirrored` and `vortex_rates_mirrored` store the kernel at both
+orders of a pair, kern[k, j] = -kern[j, k], and sum xi_k kern[j, k] over
+k != j, the reference for the bits of `selfsimilar.pair_terms` and
+`selfsimilar.vortex_rates`.  No command needs them, so they live with the
+tests.
 """
 
 import io
@@ -111,3 +115,25 @@ def quartic_coefficients_each_use(L13, L14, L23, L24):
     c2 = (np.abs(L13) ** 2 * np.abs(L24) ** 2 + np.abs(L23) ** 2 * np.abs(L14) ** 2
           - 2.0 * np.real(L14 * np.conj(L13) * L23 * np.conj(L24)))
     return c1, c2
+
+
+def pair_terms_mirrored(z, alpha):
+    """(kern, bracket) of `selfsimilar.pair_terms` with the kernel stored at
+    both orders of each pair, kern[k, j] = -kern[j, k]."""
+    kern, bracket = {}, {}
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        d = z[j] - z[k]
+        r = np.abs(d)
+        p = r ** (alpha - 2.0)
+        kern[j, k] = p / d
+        kern[k, j] = -kern[j, k]
+        bracket[j, k] = (alpha - 2.0) * r ** (alpha - 4.0) - p / d**2
+    return kern, bracket
+
+
+def vortex_rates_mirrored(z, xi, c_alpha, kern):
+    """(q, mean) of `selfsimilar.vortex_rates` as the sum of xi_k kern[j, k]
+    over k != j, on the kern of `pair_terms_mirrored`."""
+    q = [1j * c_alpha * (xi[k] * kern[j, k] + xi[m] * kern[j, m]) / np.conj(z[j])
+         for j, k, m in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+    return q, (q[0] + q[1] + q[2]) / 3.0

@@ -228,7 +228,9 @@ def test_singular_retry_mid_run_restarts_from_the_step_start(monkeypatch):
 
         def g(z):
             if next(calls) == 40:
-                raise gsqg.SingularityError("forced")
+                e = gsqg.SingularityError("forced")
+                e.members = [0]
+                raise e
             return f(z)
         return g
 

@@ -17,6 +17,7 @@ from gsqg.selfsimilar import centered, pair_terms, vortex_rates
 from gsqg.stability import l_terms, quartic_coefficients, quartic_mu2
 
 from conftest import THM_X, THM_Y, THM_XI3
+from oracles import pair_terms_mirrored, vortex_rates_mirrored
 
 
 # ---------------------------------------------------------------- y_from_x
@@ -161,6 +162,12 @@ def test_inadmissible_small_x():
     assert report is None or not report.passed
 
 
+def _interval(alpha, coarse, refine_tol):
+    """The x_interval record of alpha at another grid pitch and refinement
+    width: the one record of a sweep of alpha alone."""
+    return gsqg.sweep(alpha, alpha, coarse=coarse, refine_tol=refine_tol).records[0]
+
+
 def _scalar_grid_points():
     """The 40 seeded points of the earlier sign check, 260 more on both
     sides of alpha = 2, and 36 inside the admissible windows."""
@@ -177,7 +184,7 @@ def _scalar_grid_points():
             continue
         yield alpha, float(rng.uniform(0.05, 0.999))
     for alpha in (1.2, 1.5, 1.8, 1.95, 2.05, 2.1):
-        rec = gsqg.x_interval(alpha, coarse=1e-3, refine_tol=1e-6)
+        rec = _interval(alpha, 1e-3, 1e-6)
         for x in rng.uniform(rec.x_minus, rec.x_plus, 6):
             yield alpha, float(x)
 
@@ -235,7 +242,7 @@ def test_oriented_config_is_the_trial_and_flip_bitwise():
 # ---------------------------------------------------------------- intervals
 
 def test_interval_at_alpha_one_brackets_reference_x():
-    rec = gsqg.x_interval(1.0, coarse=1e-4, refine_tol=1e-7)
+    rec = gsqg.x_interval(1.0)
     assert not rec.empty
     assert rec.x_minus < THM_X < rec.x_plus
 
@@ -244,19 +251,19 @@ def test_interval_found_even_when_thinner_than_grid():
     # at alpha just above the closing exponent the window is far thinner
     # than the 1e-3 pitch; it lies between a disc and a lo2 root in one
     # grid cell, which refinement must order and find
-    rec = gsqg.x_interval(0.98, coarse=1e-3, refine_tol=1e-7)
+    rec = _interval(0.98, 1e-3, 1e-7)
     assert not rec.empty
     assert rec.x_plus - rec.x_minus < 1e-3
 
 
 def test_interval_empty_outside():
-    assert gsqg.x_interval(0.9, coarse=5e-4, refine_tol=1e-7).empty
-    assert gsqg.x_interval(2.2, coarse=5e-4, refine_tol=1e-7).empty
+    assert _interval(0.9, 5e-4, 1e-7).empty
+    assert _interval(2.2, 5e-4, 1e-7).empty
 
 
 def test_interval_boundary_refinement_consistent(tmp_path):
     # find-config's verdict agrees with the window x_interval reports
-    rec = gsqg.x_interval(1.5, coarse=1e-3, refine_tol=1e-7)
+    rec = _interval(1.5, 1e-3, 1e-7)
     inside = 0.5 * (rec.x_minus + rec.x_plus)
     codes = [main(["find-config", "--alpha", "1.5", "--x", repr(x),
                    "--out", str(tmp_path / f"cfg{i}.json")])
@@ -457,7 +464,7 @@ _ORACLE_CASES = (
 def test_x_interval_boundaries_are_component_roots(alpha, coarse, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rec = gsqg.x_interval(alpha, coarse=coarse, refine_tol=tol)
+        rec = _interval(alpha, coarse, tol)
     roots = _seq_component_roots(alpha, coarse)
     # every run boundary off the grid ends lies within tol of a root
     bounds = [b for run in rec.runs for b in run if b not in (coarse * 0.5, 1.0 - 1e-12)]
@@ -482,7 +489,7 @@ def test_x_interval_boundaries_are_component_roots(alpha, coarse, tol):
 def test_x_interval_matches_sequential_search_bitwise(alpha, coarse, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rec = gsqg.x_interval(alpha, coarse=coarse, refine_tol=tol)
+        rec = _interval(alpha, coarse, tol)
     runs = _seq_x_interval(alpha, coarse, tol)
     assert _bits(rec.runs) == _bits(runs)
     assert rec.empty == (not runs)
@@ -522,9 +529,9 @@ def test_oracle_cases_cross_both_exponents():
 
 def _screened_improper(alpha, xs):
     """Mask of the x that pass the triangle screen and still give no proper
-    triangle.  `_margin_grid` selects the proper triangles (compacts its
-    arrays) exactly on a grid where one of them is set; on the desk grid
-    none is, and next to the screen edge some are."""
+    triangle.  `_margin_grid` runs them through the stability pipeline with
+    the proper triangles and masks them at the scatter; on the desk grid
+    none is set, and next to the screen edge some are."""
     with np.errstate(all="ignore"):
         y, valid = _y_solve_grid(xs, alpha)
         return ~_past_triangle(xs, alpha) & ~(valid & _reduced_triple(xs, y, -1)[2])
@@ -532,7 +539,8 @@ def _screened_improper(alpha, xs):
 
 @pytest.mark.parametrize("alpha", [0.9, 0.9708, 1.0, 1.5, 2.1343, 2.5])
 def test_margin_grid_matches_sequential_form_bitwise(alpha):
-    # the grid, and scans across the screen edge, where the scan compacts
+    # the grid, and scans across the screen edge, where some screened x
+    # give no proper triangle
     xs = np.arange(1e-4, 1.0, 1e-4)
     assert len(xs) == 9999
     compacts = set()
@@ -547,9 +555,9 @@ def test_margin_grid_matches_sequential_form_bitwise(alpha):
 @given(alpha=st.one_of(st.floats(0.9, 1.99), st.floats(2.01, 2.6)),
        xs=st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=40))
 def test_margin_grid_element_independent_of_batch(alpha, xs):
-    # the lockstep refinement relies on this, for both components and both
-    # paths: the drawn x that give proper triangles or fail the screen, and
-    # those among screened x next to the screen edge that give none
+    # the lockstep refinement relies on this, for both components: the
+    # drawn x that give proper triangles or fail the screen, and those among
+    # screened x next to the screen edge that give none
     xs = np.array(xs)
     edge = _screen_edge_scans(alpha, _DESK_GRID)[0]
     compacts = set()
@@ -562,8 +570,8 @@ def test_margin_grid_element_independent_of_batch(alpha, xs):
 
 
 def _unmasked_margin_grid(alpha, xs):
-    """_margin_grid without the triangle screen and the compaction: the
-    side solve and the whole stability pipeline on every x."""
+    """_margin_grid without the triangle screen: the side solve and the
+    whole stability pipeline on every x."""
     ca = coupling_constant(alpha)
     xs = np.asarray(xs, dtype=float)
     y, valid = _y_solve_grid(xs, alpha)
@@ -621,8 +629,8 @@ def test_screened_margin_grid_matches_unmasked_bitwise(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
 def test_side_solve_of_a_mixed_grid_is_each_x_solved_alone(alpha):
     # below alpha = 2 the small x have their root past YMAX, and at alpha <= 1
-    # K overflows at the subnormal x: no bracket; the Newton rounds run on
-    # the bracketed x alone
+    # K overflows at the subnormal x: no bracket; those x count as solved
+    # from the start, and the Newton rounds leave them alone
     xs = np.concatenate([[5e-324, 1e-310, 1e-200], _DESK_GRID[::7]])
     with np.errstate(over="ignore"):
         K = _side_constant(xs, alpha)
@@ -637,11 +645,74 @@ def test_side_solve_of_a_mixed_grid_is_each_x_solved_alone(alpha):
     assert np.array_equal(y[~valid].view(np.int64), mid[~valid].view(np.int64))
 
 
-@pytest.mark.parametrize("alpha, bound_bytes", [(1.0, 1_468_099), (2.13, 2_020_743)])
+# x without a bracket: tiny x (K overflows, or the root lies past YMAX), and
+# x outside (0, 1), which the triangle screen lets through at these alphas
+_MIXED_X = np.concatenate([[5e-324, 1e-310, 1e-200], _DESK_GRID[::13], [1.5, 3.0, 1e4, -0.5]])
+
+
+def test_side_solve_at_one_alpha_per_x_keeps_the_unbracketed_start():
+    # one alpha per x, as a refinement round passes them, with an x that
+    # has no bracket: that x keeps its midpoint start, as at a scalar alpha
+    xs = np.array([0.5, 1e-300, 0.6])
+    y, valid = _y_solve_grid(xs, np.full(3, 1.5))
+    assert valid.tolist() == [True, False, True] and y[1] == 5.5
+    want = _y_solve_grid(xs, 1.5)
+    assert np.array_equal(valid, want[1]) and y.tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9, 2.5])
+def test_side_solve_at_one_alpha_per_x_is_each_x_solved_alone(alpha):
+    xs, alphas = _MIXED_X, np.full(len(_MIXED_X), alpha)
+    with np.errstate(all="ignore"):
+        K = _side_constant(xs, alphas)
+        alone = [_y_solve_grid(xs[i:i + 1], alphas[i:i + 1]) for i in range(len(xs))]
+        for y, valid in (_y_solve_grid(xs, alphas), _y_solve_grid(xs, alphas, K)):
+            assert np.array_equal(valid, [v[0] for _, v in alone])
+            assert np.array_equal(y.view(np.int64), np.concatenate([y for y, _ in alone])
+                                  .view(np.int64))
+    assert valid.any() and not valid.all()
+    mid = 0.5 * (np.maximum(1.0 - xs, EPS_Y) + YMAX)
+    assert np.array_equal(y[~valid].view(np.int64), mid[~valid].view(np.int64))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9, 2.5])
+def test_margin_grid_at_one_alpha_per_x_is_each_x_alone(alpha):
+    xs, alphas = _MIXED_X, np.full(len(_MIXED_X), alpha)
+    with np.errstate(all="ignore"):
+        got = _margin_grid(alphas, xs)
+        alone = np.column_stack([_margin_grid(alphas[i:i + 1], xs[i:i + 1])
+                                 for i in range(len(xs))])
+        past, valid = _past_triangle(xs, alpha), _y_solve_grid(xs, alpha)[1]
+    assert np.array_equal(got.view(np.int64), alone.view(np.int64))
+    # screened-out x, screened x without a bracket, and bracketed x
+    assert past.any() and (~past & ~valid).any() and (~past & valid).any()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.13, 2.5])
+@pytest.mark.parametrize("per_x", [False, True])
+def test_desk_grid_rates_keep_the_mirrored_kernel_bits(alpha, per_x):
+    # every triple of the desk grid, proper or not; at a scalar alpha 1 and
+    # 2.5 take NumPy's scalar fast paths of ** (exponents -1 and 0.5)
+    with np.errstate(all="ignore"):
+        y, _ = _y_solve_grid(_DESK_GRID, alpha)
+        z, xi, _ = _reduced_triple(_DESK_GRID, y, -1)
+        z = centered(z, xi)
+        a, ca = alpha, coupling_constant(alpha)
+        if per_x:
+            a, ca = np.full(len(_DESK_GRID), a), np.full(len(_DESK_GRID), ca)
+        q, mean = vortex_rates(z, xi, ca, pair_terms(z, a)[0])
+        q0, mean0 = vortex_rates_mirrored(z, xi, ca, pair_terms_mirrored(z, a)[0])
+    assert np.isfinite(mean).any()
+    for got, want in zip([*q, mean], [*q0, mean0]):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("alpha, bound_bytes", [(1.0, 1_429_075), (2.13, 1_967_223)])
 def test_desk_grid_scan_peak_memory(alpha, bound_bytes):
     # tracemalloc's peak of one scan of the desk grid, NumPy's array data
-    # included, read with NumPy 2.4.6 when l_terms still computed ten terms;
-    # one grid array held past its last use adds 0.04-0.1 MB
+    # included, read with NumPy 2.4.6 (1,428,576 and 1,966,740 B) once
+    # pair_terms stored one kernel value per pair; one grid array held past
+    # its last use adds 0.04-0.1 MB
     _margin_grid(alpha, _DESK_GRID)
     tracemalloc.start()
     try:
@@ -788,7 +859,7 @@ def test_run_brackets_at_the_grid_ends(monkeypatch):
     calls = _stub_grid(monkeypatch, lambda x: np.where((x < 0.37) | (x > 0.45), 1.0, -1.0),
                        lambda x: np.where((x < 0.53) | (x > 0.93), 1.0, -np.inf))
     with pytest.warns(UserWarning, match=r"disconnected \(3 runs\)"):
-        rec = search.x_interval(1.0, coarse=coarse, refine_tol=1e-9)
+        rec = _interval(1.0, coarse, 1e-9)
     assert len(calls[0]) == 21
     assert calls[0][0] == coarse * 0.5 and calls[0][-1] == 1.0 - 1e-12
     (a0, b0), (a1, b1), (a2, b2) = rec.runs
@@ -803,7 +874,7 @@ def test_grid_increases_strictly_for_any_pitch(monkeypatch, coarse):
     # np.arange(coarse, 1.0, coarse) ends at 1.0 or 1 - 2^-53 for these
     # pitches, past the closing point 1 - 1e-12
     calls = _stub_grid(monkeypatch, lambda x: x - 0.4, lambda x: 0.6 - x)
-    rec = search.x_interval(1.0, coarse=coarse, refine_tol=1e-9)
+    rec = _interval(1.0, coarse, 1e-9)
     xs = calls[0]
     assert xs[0] == coarse * 0.5 and xs[-1] == 1.0 - 1e-12
     assert np.all(np.diff(xs) > 0.0)
@@ -817,7 +888,7 @@ def test_roots_in_one_cell_are_ordered_below_tol(monkeypatch, disc_root, lo2_roo
     # goes on past refine_tol until the two roots are ordered, so the
     # window between them is found, or found absent, with no grid point in it
     _stub_grid(monkeypatch, lambda x: x - disc_root, lambda x: lo2_root - x)
-    rec = search.x_interval(1.0, coarse=0.05, refine_tol=1e-7)
+    rec = _interval(1.0, 0.05, 1e-7)
     if disc_root < lo2_root:
         assert len(rec.runs) == 1 and rec.x_minus < rec.x_plus
         assert abs(rec.x_minus - disc_root) <= 1e-11
@@ -832,9 +903,9 @@ def test_roots_in_one_cell_are_ordered_below_tol(monkeypatch, disc_root, lo2_roo
                                 dict(coarse=np.nan), dict(refine_tol=0.0),
                                 dict(refine_tol=-1e-7), dict(refine_tol=np.nan),
                                 dict(refine_tol=np.inf), dict(coarse=1e-7)])
-def test_x_interval_rejects_bad_grid(kw):
+def test_sweep_rejects_bad_grid(kw):
     with pytest.raises(DomainError):
-        gsqg.x_interval(1.0, **kw)
+        gsqg.sweep(1.0, 1.0, **kw)
 
 
 @pytest.mark.parametrize("kw", [dict(alpha_step=0.0), dict(alpha_step=-1e-3),
@@ -868,7 +939,7 @@ def test_cli_sweep_rejects_bad_parameters(tmp_path, capsys, flags):
 
 
 def test_refinement_to_zero_width_stops_at_adjacent_floats(monkeypatch):
-    rec = gsqg.x_interval(1.5, coarse=1e-3, refine_tol=1e-6)
+    rec = _interval(1.5, 1e-3, 1e-6)
     x_in, x_out = 0.5 * (rec.x_minus + rec.x_plus), rec.x_plus + 1e-3
     ends = _margin_grid(1.5, np.array([x_in, x_out])) > 0.0
     (c,) = np.flatnonzero(ends[:, 0] != ends[:, 1])

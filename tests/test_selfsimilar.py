@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gsqg
-from gsqg.kernel import DomainError
-from gsqg.selfsimilar import Classification
+from gsqg.kernel import DomainError, coupling_constant
+from gsqg.selfsimilar import Classification, pair_terms, vortex_rates
 
 from conftest import THM_A, THM_B, random_state
-from oracles import relative_motion_rate
+from oracles import pair_terms_mirrored, relative_motion_rate, vortex_rates_mirrored
 
 
 def equilateral(alpha=1.5, xi=(1.0, 1.0, 1.0)):
@@ -40,6 +42,37 @@ def test_rate_cross_checked_against_integration(thm_centered, thm_motion):
     scale = np.abs(traj.positions[:, 0]) / abs(thm_centered.a[0])
     slope, _ = np.polyfit(traj.times, scale ** (4.0 - 1.0), 1)
     assert slope / 3.0 == pytest.approx(THM_A, rel=1e-9)
+
+
+def test_rate_on_reference_triple_keeps_the_mirrored_kernel_bits(thm_centered):
+    z, xi = thm_centered.a[:, None], thm_centered.xi[:, None]
+    q, mean = vortex_rates_mirrored(z, xi, coupling_constant(1.0), pair_terms_mirrored(z, 1.0)[0])
+    want = (mean.real[0], -mean.imag[0], max(np.abs(qj - mean)[0] for qj in q))
+    assert [v.hex() for v in gsqg.selfsimilar_rate(thm_centered)] == [
+        float(v).hex() for v in want]
+
+
+_COORD = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pos=st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=3),
+       xi=st.lists(st.one_of(st.floats(-5.0, -0.1), st.floats(0.1, 5.0)), min_size=3,
+                   max_size=3, unique=True),
+       alpha=st.one_of(st.floats(0.1, 1.99), st.floats(2.01, 2.9)))
+def test_rates_keep_the_mirrored_kernel_bits(pos, xi, alpha):
+    # three distinct intensities, so no term of a q_j equals another's
+    z = np.array([complex(*p) for p in pos])
+    assume(len(set(pos)) == 3 and np.all(z != 0.0))
+    z, xi, ca = z[:, None], np.array(xi)[:, None], coupling_constant(alpha)
+    with np.errstate(all="ignore"):     # near-coincident vortices overflow, as on a grid
+        kern, bracket = pair_terms(z, alpha)
+        kern0, bracket0 = pair_terms_mirrored(z, alpha)
+        q, mean = vortex_rates(z, xi, ca, kern)
+        q0, mean0 = vortex_rates_mirrored(z, xi, ca, kern0)
+    assert sorted(kern) == sorted(bracket) == [(0, 1), (0, 2), (1, 2)]
+    for got, want in zip([*q, mean, *bracket.values()], [*q0, mean0, *bracket0.values()]):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_equilateral_is_relative_equilibrium():

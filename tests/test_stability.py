@@ -249,7 +249,7 @@ _WINDOW_ALPHAS = (1.1, 1.3, 1.5, 1.7, 1.9, 2.05, 2.1)
 
 @functools.cache
 def _window(alpha):
-    rec = gsqg.x_interval(alpha, coarse=1e-3, refine_tol=1e-6)
+    rec = gsqg.sweep(alpha, alpha, coarse=1e-3, refine_tol=1e-6).records[0]
     return rec.x_minus, rec.x_plus
 
 

@@ -8,10 +8,11 @@ stage function the scan calls wrapped by a timer: the triangle screen
 (`_past_triangle`), the side solve (`_y_solve_grid`), the triple
 (`_reduced_triple`), centering (`centered`), pair terms (`pair_terms`),
 rates (`vortex_rates`), L terms (`l_terms`) and the quartic
-(`quartic_coefficients` and `quartic_mu2`).  "compaction" is the rest of
-the scan, the lines of `_margin_grid` itself: c_alpha, K, the selection of
-proper triangles and the output.  The import path picks the tree measured,
-so parent and change run the same script.
+(`quartic_coefficients` and `quartic_mu2`).  "rest" is the rest of the
+scan, the lines of `_margin_grid` itself: K, c_alpha, the subset of x that
+pass the screen, the validity mask and the scatter into the output.  The
+import path picks the tree measured, so parent and change run the same
+script.
 
 Times are medians over R scans, and "scan" is the median of R unwrapped
 scans.  Peaks come from one more wrapped scan under tracemalloc: the
@@ -43,7 +44,7 @@ STAGES = {"screen": ("_past_triangle",), "side solve": ("_y_solve_grid",),
           "triple": ("_reduced_triple",), "centering": ("centered",),
           "pair terms": ("pair_terms",), "rates": ("vortex_rates",),
           "L terms": ("l_terms",), "quartic": ("quartic_coefficients", "quartic_mu2")}
-REST = "compaction"
+REST = "rest"
 
 
 class Stages:
