@@ -626,51 +626,31 @@ def test_screened_margin_grid_matches_unmasked_bitwise(alpha):
     assert compacts == {False, True}
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
-def test_side_solve_of_a_mixed_grid_is_each_x_solved_alone(alpha):
-    # below alpha = 2 the small x have their root past YMAX, and at alpha <= 1
-    # K overflows at the subnormal x: no bracket; those x count as solved
-    # from the start, and the Newton rounds leave them alone
-    xs = np.concatenate([[5e-324, 1e-310, 1e-200], _DESK_GRID[::7]])
-    with np.errstate(over="ignore"):
-        K = _side_constant(xs, alpha)
-        alone = [_y_solve_grid(xs[i:i + 1], alpha) for i in range(len(xs))]
-        for y, valid in (_y_solve_grid(xs, alpha), _y_solve_grid(xs, alpha, K)):
+# x without a bracket: below alpha = 2 the small x have their root past
+# YMAX, at alpha <= 1 K overflows at the subnormal x, and x outside (0, 1)
+# pass the triangle screen
+_MIXED_X = np.concatenate([[5e-324, 1e-310, 1e-200], _DESK_GRID[::7], [1.5, 3.0, 1e4, -0.5]])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9, 2.5])
+@pytest.mark.parametrize("per_x", [False, True])
+def test_side_solve_of_a_mixed_grid_is_each_x_solved_alone(alpha, per_x):
+    # the x without a bracket count as solved from the start; one alpha per
+    # x is how a refinement round passes alpha
+    xs = _MIXED_X
+
+    def solve(i, j, K=None):
+        return _y_solve_grid(xs[i:j], np.full(j - i, alpha) if per_x else alpha, K)
+
+    with np.errstate(all="ignore"):
+        K = _side_constant(xs, np.full(len(xs), alpha) if per_x else alpha)
+        alone = [solve(i, i + 1) for i in range(len(xs))]
+        for y, valid in (solve(0, len(xs)), solve(0, len(xs), K)):
             assert np.array_equal(valid, [v[0] for _, v in alone])
             assert np.array_equal(y.view(np.int64), np.concatenate([y for y, _ in alone])
                                   .view(np.int64))
     assert valid.any() and not valid.all() and (alpha > 1.0 or not np.isfinite(K[:2]).any())
     # an x without a bracket keeps the midpoint of [max(1 - x, EPS_Y), YMAX]
-    mid = 0.5 * (np.maximum(1.0 - xs, EPS_Y) + YMAX)
-    assert np.array_equal(y[~valid].view(np.int64), mid[~valid].view(np.int64))
-
-
-# x without a bracket: tiny x (K overflows, or the root lies past YMAX), and
-# x outside (0, 1), which the triangle screen lets through at these alphas
-_MIXED_X = np.concatenate([[5e-324, 1e-310, 1e-200], _DESK_GRID[::13], [1.5, 3.0, 1e4, -0.5]])
-
-
-def test_side_solve_at_one_alpha_per_x_keeps_the_unbracketed_start():
-    # one alpha per x, as a refinement round passes them, with an x that
-    # has no bracket: that x keeps its midpoint start, as at a scalar alpha
-    xs = np.array([0.5, 1e-300, 0.6])
-    y, valid = _y_solve_grid(xs, np.full(3, 1.5))
-    assert valid.tolist() == [True, False, True] and y[1] == 5.5
-    want = _y_solve_grid(xs, 1.5)
-    assert np.array_equal(valid, want[1]) and y.tobytes() == want[0].tobytes()
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9, 2.5])
-def test_side_solve_at_one_alpha_per_x_is_each_x_solved_alone(alpha):
-    xs, alphas = _MIXED_X, np.full(len(_MIXED_X), alpha)
-    with np.errstate(all="ignore"):
-        K = _side_constant(xs, alphas)
-        alone = [_y_solve_grid(xs[i:i + 1], alphas[i:i + 1]) for i in range(len(xs))]
-        for y, valid in (_y_solve_grid(xs, alphas), _y_solve_grid(xs, alphas, K)):
-            assert np.array_equal(valid, [v[0] for _, v in alone])
-            assert np.array_equal(y.view(np.int64), np.concatenate([y for y, _ in alone])
-                                  .view(np.int64))
-    assert valid.any() and not valid.all()
     mid = 0.5 * (np.maximum(1.0 - xs, EPS_Y) + YMAX)
     assert np.array_equal(y[~valid].view(np.int64), mid[~valid].view(np.int64))
 
