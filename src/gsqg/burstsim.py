@@ -178,11 +178,14 @@ def convergence_study(s: BurstScenario,
     # in t_ini order, so a failure names the first failing run
     diags = [_diagnostics(s, t_ini, traj) for t_ini, traj in zip(s.t_ini_sequence, trajs)]
     grid = np.geomspace(s.t_ini_sequence[0], s.horizon, CAUCHY_GRID)
-    # each run evaluated once on the grid, one row per time
-    vals = [traj.eval(grid) for traj in trajs]
-    gaps = tuple(max(np.abs(a - b).max(axis=1).tolist()) for a, b in zip(vals, vals[1:]))
+    # each run evaluated once on the grid (a row per time), dropped after its next gap
+    vals = (traj.eval(grid) for traj in trajs)
+    gaps, a = [], next(vals)
+    for b in vals:
+        gaps.append(max(np.abs(a - b).max(axis=1).tolist()))
+        a = b
     # exponent and drift come from the run closest to the singular time
-    return replace(diags[-1], cauchy_gaps=gaps, runs=tuple(trajs))
+    return replace(diags[-1], cauchy_gaps=tuple(gaps), runs=tuple(trajs))
 
 
 def collapse_scenario(s: BurstScenario) -> BurstScenario:

@@ -49,14 +49,19 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _write(path: Path, text: str) -> Path:
-    """Write one output file; a path that cannot be written is a usage error."""
+def _write_blocks(path: Path, blocks) -> Path:
+    """Write one output file block by block; an unwritable path is a usage error."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with open(path, "w") as f:
+            f.writelines(blocks)
     except OSError as e:
         raise DomainError(f"cannot write {path}: {e.strerror}") from e
     return path
+
+
+def _write(path: Path, text: str) -> Path:
+    return _write_blocks(path, [text])
 
 
 def _read_input(kind: str, path: str, parse):
@@ -149,8 +154,7 @@ def cmd_simulate(args) -> int:
     if kind is Classification.COLLAPSE and traj.status is Status.COLLAPSE_DETECTED:
         t_star, _ = collapse_time_fit(traj)
         print(f"collapse detected; fitted t* = {t_star:.12g}")
-    out = Path(args.out)
-    outputs = [_write(out, traj.to_csv())]
+    outputs = [_write_blocks(Path(args.out), traj.csv_blocks())]
     _manifest("simulate", {
         "config": str(args.config), "t0": args.t0, "t1": args.t1,
         "rel_tol": args.rel_tol, "classification": kind.value,
@@ -163,15 +167,17 @@ def cmd_simulate(args) -> int:
 def cmd_burst(args) -> int:
     t_start = time.monotonic()
     scenario = _read_input("scenario", args.scenario, BurstScenario.from_json)
-    icfg = IntegratorConfig(rel_tol=args.rel_tol)
+    out_dir = Path(args.out)
+    paths = [out_dir / f"trajectory_tini_{t_ini:.6g}.csv" for t_ini in scenario.t_ini_sequence]
+    same = [p for p, q in zip(paths, paths[1:]) if p == q]     # t_ini decreases
+    if same:
+        raise DomainError(f"two t_ini values would both write {same[0]}")
     try:
-        diag = convergence_study(scenario, icfg)
+        diag = convergence_study(scenario, IntegratorConfig(rel_tol=args.rel_tol))
     except RuntimeError as e:   # a step failure, as simulate's, is a negative result
         print(f"gsqg burst: {e}", file=sys.stderr)
         return EXIT_NEGATIVE
-    out_dir = Path(args.out)
-    outputs = [_write(out_dir / f"trajectory_tini_{t_ini:.6g}.csv", traj.to_csv())
-               for t_ini, traj in zip(scenario.t_ini_sequence, diag.runs)]
+    outputs = [_write_blocks(path, traj.csv_blocks()) for path, traj in zip(paths, diag.runs)]
     outputs.append(_write(out_dir / "diagnostics.json", json.dumps({
         "exponent_fit": diag.exponent_fit,
         "cauchy_gaps": list(diag.cauchy_gaps),

@@ -110,38 +110,39 @@ class Trajectory:
         ts, lo, hi = t.reshape(-1, 1), self.times[0], self.times[-1]
         if not ((min(lo, hi) - 1e-12 <= ts) & (ts <= max(lo, hi) + 1e-12)).all():
             raise ValueError(f"t={t} outside trajectory span [{lo}, {hi}]")
-        rows, z = max(1, PAIR_BLOCK // self.positions.shape[1]), []
+        rows, z = max(1, PAIR_BLOCK // self.positions.shape[1]), [self.segments[0][:0]]
         for a in range(0, len(ts), rows):
             s = (ts[a:a + rows] - self.times[:-1]) / self.h
             covers = (-1e-12 <= s) & (s <= 1.0 + 1e-12)
             k = np.where(covers.any(axis=1), np.argmax(covers, axis=1), -1)
             r = np.stack([self.segments[j] for j in k.tolist()], axis=1)
             z.append(_dense(r, s[np.arange(len(k)), k][:, None]))
-        return np.concatenate(z).reshape(t.shape + (-1,))
+        return np.concatenate(z).reshape(t.shape + z[0].shape[1:])
 
     def min_distances(self) -> np.ndarray:
         return min_pair_distance(self.positions)
 
-    def to_csv(self) -> str:
-        """t, per-vortex positions and the conserved quantities, at 17
-        significant digits.  Rows go in blocks of about PAIR_BLOCK pair
-        values: one conserved-quantity call and one `str.format` call per
-        block, each row with the bits of that row alone."""
+    def csv_blocks(self):
+        """The header, then rows made block by block as asked for: t, positions and
+        conserved quantities at 17 significant digits, one conserved-quantity and one
+        `str.format` call per PAIR_BLOCK pair values, each row with its bits alone."""
         n = self.positions.shape[1]
         cols = (["t"] + [f"{part}_z{j}" for j in range(1, n + 1) for part in ("re", "im")]
                 + ["H", "L", "C_re", "C_im"])
         row = ",".join(["{:.17g}"] * len(cols)) + "\n"
         q = make_conserved(self.xi, self.alpha, coupling_constant(self.alpha))
         rows = max(1, PAIR_BLOCK // max(n * (n - 1) // 2, 1))
-        parts = [",".join(cols) + "\n"]
+        yield ",".join(cols) + "\n"
         for a in range(0, len(self.times), rows):
             z = self.positions[a:a + rows]
             C, H, L = q(z)
             # a complex row viewed as floats interleaves re and im
             block = np.column_stack((self.times[a:a + rows], z.view(float), H, L,
                                      C.real, C.imag))
-            parts.append((row * len(block)).format(*block.ravel().tolist()))
-        return "".join(parts)
+            yield (row * len(block)).format(*block.ravel().tolist())
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_blocks())
 
 
 def _error_norm(err: np.ndarray, z0: np.ndarray, z1: np.ndarray,

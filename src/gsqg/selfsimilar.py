@@ -124,11 +124,11 @@ def pair_terms(z: np.ndarray, alpha: float) -> tuple[dict, dict]:
 def vortex_rates(z: np.ndarray, xi: np.ndarray, c_alpha: float,
                  kern: dict) -> tuple[list, np.ndarray]:
     """q_j = (i c_alpha sum_{k != j} xi_k kern[j, k]) / conj(z_j) for each
-    vortex of a centered triple, and their mean a - i b.  A term with
-    j > k subtracts xi_k kern[k, j]: `pair_terms` stores j < k alone."""
+    vortex of a centered triple, and their mean a - i b.  `pair_terms` stores
+    j < k alone; j > k takes xi_k * -kern[k, j] in the mirrored sum's order."""
     q = [1j * c_alpha * (xi[1] * kern[0, 1] + xi[2] * kern[0, 2]) / np.conj(z[0]),
-         1j * c_alpha * (xi[2] * kern[1, 2] - xi[0] * kern[0, 1]) / np.conj(z[1]),
-         1j * c_alpha * (-(xi[0] * kern[0, 2]) - xi[1] * kern[1, 2]) / np.conj(z[2])]
+         1j * c_alpha * (xi[0] * -kern[0, 1] + xi[2] * kern[1, 2]) / np.conj(z[1]),
+         1j * c_alpha * (xi[0] * -kern[0, 2] + xi[1] * -kern[1, 2]) / np.conj(z[2])]
     return q, (q[0] + q[1] + q[2]) / 3.0
 
 

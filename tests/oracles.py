@@ -11,8 +11,10 @@ computed where it is used, the reference for the bits of
 `pair_terms_mirrored` and `vortex_rates_mirrored` store the kernel at both
 orders of a pair, kern[k, j] = -kern[j, k], and sum xi_k kern[j, k] over
 k != j, the reference for the bits of `selfsimilar.pair_terms` and
-`selfsimilar.vortex_rates`.  No command needs them, so they live with the
-tests.
+`selfsimilar.vortex_rates`.  `cauchy_gaps_all_at_once` takes the Cauchy
+gaps with every run's grid values alive at once, the reference for the bits
+of `burstsim.convergence_study`.  No command needs them, so they live with
+the tests.
 """
 
 import io
@@ -137,3 +139,10 @@ def vortex_rates_mirrored(z, xi, c_alpha, kern):
     q = [1j * c_alpha * (xi[k] * kern[j, k] + xi[m] * kern[j, m]) / np.conj(z[j])
          for j, k, m in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
     return q, (q[0] + q[1] + q[2]) / 3.0
+
+
+def cauchy_gaps_all_at_once(runs, grid) -> tuple[float, ...]:
+    """Sup-norm gaps between successive runs on the grid, from a list that
+    holds every run's grid values."""
+    vals = [traj.eval(grid) for traj in runs]
+    return tuple(max(np.abs(a - b).max(axis=1).tolist()) for a, b in zip(vals, vals[1:]))

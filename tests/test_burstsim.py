@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import gsqg
 from gsqg.kernel import DomainError
 from gsqg.selfsimilar import Classification
+
+from oracles import cauchy_gaps_all_at_once
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +176,30 @@ def test_cauchy_study_evaluates_each_run_once(scenario, monkeypatch):
                      for a, b in zip(diag.runs, diag.runs[1:]))
     assert np.array(diag.cauchy_gaps).view(np.uint64).tolist() == \
         np.array(two_eval).view(np.uint64).tolist()
+
+
+def test_cauchy_gaps_keep_the_all_runs_at_once_bits(scenario, lone_scenario):
+    for scen in (scenario, lone_scenario):
+        diag = gsqg.convergence_study(scen, CFG)
+        grid = np.geomspace(scen.t_ini_sequence[0], scen.horizon, gsqg.burstsim.CAUCHY_GRID)
+        assert np.array(diag.cauchy_gaps).view(np.uint64).tolist() == \
+            np.array(cauchy_gaps_all_at_once(diag.runs, grid)).view(np.uint64).tolist()
+
+
+def test_cauchy_study_holds_two_runs_grid_values_at_once(scenario, monkeypatch):
+    # when a run is evaluated on the grid, only the previous run's values live
+    refs, alive = [], []
+    real_eval = gsqg.Trajectory.eval
+
+    def tracked(self, t):
+        alive.append(sum(r() is not None for r in refs))
+        vals = real_eval(self, t)
+        refs.append(weakref.ref(vals))
+        return vals
+
+    monkeypatch.setattr(gsqg.Trajectory, "eval", tracked)
+    gsqg.convergence_study(scenario, CFG)
+    assert alive == [0, 1, 1, 1]
 
 
 def test_cauchy_study_failure_names_the_first_failing_t_ini(scenario, monkeypatch):

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +8,9 @@ import pytest
 
 import gsqg
 from gsqg.cli import main
+from gsqg.integrator import Status, Trajectory
 
-from conftest import THM_X, THM_XI3
+from conftest import THM_X, THM_XI3, lattice_state, random_state
 
 
 def test_find_config_reference(tmp_path, capsys):
@@ -441,3 +444,74 @@ def test_simulate_at_tiny_tolerance_is_a_step_failure(tmp_path, capsys):
                  "--rel-tol", "1e-300", "--out", str(out)]) == 2
     assert capsys.readouterr().out.endswith("status = step_failure, samples = 1\n")
     assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)).all()
+
+
+def test_burst_refuses_t_ini_values_that_share_a_file_name(tmp_path, capsys, monkeypatch):
+    # 1e-4 and 9.9999999e-5 agree to 6 significant digits: the second run
+    # would overwrite the first's CSV, so the command stops before integrating
+    scen = gsqg.BurstScenario(triple=gsqg.oriented_config(1.0, THM_X),
+                              background=((1.0 + 0j, 1.0),),
+                              t_ini_sequence=(1e-4, 9.9999999e-5, 5e-5), horizon=5e-4)
+    spath = tmp_path / "scenario.json"
+    spath.write_text(scen.to_json())
+
+    def integrate_batch(*args, **kwargs):
+        raise AssertionError("integrated before refusing the names")
+
+    monkeypatch.setattr(gsqg.burstsim, "integrate_batch", integrate_batch)
+    out = tmp_path / "out"
+    assert main(["burst", "--scenario", str(spath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"gsqg burst: two t_ini values would both write {out / 'trajectory_tini_0.0001.csv'}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, t1, rel_tol", [(3, 8.0, 1e-12), (4, 3.0, 1e-12),
+                                            (99, 1.0, 1e-8)])
+def test_streamed_csv_is_to_csv(tmp_path, n, t1, rel_tol):
+    # runs of a few blocks of rows each (85 rows at N = 3, 42 at N = 4, 1 at N = 99)
+    st = random_state(n, n, 1.5) if n < 99 else lattice_state(99, 1.0)
+    traj = gsqg.integrate(st, t1, gsqg.IntegratorConfig(rel_tol=rel_tol))
+    assert len(traj.times) > 2 * max(1, gsqg.integrator.PAIR_BLOCK // (n * (n - 1) // 2))
+    path = gsqg.cli._write_blocks(tmp_path / "traj.csv", traj.csv_blocks())
+    assert path.read_bytes() == traj.to_csv().encode()
+
+
+def test_simulate_streams_a_collapse_as_to_csv(tmp_path):
+    # the reference collapse from t = 0 stops at t* = 2.7095, before t1
+    cen = gsqg.center(gsqg.oriented_config(1.0, THM_X))
+    cfg = gsqg.TripleConfig(a=cen.a, xi=-cen.xi, alpha=1.0)
+    cfg_path = tmp_path / "collapse.json"
+    cfg_path.write_text(cfg.to_json())
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--t0", "0", "--t1", "3",
+                 "--out", str(out)]) == 0
+    cen = gsqg.center(gsqg.TripleConfig.from_json(cfg_path.read_text()))
+    traj = gsqg.integrate(gsqg.VortexState(t=0.0, z=cen.a, xi=cen.xi, alpha=1.0), 3.0)
+    assert traj.status is Status.COLLAPSE_DETECTED
+    assert out.read_bytes() == traj.to_csv().encode()
+
+
+def test_streamed_csv_write_holds_no_whole_file(tmp_path):
+    # 161 steps of 99 vortices around the origin, the size of the benchmark's
+    # largest burst CSV: written block by block, the peak is one row's
+    # conserved-quantity arrays, where the file built as one string peaked at
+    # over twice its size
+    st = lattice_state(99, 1.0)
+    rng = np.random.default_rng(0)
+    drift = 1e-3 * (rng.standard_normal((162, 99)) + 1j * rng.standard_normal((162, 99)))
+    traj = Trajectory(times=np.linspace(0.0, 1e-3, 162), positions=st.z - st.z.mean() + drift,
+                      xi=st.xi, alpha=1.0, status=Status.COMPLETED,
+                      h=np.full(161, 1e-3 / 161), segments=[])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        path = gsqg.cli._write_blocks(tmp_path / "traj.csv", traj.csv_blocks())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 600_000
+    assert peak < 0.65 * size, (peak, size)
+    assert path.read_bytes() == traj.to_csv().encode()

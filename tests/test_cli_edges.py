@@ -123,17 +123,19 @@ def test_negative_value_after_a_space(tmp_path, monkeypatch, inputs, base, flag,
         assert err.startswith(message), err
 
 
-@pytest.mark.parametrize("command", ["find-config", "burst"])
+@pytest.mark.parametrize("command", ["find-config", "simulate", "burst"])
 @pytest.mark.parametrize("case", ["directory", "under a file"])
 def test_unwritable_out_is_a_usage_error(tmp_path, inputs, command, case):
     # an output path that is a directory, or one whose parent is a file
     argv = {"find-config": ["find-config", "--alpha", "1", "--x", str(THM_X)],
+            "simulate": ["simulate", "--config", str(inputs["cfg"]), "--t0", "0",
+                         "--t1", "0.1", "--rel-tol", "1e-6"],
             "burst": ["burst", "--scenario", str(inputs["scenario"]), "--rel-tol", "1e-6"]}
     (tmp_path / "file").write_text("")
     if case == "under a file":
         out = tmp_path / "file" / "x.json"
-        path = out if command == "find-config" else out / "trajectory_tini_0.0001.csv"
-    elif command == "find-config":
+        path = out / "trajectory_tini_0.0001.csv" if command == "burst" else out
+    elif command != "burst":
         out = path = tmp_path
     else:
         out = tmp_path / "run"

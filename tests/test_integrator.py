@@ -312,6 +312,13 @@ def test_csv_bytes_match_per_value_formatter(kind):
     assert traj.to_csv() == csv_per_value(traj)
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+def test_eval_of_no_times_is_empty(shape):
+    traj = gsqg.integrate(pair_state(), 0.5, gsqg.IntegratorConfig(rel_tol=1e-8))
+    z = traj.eval(np.empty(shape))
+    assert z.shape == shape + (2,) and z.dtype == complex
+
+
 def _scan_index(traj, t):
     """The step a linear scan picks: the first one covering t."""
     for k, (t0, h) in enumerate(zip(traj.times, traj.h)):

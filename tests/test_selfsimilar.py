@@ -75,6 +75,19 @@ def test_rates_keep_the_mirrored_kernel_bits(pos, xi, alpha):
         assert got.tobytes() == want.tobytes()
 
 
+def test_rates_keep_the_mirrored_nan_signs():
+    # a subnormal x gap makes two kernel values NaN: which NaN a q_j keeps,
+    # and so its sign bit, follows the operand order of the mirrored sum
+    z = np.array([1j, 2.225e-309 + 1j, 2j])[:, None]
+    xi = np.array([-1.0, -2.0, -3.0])[:, None]
+    ca = coupling_constant(1.0)
+    with np.errstate(all="ignore"):
+        q, mean = vortex_rates(z, xi, ca, pair_terms(z, 1.0)[0])
+        q0, mean0 = vortex_rates_mirrored(z, xi, ca, pair_terms_mirrored(z, 1.0)[0])
+    assert np.isnan(q[1]).all() and np.isnan(mean).all()
+    assert [v.tobytes() for v in [*q, mean]] == [v.tobytes() for v in [*q0, mean0]]
+
+
 def test_equilateral_is_relative_equilibrium():
     a, b, res = gsqg.selfsimilar_rate(equilateral())
     assert res <= 1e-14
