@@ -101,9 +101,9 @@ class Trajectory:
                            xi=self.xi, alpha=self.alpha)
 
     def eval(self, t) -> np.ndarray:
-        """Dense-output positions (t.shape + (n,)) at times t inside the covered
-        span, each from the first step covering it (the last step if none
-        does), so a step boundary belongs to the earlier step."""
+        """Dense-output positions (t.shape + (n,), so empty for no t) at times t
+        inside the covered span, each from the first step covering it (the last
+        step if none does), so a step boundary belongs to the earlier step."""
         if not self.segments:
             raise ValueError("trajectory carries no dense output")
         t = np.asarray(t, dtype=float)

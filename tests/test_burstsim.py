@@ -169,21 +169,15 @@ def test_cauchy_study_evaluates_each_run_once(scenario, monkeypatch):
     diag = gsqg.convergence_study(scenario, CFG)
     assert len(times) == len(scenario.t_ini_sequence) * gsqg.burstsim.CAUCHY_GRID
     monkeypatch.undo()
-    # the gaps of evaluating both runs of a pair at every grid time
-    grid = [float(t) for t in np.geomspace(scenario.t_ini_sequence[0], scenario.horizon,
-                                           gsqg.burstsim.CAUCHY_GRID)]
-    two_eval = tuple(max(float(np.max(np.abs(a.eval(t) - b.eval(t)))) for t in grid)
+    grid = np.geomspace(scenario.t_ini_sequence[0], scenario.horizon,
+                        gsqg.burstsim.CAUCHY_GRID)
+    # the gaps with every run's grid values alive at once, and those of
+    # evaluating both runs of a pair at every grid time
+    two_eval = tuple(max(float(np.max(np.abs(a.eval(t) - b.eval(t)))) for t in grid.tolist())
                      for a, b in zip(diag.runs, diag.runs[1:]))
-    assert np.array(diag.cauchy_gaps).view(np.uint64).tolist() == \
-        np.array(two_eval).view(np.uint64).tolist()
-
-
-def test_cauchy_gaps_keep_the_all_runs_at_once_bits(scenario, lone_scenario):
-    for scen in (scenario, lone_scenario):
-        diag = gsqg.convergence_study(scen, CFG)
-        grid = np.geomspace(scen.t_ini_sequence[0], scen.horizon, gsqg.burstsim.CAUCHY_GRID)
+    for want in (cauchy_gaps_all_at_once(diag.runs, grid), two_eval):
         assert np.array(diag.cauchy_gaps).view(np.uint64).tolist() == \
-            np.array(cauchy_gaps_all_at_once(diag.runs, grid)).view(np.uint64).tolist()
+            np.array(want).view(np.uint64).tolist()
 
 
 def test_cauchy_study_holds_two_runs_grid_values_at_once(scenario, monkeypatch):

@@ -59,9 +59,10 @@ class Phases:
         self.peak = {}
         self.name, self.base, self.start, self.top = OTHER, 0, 0, 0
 
-    def begin(self):
+    def begin(self, name: str):
         tracemalloc.start()
-        self.start = self.base = tracemalloc.get_traced_memory()[0]
+        self.name, self.start = name, tracemalloc.get_traced_memory()[0]
+        self.base = self.start
 
     def mark(self, name: str, next_name: str = OTHER):
         current, peak = tracemalloc.get_traced_memory()
@@ -121,8 +122,7 @@ def measure(workload: str, seed: int, work: Path) -> dict:
         setattr(owner, attr, fn)
     try:
         gc.collect()
-        ph.begin()
-        ph.name = "integration"
+        ph.begin("integration")
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
         ph.mark(ph.name)
