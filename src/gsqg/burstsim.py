@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .integrator import IntegratorConfig, Status, Trajectory, integrate, integrate_batch
+from .integrator import IntegratorConfig, Status, Trajectory, integrate, integrate_batch, pair_rows
 from .kernel import DomainError, VortexState, max_pair_distance, min_pair_distance
 from .selfsimilar import (Classification, SelfSimilarMotion, TripleConfig,
                           center, known_keys, motion_from_config, zeta)
@@ -166,26 +166,33 @@ def convergence_study(s: BurstScenario,
     Successive runs, integrated in lockstep with the bits of their `run_burst`,
     are compared in the sup norm over a shared log-spaced time grid;
     decreasing gaps are the numerical evidence that the seeded runs converge
-    to a limiting burst among the background vortices.  The trajectories
-    come back in the `runs` field, in t_ini order.
+    to a limiting burst among the background vortices.  A run that fails or
+    stops before the horizon ends the study.  The trajectories come back in
+    the `runs` field, in t_ini order, with no dense output (`eval` raises).
     """
     if len(s.t_ini_sequence) < 3:
         raise DomainError("need at least three t_ini values")
     if s.motion.a_rate < 0.0:
         raise DomainError("convergence study is defined on the burst orientation")
-    trajs = integrate_batch([make_burst_initial(s, t_ini) for t_ini in s.t_ini_sequence],
-                            s.horizon, cfg)
-    # in t_ini order, so a failure names the first failing run
-    diags = [_diagnostics(s, t_ini, traj) for t_ini, traj in zip(s.t_ini_sequence, trajs)]
+    states = [make_burst_initial(s, t_ini) for t_ini in s.t_ini_sequence]
     grid = np.geomspace(s.t_ini_sequence[0], s.horizon, CAUCHY_GRID)
-    # each run evaluated once on the grid (a row per time), dropped after its next gap
-    vals = (traj.eval(grid) for traj in trajs)
-    gaps, a = [], next(vals)
-    for b in vals:
-        gaps.append(max(np.abs(a - b).max(axis=1).tolist()))
-        a = b
+    size, runs, gaps, prev = pair_rows(states[0].n), [], [], None
+    # a batch at a time, in t_ini order so a failure names the first failing run;
+    # a run drops its dense output once evaluated, its grid values after its next gap
+    for a in range(0, len(states), size):
+        for t_ini, traj in zip(s.t_ini_sequence[a:],
+                               integrate_batch(states[a:a + size], s.horizon, cfg)):
+            diag = _diagnostics(s, t_ini, traj)
+            if traj.status is not Status.COMPLETED:
+                raise RuntimeError(f"run stopped with {traj.status.value} at t={traj.times[-1]}"
+                                   f" before the horizon {s.horizon} (t_ini={t_ini})")
+            vals, traj.segments = traj.eval(grid), []
+            if prev is not None:
+                gaps.append(max(np.abs(prev - vals).max(axis=1).tolist()))
+            prev = vals
+            runs.append(traj)
     # exponent and drift come from the run closest to the singular time
-    return replace(diags[-1], cauchy_gaps=tuple(gaps), runs=tuple(trajs))
+    return replace(diag, cauchy_gaps=tuple(gaps), runs=tuple(runs))
 
 
 def collapse_scenario(s: BurstScenario) -> BurstScenario:

@@ -56,6 +56,12 @@ GUARD_FRACTION = 1e-6
 PAIR_BLOCK = 256
 
 
+def pair_rows(n: int) -> int:
+    """Rows of n vortices to a block of PAIR_BLOCK pair values, at least one:
+    the runs of an `integrate_batch` pass and the rows of a CSV block."""
+    return max(1, PAIR_BLOCK // max(n * (n - 1) // 2, 1))
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Error tolerances of `integrate`: rel_tol, and abs_tol = 1e-3 rel_tol."""
@@ -110,14 +116,15 @@ class Trajectory:
         ts, lo, hi = t.reshape(-1, 1), self.times[0], self.times[-1]
         if not ((min(lo, hi) - 1e-12 <= ts) & (ts <= max(lo, hi) + 1e-12)).all():
             raise ValueError(f"t={t} outside trajectory span [{lo}, {hi}]")
-        rows, z = max(1, PAIR_BLOCK // self.positions.shape[1]), [self.segments[0][:0]]
+        n = self.positions.shape[1]
+        rows, z = max(1, PAIR_BLOCK // n), np.empty((len(ts), n), dtype=complex)
         for a in range(0, len(ts), rows):
             s = (ts[a:a + rows] - self.times[:-1]) / self.h
             covers = (-1e-12 <= s) & (s <= 1.0 + 1e-12)
             k = np.where(covers.any(axis=1), np.argmax(covers, axis=1), -1)
             r = np.stack([self.segments[j] for j in k.tolist()], axis=1)
-            z.append(_dense(r, s[np.arange(len(k)), k][:, None]))
-        return np.concatenate(z).reshape(t.shape + z[0].shape[1:])
+            z[a:a + rows] = _dense(r, s[np.arange(len(k)), k][:, None])
+        return z.reshape(t.shape + (n,))
 
     def min_distances(self) -> np.ndarray:
         return min_pair_distance(self.positions)
@@ -131,7 +138,7 @@ class Trajectory:
                 + ["H", "L", "C_re", "C_im"])
         row = ",".join(["{:.17g}"] * len(cols)) + "\n"
         q = make_conserved(self.xi, self.alpha, coupling_constant(self.alpha))
-        rows = max(1, PAIR_BLOCK // max(n * (n - 1) // 2, 1))
+        rows = pair_rows(n)
         yield ",".join(cols) + "\n"
         for a in range(0, len(self.times), rows):
             z = self.positions[a:a + rows]
@@ -179,7 +186,7 @@ def integrate(state0: VortexState, t1: float,
 def integrate_batch(states: list[VortexState], t1: float,
                     cfg: IntegratorConfig = IntegratorConfig()) -> list[Trajectory]:
     """`integrate` of states sharing xi and alpha, each with the bits it has
-    alone, in lockstep batches of max(1, PAIR_BLOCK // pairs): a pass does the
+    alone, in lockstep batches of `pair_rows(n)` runs: a pass does the
     array math of all live runs at once and the step control run by run."""
     if not np.isfinite(t1):
         raise DomainError(f"t1 must be finite, got {t1}")
@@ -188,7 +195,7 @@ def integrate_batch(states: list[VortexState], t1: float,
     xi, alpha, c_alpha, n = states[0].xi.copy(), states[0].alpha, states[0].c_alpha, states[0].n
     if any(st.alpha != alpha or not np.array_equal(st.xi, xi) for st in states):
         raise DomainError("the states of a batch must share xi and alpha")
-    size = max(1, PAIR_BLOCK // max(n * (n - 1) // 2, 1))
+    size = pair_rows(n)
     if len(states) > size:
         return integrate_batch(states[:size], t1, cfg) + integrate_batch(states[size:], t1, cfg)
     out = runs = [_Run(st, t1, cfg) for st in states]

@@ -221,7 +221,7 @@ def make_conserved(xi: np.ndarray, alpha: float, c_alpha: float):
         C = np.sum(xi * z, axis=-1)
         if len(xi) < 2:     # no pairs: 2 * 0 / c_alpha would be -0 for c_alpha < 0
             return C, np.zeros(C.shape), np.zeros(C.shape)
-        d = np.abs(np.take(z, i, axis=-1) - np.take(z, k, axis=-1))
+        d = np.abs(operator.isub(np.take(z, i, axis=-1), np.take(z, k, axis=-1)))
         # sums run over ordered pairs j != k: twice the upper triangle
         H = 2.0 * np.sum(pair * d**p, axis=-1) / c_alpha
         Lmom = 2.0 * np.sum(pair * d**2, axis=-1)

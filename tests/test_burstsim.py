@@ -29,7 +29,24 @@ def lone_scenario(thm_cfg):
     )
 
 
+@pytest.fixture(scope="module")
+def crowd_scenario(thm_cfg):
+    # 17 vortices, 136 pairs: a lockstep batch holds one run
+    return gsqg.BurstScenario(
+        triple=thm_cfg,
+        background=tuple((2.0 + 0.8 * k + 0.3j * (k % 2), 0.5 - (k % 3) * 0.4)
+                         for k in range(14)),
+        t_ini_sequence=(1e-4, 5e-5, 2.5e-5), horizon=1e-3,
+    )
+
+
 CFG = gsqg.IntegratorConfig(rel_tol=1e-10)
+
+
+def fresh_runs(s):
+    """The study's runs, integrated in one `integrate_batch` call."""
+    return gsqg.integrate_batch([gsqg.make_burst_initial(s, t_ini) for t_ini in s.t_ini_sequence],
+                                s.horizon, CFG)
 
 
 # ---------------------------------------------------------------- construction
@@ -172,10 +189,12 @@ def test_cauchy_study_evaluates_each_run_once(scenario, monkeypatch):
     grid = np.geomspace(scenario.t_ini_sequence[0], scenario.horizon,
                         gsqg.burstsim.CAUCHY_GRID)
     # the gaps with every run's grid values alive at once, and those of
-    # evaluating both runs of a pair at every grid time
+    # evaluating both runs of a pair at every grid time, from fresh runs: the
+    # study's runs carry no dense output
+    runs = fresh_runs(scenario)
     two_eval = tuple(max(float(np.max(np.abs(a.eval(t) - b.eval(t)))) for t in grid.tolist())
-                     for a, b in zip(diag.runs, diag.runs[1:]))
-    for want in (cauchy_gaps_all_at_once(diag.runs, grid), two_eval):
+                     for a, b in zip(runs, runs[1:]))
+    for want in (cauchy_gaps_all_at_once(runs, grid), two_eval):
         assert np.array(diag.cauchy_gaps).view(np.uint64).tolist() == \
             np.array(want).view(np.uint64).tolist()
 
@@ -207,6 +226,62 @@ def test_cauchy_study_failure_names_the_first_failing_t_ini(scenario, monkeypatc
     with pytest.raises(RuntimeError, match=r"^integration failed at t=\S+ "
                                            r"\(t_ini=2\.5e-05\)$"):
         gsqg.convergence_study(scenario, CFG)
+
+
+def test_cauchy_study_drops_each_batch_dense_output_before_the_next(crowd_scenario,
+                                                                    monkeypatch):
+    # one run per batch; when a batch begins, no earlier run's segments live
+    refs, alive, sizes = [], [], []
+    real_batch = gsqg.burstsim.integrate_batch
+
+    def tracked(states, *args):
+        alive.append(sum(r() is not None for r in refs))
+        sizes.append(len(states))
+        runs = real_batch(states, *args)
+        refs.extend(weakref.ref(seg) for traj in runs for seg in traj.segments)
+        return runs
+
+    monkeypatch.setattr(gsqg.burstsim, "integrate_batch", tracked)
+    diag = gsqg.convergence_study(crowd_scenario, CFG)
+    assert sizes == [1, 1, 1] and alive == [0, 0, 0]
+    assert len(refs) > 300 and not any(r() is not None for r in refs)
+    assert all(traj.segments == [] for traj in diag.runs)
+    with pytest.raises(ValueError, match="^trajectory carries no dense output$"):
+        diag.runs[0].eval(crowd_scenario.horizon)
+
+
+def test_cauchy_study_in_batches_keeps_the_bits_of_one_batch(crowd_scenario):
+    diag = gsqg.convergence_study(crowd_scenario, CFG)
+    runs = fresh_runs(crowd_scenario)
+    for got, want in zip(diag.runs, runs):
+        for field in ("times", "positions", "h"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert (got.status, got.rejected, got.singular) == \
+            (want.status, want.rejected, want.singular)
+    grid = np.geomspace(crowd_scenario.t_ini_sequence[0], crowd_scenario.horizon,
+                        gsqg.burstsim.CAUCHY_GRID)
+    assert np.array(diag.cauchy_gaps).tobytes() == \
+        np.array(cauchy_gaps_all_at_once(runs, grid)).tobytes()
+
+
+def test_cauchy_study_failure_integrates_no_later_batch(crowd_scenario, monkeypatch):
+    # a step budget between the attempts of the first and the second run:
+    # the second fails and the third, in a batch of its own, never steps
+    runs = gsqg.convergence_study(crowd_scenario, CFG).runs
+    attempts = [len(r.h) + r.rejected + r.singular for r in runs]
+    assert attempts == sorted(set(attempts))
+    monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", (attempts[0] + attempts[1]) // 2)
+    calls, real_batch = [], gsqg.burstsim.integrate_batch
+
+    def counted(states, *args):
+        calls.append(len(states))
+        return real_batch(states, *args)
+
+    monkeypatch.setattr(gsqg.burstsim, "integrate_batch", counted)
+    with pytest.raises(RuntimeError, match=r"^integration failed at t=\S+ "
+                                           r"\(t_ini=5e-05\)$"):
+        gsqg.convergence_study(crowd_scenario, CFG)
+    assert calls == [1, 1]
 
 
 # ---------------------------------------------------------------- reversal

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -430,6 +431,24 @@ def test_burst_run_failure_exits_two_naming_the_first_failing_t_ini(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("gsqg burst: integration failed at t=")
     assert err.endswith(" (t_ini=5e-05)\n")
+    assert not out.exists()
+
+
+def test_burst_run_stopped_by_a_collapse_exits_two_naming_it(tmp_path, capsys):
+    # the background is the same triple, collapse-oriented and 1e4 times
+    # stronger, far off at 1000 + 1.2 a_j: it collapses at t = 5.68e-4, so the
+    # first run stops before the horizon, short of the Cauchy grid
+    tri = gsqg.center(gsqg.oriented_config(1.0, THM_X))
+    bg = tuple((1000 + 1.2 * a, -1e4 * x) for a, x in zip(tri.a.tolist(), tri.xi.tolist()))
+    scen = gsqg.BurstScenario(triple=tri, background=bg,
+                              t_ini_sequence=(1e-4, 9.5e-5, 9e-5), horizon=1e-3)
+    spath = tmp_path / "scenario.json"
+    spath.write_text(scen.to_json())
+    out = tmp_path / "out"
+    assert main(["burst", "--scenario", str(spath), "--out", str(out)]) == 2
+    assert re.fullmatch(r"gsqg burst: run stopped with collapse_detected at t=0\.000568\d+ "
+                        r"before the horizon 0\.001 \(t_ini=0\.0001\)\n",
+                        capsys.readouterr().err)
     assert not out.exists()
 
 

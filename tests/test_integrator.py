@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from itertools import count
 from types import SimpleNamespace
 
@@ -404,6 +406,23 @@ def test_eval_at_step_ends_returns_the_samples(run, thm_centered, thm_motion, mo
     scale = np.max(np.abs(traj.positions))
     for t, z in zip(traj.times[1:], traj.positions[1:]):
         assert np.max(np.abs(traj.eval(t) - z)) <= 1e-14 * scale
+
+
+def test_eval_holds_its_result_once():
+    # the blocks of rows fill one preallocated result; concatenating them held
+    # the result twice at the end of the call
+    traj = gsqg.integrate(lattice_state(20, 1.0), 0.5, gsqg.IntegratorConfig(rel_tol=1e-8))
+    ts = np.linspace(traj.times[0], traj.times[-1], 3000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        z = traj.eval(ts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(traj.h) > 10 and z.nbytes == 3000 * 20 * 16
+    assert peak < 1.2 * z.nbytes, (peak, z.nbytes)
 
 
 @pytest.mark.parametrize("t1", [np.nan, np.inf, -np.inf])

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -296,6 +299,24 @@ def test_conserved_batch_rows_keep_their_bits(n, alpha):
     traj = Trajectory(times=np.arange(rows, dtype=float), positions=z, xi=xi, alpha=alpha,
                       status=Status.COMPLETED, h=np.ones(rows - 1), segments=[])
     assert traj.to_csv() == csv_per_value(traj)
+
+
+def test_conserved_holds_two_complex_pair_arrays():
+    # one row of 99 vortices: the pair differences are taken in place into the
+    # first gathered array, so no third complex pair array is made
+    st = lattice_state(99, 1.0)
+    q = make_conserved(st.xi, 1.0, gsqg.coupling_constant(1.0))
+    z = st.z[None]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        q(z)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    pair_bytes = 99 * 98 // 2 * 16
+    assert peak < 2.5 * pair_bytes, (peak, pair_bytes)
 
 
 def test_conserved_returns_python_scalars():

@@ -8,18 +8,21 @@ default, or `orbits`, N = 4) at seed S with `perfbench/workloads.py`, runs
 tracemalloc with wrappers that mark where each phase ends and the next
 begins:
 
-- "integration": from the command's start until the lockstep integration
-  (`burstsim.integrate_batch`) returns, argument parsing included;
-- "cauchy gaps": the rest of `convergence_study`, the runs' grid values and
-  their gaps;
+- "integration": each call of the lockstep integration
+  (`burstsim.integrate_batch`), a study making one call per batch, and the
+  stretch from the command's start to the first call, argument parsing
+  included;
+- "cauchy gaps": the rest of `convergence_study`, between and after those
+  calls: the runs' diagnostics, grid values and gaps;
 - one phase per trajectory CSV, named after the file: from the call of
   `Trajectory.to_csv` or `Trajectory.csv_blocks` that makes its text until
   the `cli` writer of the file returns, so formatting and writing both count;
 - "other": the rest, the diagnostics and manifest JSONs among it.
 
 A phase's peak is the highest traced memory inside it less what was traced
-when it began, in MB of 10^6 bytes; "command" is the highest traced memory
-of the whole command less what was traced when it began.  Each CSV also
+when it began, the largest of its stretches for a phase met more than once,
+in MB of 10^6 bytes; "command" is the highest traced memory of the whole
+command less what was traced when it began.  Each CSV also
 gets its size and its peak per byte.  The import path picks the tree
 measured, so parent and change run the same script; functions a tree lacks
 are not wrapped.  The JSON goes to FILE, or to stdout.  Standard library
@@ -78,6 +81,12 @@ class Phases:
             return result
         return wrapped
 
+    def around(self, fn, name: str, next_name: str = OTHER):
+        def wrapped(*args, **kwargs):
+            self.mark(self.name, name)
+            return self.after(fn, name, next_name)(*args, **kwargs)
+        return wrapped
+
     def csv_starts(self, fn):
         def wrapped(*args, **kwargs):
             self.mark(self.name, CSV)
@@ -96,7 +105,7 @@ class Phases:
 def wrappers(ph: Phases) -> list[tuple[object, str, object]]:
     """(owner, attribute, wrapper) of each phase boundary this tree has."""
     out = [(burstsim, "integrate_batch",
-            ph.after(burstsim.integrate_batch, "integration", "cauchy gaps")),
+            ph.around(burstsim.integrate_batch, "integration", "cauchy gaps")),
            (cli, "convergence_study", ph.after(cli.convergence_study, "cauchy gaps"))]
     for attr in ("to_csv", "csv_blocks"):
         if hasattr(integrator.Trajectory, attr):
