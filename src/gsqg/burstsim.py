@@ -168,7 +168,7 @@ def convergence_study(s: BurstScenario,
     decreasing gaps are the numerical evidence that the seeded runs converge
     to a limiting burst among the background vortices.  A run that fails or
     stops before the horizon ends the study.  The trajectories come back in
-    the `runs` field, in t_ini order, with no dense output (`eval` raises).
+    the `runs` field, in t_ini order, with no dense output or grid values.
     """
     if len(s.t_ini_sequence) < 3:
         raise DomainError("need at least three t_ini values")
@@ -178,18 +178,17 @@ def convergence_study(s: BurstScenario,
     grid = np.geomspace(s.t_ini_sequence[0], s.horizon, CAUCHY_GRID)
     size, runs, gaps, prev = pair_rows(states[0].n), [], [], None
     # a batch at a time, in t_ini order so a failure names the first failing run;
-    # a run drops its dense output once evaluated, its grid values after its next gap
+    # each run evaluates the grid as it steps, and its values live until its next gap
     for a in range(0, len(states), size):
         for t_ini, traj in zip(s.t_ini_sequence[a:],
-                               integrate_batch(states[a:a + size], s.horizon, cfg)):
+                               integrate_batch(states[a:a + size], s.horizon, cfg, grid)):
             diag = _diagnostics(s, t_ini, traj)
             if traj.status is not Status.COMPLETED:
                 raise RuntimeError(f"run stopped with {traj.status.value} at t={traj.times[-1]}"
                                    f" before the horizon {s.horizon} (t_ini={t_ini})")
-            vals, traj.segments = traj.eval(grid), []
             if prev is not None:
-                gaps.append(max(np.abs(prev - vals).max(axis=1).tolist()))
-            prev = vals
+                gaps.append(max(np.abs(prev - traj.values).max(axis=1).tolist()))
+            prev, traj.values = traj.values, None
             runs.append(traj)
     # exponent and drift come from the run closest to the singular time
     return replace(diag, cauchy_gaps=tuple(gaps), runs=tuple(runs))

@@ -101,6 +101,7 @@ class Trajectory:
     segments: list[np.ndarray] = field(repr=False)   # (5, n) complex per step
     rejected: int = 0                 # refused by the error test
     singular: int = 0                 # retried after a SingularityError
+    values: np.ndarray | None = None  # given `at`: eval(at), NaN past a stop, no segments
 
     def final_state(self) -> VortexState:
         return VortexState(t=float(self.times[-1]), z=self.positions[-1],
@@ -184,10 +185,11 @@ def integrate(state0: VortexState, t1: float,
 
 @np.errstate(over="ignore")    # an error norm that overflows rejects its step
 def integrate_batch(states: list[VortexState], t1: float,
-                    cfg: IntegratorConfig = IntegratorConfig()) -> list[Trajectory]:
+                    cfg: IntegratorConfig = IntegratorConfig(), at=None) -> list[Trajectory]:
     """`integrate` of states sharing xi and alpha, each with the bits it has
     alone, in lockstep batches of `pair_rows(n)` runs: a pass does the
-    array math of all live runs at once and the step control run by run."""
+    array math of all live runs at once and the step control run by run.
+    Given times `at`, each run forms `eval(at)` step by step and keeps no segments."""
     if not np.isfinite(t1):
         raise DomainError(f"t1 must be finite, got {t1}")
     if any(st.t == t1 for st in states):
@@ -195,10 +197,20 @@ def integrate_batch(states: list[VortexState], t1: float,
     xi, alpha, c_alpha, n = states[0].xi.copy(), states[0].alpha, states[0].c_alpha, states[0].n
     if any(st.alpha != alpha or not np.array_equal(st.xi, xi) for st in states):
         raise DomainError("the states of a batch must share xi and alpha")
-    size = pair_rows(n)
-    if len(states) > size:
-        return integrate_batch(states[:size], t1, cfg) + integrate_batch(states[size:], t1, cfg)
-    out = runs = [_Run(st, t1, cfg) for st in states]
+    ts = [] if at is None else np.asarray(at, dtype=float).reshape(-1).tolist()
+    for st in states:       # eval's span check, and the order of integration
+        if not all(min(st.t, t1) - 1e-12 <= t <= max(st.t, t1) + 1e-12 for t in ts):
+            raise DomainError(f"t={np.asarray(at)} outside trajectory span [{st.t}, {t1}]")
+        if any((t1 - st.t) * (b - a) < 0.0 for a, b in zip(ts, ts[1:])):
+            raise DomainError("at must be sorted in the direction of integration")
+    if len(states) > (size := pair_rows(n)):
+        return (integrate_batch(states[:size], t1, cfg, at)
+                + integrate_batch(states[size:], t1, cfg, at))
+    out = runs = [_Run(st, t1, cfg, None if at is None else len(ts)) for st in states]
+
+    def finish(r):      # a stopped run's times left within 1e-12 of its end: eval's last step
+        while r.hs and r.p < len(ts) and r.sign * (ts[r.p] - r.times[-1]) <= 1e-12:
+            r.values[r.p], r.p = _dense(r.last, (ts[r.p] - r.times[-2]) / r.hs[-1]), r.p + 1
     # z is never written in place once read; stage buffer row 0 holds f(z)
     z, k = np.array([st.z for st in states]), np.empty((len(runs), 7, n), dtype=complex)
     k[:, 0], b = [r.f0 for r in runs], 0     # b: the batch's size, 0 before the first
@@ -225,6 +237,7 @@ def integrate_batch(states: list[VortexState], t1: float,
                 live.append(m)
                 continue
             r.z = z[m]
+            finish(r)
         if len(live) < b or not b:
             if not live:
                 break
@@ -260,7 +273,8 @@ def integrate_batch(states: list[VortexState], t1: float,
                 z1[m] = z[m]
                 continue
             r.hs.append(r.h)
-            r.segments.append(rcont[m].copy())      # a view would keep a second header
+            r.segments.append(rcont[m].copy() if at is None else z[m].copy())     # not views
+            r.last = rcont[m]
             if md[m] < r.dmin:
                 # the guard crossing inside the step, by bisection on the dense
                 # output; s is taken from the absolute time, as eval takes it
@@ -275,7 +289,11 @@ def integrate_batch(states: list[VortexState], t1: float,
                 r.times.append(t_event)
                 r.z = _dense(rcont[m], (t_event - r.t) / r.h) if t_event != r.t else z1[m]
                 r.status = Status.COLLAPSE_DETECTED
+                finish(r)
                 continue
+            # the times this step covers that no earlier one did, as eval takes them
+            while r.p < len(ts) and (s := (ts[r.p] - r.t) / r.h) <= 1.0 + 1e-12:
+                r.values[r.p], r.p = _dense(rcont[m], s), r.p + 1
             r.t = r.t + r.h
             rows[0][m] = rows[6][m]     # FSAL, copied: a retried step rewrites row 6
             r.times.append(r.t)
@@ -284,23 +302,27 @@ def integrate_batch(states: list[VortexState], t1: float,
             r.h *= min(10.0, max(0.2, fac))
             r.err_prev = max(err, 1e-10)
         z = z1
-    # a step starts at its sample: positions[k] is segments[k][0]
-    return [Trajectory(np.array(r.times), np.array([seg[0] for seg in r.segments] + [r.z]),
-                       xi, alpha, r.status, np.array(r.hs), r.segments, r.rejected,
-                       r.singular) for r in out]
+    # a step starts at its sample: positions[k] is segments[k][0], or given `at` segments[k]
+    return [Trajectory(np.array(r.times), np.array(
+        ([seg[0] for seg in r.segments] if at is None else r.segments) + [r.z]), xi, alpha,
+        r.status, np.array(r.hs), r.segments if at is None else [], r.rejected, r.singular,
+        r.values) for r in out]
 
 
 class _Run:
     """Step control of one run of a lockstep batch, in Python floats."""
 
-    def __init__(self, st: VortexState, t1: float, cfg: IntegratorConfig):
+    def __init__(self, st: VortexState, t1: float, cfg: IntegratorConfig, n_at: int | None):
         self.t, self.sign, self.err_prev = st.t, 1.0 if t1 > st.t else -1.0, 1.0
         self.d_init = st.min_distance()
         self.dmin = max(GUARD_FRACTION * self.d_init, st.dmin())
         self.f0 = make_rhs(st.xi, st.alpha, st.c_alpha, self.dmin * 0.5)(st.z)[0]
         self.h = self.sign * _initial_step(self.f0, st.z, t1 - st.t, cfg)
         self.times, self.hs, self.segments, self.rejected, self.singular = [st.t], [], [], 0, 0
-        self.status = self.z = None         # set when the run stops; z its end
+        # status and its end z are set when it stops; last: its last step's dense output
+        self.status = self.z = self.last = None
+        # its values at the n_at times `at`, the first p of them formed
+        self.p, self.values = 0, None if n_at is None else np.full((n_at, st.n), np.nan, complex)
 
 
 def collapse_time_fit(traj: Trajectory) -> tuple[float, float]:

@@ -179,15 +179,22 @@ def test_cauchy_gaps_with_background(scenario):
 
 
 def test_cauchy_study_evaluates_each_run_once(scenario, monkeypatch):
-    times = []
-    real_eval = gsqg.Trajectory.eval
-    monkeypatch.setattr(gsqg.Trajectory, "eval",
-                        lambda self, t: times.extend(np.ravel(t)) or real_eval(self, t))
-    diag = gsqg.convergence_study(scenario, CFG)
-    assert len(times) == len(scenario.t_ini_sequence) * gsqg.burstsim.CAUCHY_GRID
-    monkeypatch.undo()
+    # each run forms each of its grid values once, as it steps, and eval is never called
     grid = np.geomspace(scenario.t_ini_sequence[0], scenario.horizon,
                         gsqg.burstsim.CAUCHY_GRID)
+    given, values = [], []
+    real_batch, real_dense = gsqg.burstsim.integrate_batch, gsqg.integrator._dense
+    monkeypatch.setattr(gsqg.burstsim, "integrate_batch",
+                        lambda states, *args: given.extend([args[2]] * len(states))
+                        or real_batch(states, *args))
+    monkeypatch.setattr(gsqg.integrator, "_dense",
+                        lambda r, s: values.append(np.shape(s)) or real_dense(r, s))
+    monkeypatch.setattr(gsqg.Trajectory, "eval", None)
+    diag = gsqg.convergence_study(scenario, CFG)
+    assert len(given) == len(scenario.t_ini_sequence)
+    assert all(at.tobytes() == grid.tobytes() for at in given)
+    assert values == [()] * (len(scenario.t_ini_sequence) * gsqg.burstsim.CAUCHY_GRID)
+    monkeypatch.undo()
     # the gaps with every run's grid values alive at once, and those of
     # evaluating both runs of a pair at every grid time, from fresh runs: the
     # study's runs carry no dense output
@@ -199,20 +206,23 @@ def test_cauchy_study_evaluates_each_run_once(scenario, monkeypatch):
             np.array(want).view(np.uint64).tolist()
 
 
-def test_cauchy_study_holds_two_runs_grid_values_at_once(scenario, monkeypatch):
-    # when a run is evaluated on the grid, only the previous run's values live
+def test_cauchy_study_holds_two_runs_grid_values_at_once(crowd_scenario, monkeypatch):
+    # one run per batch: when a batch begins, only the previous run's grid
+    # values live, so at most two runs' values do while it steps
     refs, alive = [], []
-    real_eval = gsqg.Trajectory.eval
+    real_batch = gsqg.burstsim.integrate_batch
 
-    def tracked(self, t):
+    def tracked(states, *args):
         alive.append(sum(r() is not None for r in refs))
-        vals = real_eval(self, t)
-        refs.append(weakref.ref(vals))
-        return vals
+        runs = real_batch(states, *args)
+        refs.extend(weakref.ref(traj.values) for traj in runs)
+        return runs
 
-    monkeypatch.setattr(gsqg.Trajectory, "eval", tracked)
-    gsqg.convergence_study(scenario, CFG)
-    assert alive == [0, 1, 1, 1]
+    monkeypatch.setattr(gsqg.burstsim, "integrate_batch", tracked)
+    diag = gsqg.convergence_study(crowd_scenario, CFG)
+    assert alive == [0, 1, 1] and len(refs) == 3
+    assert not any(r() is not None for r in refs)
+    assert all(traj.values is None for traj in diag.runs)
 
 
 def test_cauchy_study_failure_names_the_first_failing_t_ini(scenario, monkeypatch):
@@ -228,23 +238,24 @@ def test_cauchy_study_failure_names_the_first_failing_t_ini(scenario, monkeypatc
         gsqg.convergence_study(scenario, CFG)
 
 
-def test_cauchy_study_drops_each_batch_dense_output_before_the_next(crowd_scenario,
-                                                                    monkeypatch):
-    # one run per batch; when a batch begins, no earlier run's segments live
-    refs, alive, sizes = [], [], []
-    real_batch = gsqg.burstsim.integrate_batch
+def test_cauchy_study_stores_no_segment(crowd_scenario, monkeypatch):
+    # one run per batch; every step a run keeps is its start row alone, (n,),
+    # never the (5, n) dense output, and the runs come back without segments
+    sizes, kept = [], []
+    real_batch, real_run = gsqg.burstsim.integrate_batch, gsqg.integrator._Run
 
-    def tracked(states, *args):
-        alive.append(sum(r() is not None for r in refs))
-        sizes.append(len(states))
-        runs = real_batch(states, *args)
-        refs.extend(weakref.ref(seg) for traj in runs for seg in traj.segments)
-        return runs
+    class Kept(real_run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self)
 
-    monkeypatch.setattr(gsqg.burstsim, "integrate_batch", tracked)
+    monkeypatch.setattr(gsqg.integrator, "_Run", Kept)
+    monkeypatch.setattr(gsqg.burstsim, "integrate_batch",
+                        lambda states, *args: sizes.append(len(states)) or real_batch(states, *args))
     diag = gsqg.convergence_study(crowd_scenario, CFG)
-    assert sizes == [1, 1, 1] and alive == [0, 0, 0]
-    assert len(refs) > 300 and not any(r() is not None for r in refs)
+    assert sizes == [1, 1, 1] and len(kept) == 3
+    assert sum(len(r.segments) for r in kept) > 300
+    assert all(seg.shape == (17,) for r in kept for seg in r.segments)
     assert all(traj.segments == [] for traj in diag.runs)
     with pytest.raises(ValueError, match="^trajectory carries no dense output$"):
         diag.runs[0].eval(crowd_scenario.horizon)

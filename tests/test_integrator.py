@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 from itertools import count
@@ -562,3 +563,115 @@ def test_batches_split_by_pair_values(monkeypatch):
     other = gsqg.VortexState(t=0.0, z=states[0].z, xi=-states[0].xi, alpha=1.0)
     with pytest.raises(gsqg.DomainError, match="share xi and alpha"):
         gsqg.integrate_batch([states[0], other], 0.05, cfg)
+
+
+# ---------------------------------------------------------------- values at given times
+
+def _sorted_from(ts, t0, t1):
+    """ts in the direction of integration from t0 to t1."""
+    return np.array(sorted(ts, reverse=bool(t1 < t0)))
+
+
+def _same_run_at(got, dense, at):
+    """A run given `at` against the same run with dense output: the same samples
+    and counts, no segments, and eval(at) bit for bit in eval's span, which ends
+    1e-12 past the run's end, NaN past it."""
+    _same_run(dataclasses.replace(got, segments=dense.segments), dense)
+    assert got.segments == [] and got.values.shape == (len(at), dense.positions.shape[1])
+    sign = np.sign(dense.times[-1] - dense.times[0])
+    reached = sign * (at - dense.times[-1]) <= 1e-12
+    assert got.values[reached].tobytes() == dense.eval(at[reached]).tobytes()
+    assert np.isnan(got.values[~reached]).all()
+    return reached
+
+
+@pytest.mark.parametrize("run", ["forward", "backward", "collapse"])
+def test_values_at_given_times_are_eval_of_the_dense_run(run, thm_centered, thm_motion,
+                                                         monkeypatch):
+    # step boundaries, their neighbouring floats, interior points, both ends of
+    # the span and past them within the 1e-12 tolerance, each taken once as
+    # eval takes it; a collapse run reads NaN past its stop
+    dense = _run(run, thm_centered, thm_motion, monkeypatch)
+    t0, t1 = dense.times[0], {"forward": 0.8, "backward": 0.0, "collapse": 0.5}[run]
+    st = gsqg.VortexState(t=t0, z=dense.positions[0], xi=dense.xi, alpha=dense.alpha)
+    before = t0 - np.sign(t1 - t0) * 5e-13
+    at = _sorted_from([t for t in _probe_times(dense) if t != before] + [t1], t0, t1)
+    got = gsqg.integrate_batch([st], t1, gsqg.IntegratorConfig(rel_tol=1e-8), at)[0]
+    reached = _same_run_at(got, dense, at)
+    assert reached.sum() > 3 * len(dense.times) and (run == "collapse") == (not reached.all())
+    # a time before the start, which no step covers, comes from the first step
+    # (eval, finding no covering step, takes the last one)
+    first = gsqg.integrate_batch([st], t1, gsqg.IntegratorConfig(rel_tol=1e-8), [before])[0]
+    assert first.values.tobytes() == _dense(dense.segments[0],
+                                            (before - t0) / dense.h[0])[None].tobytes()
+
+
+@pytest.mark.parametrize("case", list(BATCHES))
+def test_batch_values_at_given_times_are_eval_of_each_dense_run(case, monkeypatch):
+    # batches of four runs (N = 3 and 4) and of one (N = 99), forward and
+    # backward runs, guard crossings, a step budget and step underflow; the
+    # times lie in every run's span: the sample times of all runs, their
+    # midpoints, and both ends
+    make, t1, rel_tol, guard, budget, _ = BATCHES[case]
+    if guard is not None:
+        monkeypatch.setattr(gsqg.integrator, "GUARD_FRACTION", guard)
+    if budget is not None:
+        monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", budget)
+    states, cfg = make(), gsqg.IntegratorConfig(rel_tol=rel_tol)
+    dense = gsqg.integrate_batch(states, t1, cfg)
+    signs = {np.sign(t1 - st.t) for st in states}
+    t0 = max((st.t for st in states), key=lambda t: -abs(t1 - t)) if len(signs) == 1 else t1
+    ts = np.concatenate([t for d in dense for t in (d.times, 0.5 * (d.times[1:] + d.times[:-1]))])
+    lo, hi = sorted((t0, t1))
+    at = _sorted_from([t for t in ts if lo <= t <= hi] + [t0, t1], t0, t1)
+    got = gsqg.integrate_batch(states, t1, cfg, at)
+    for g, d in zip(got, dense):
+        _same_run_at(g, d, at)
+    empty = gsqg.integrate_batch(states, t1, cfg, np.array([]))
+    for g, d in zip(empty, dense):
+        _same_run_at(g, d, np.array([]))
+
+
+def test_given_times_outside_the_span_or_out_of_order_are_refused():
+    st, cfg = random_state(17, 3, 1.5), gsqg.IntegratorConfig(rel_tol=1e-8)
+    later = gsqg.VortexState(t=0.3, z=st.z, xi=st.xi, alpha=st.alpha)
+    for states, t1, at, t0 in (([st], 0.8, [0.5, 0.8 + 2e-12], 0.0),
+                               ([st], 0.8, [-2e-12, 0.5], 0.0),
+                               ([st], -0.8, [-0.5, 0.1], 0.0),
+                               ([st], 0.8, [0.2, np.nan], 0.0),
+                               ([st, later], 0.8, [0.2, 0.5], 0.3)):
+        with pytest.raises(gsqg.DomainError,
+                           match=rf"^t=\[.*\] outside trajectory span \[{t0}, {t1}\]$"):
+            gsqg.integrate_batch(states, t1, cfg, at)
+    for t1, at in ((0.8, [0.5, 0.2]), (-0.8, [-0.2, -0.5, -0.3])):
+        with pytest.raises(gsqg.DomainError,
+                           match="^at must be sorted in the direction of integration$"):
+            gsqg.integrate_batch([st], t1, cfg, at)
+    # the ends of the span with the tolerance eval allows, and repeated times
+    got = gsqg.integrate_batch([st], -0.8, cfg, [5e-13, 0.0, -0.5, -0.5, -0.8 - 5e-13])[0]
+    assert not np.isnan(got.values).any()
+
+
+def test_a_run_given_times_holds_no_dense_output():
+    # it keeps the start of each step, one of the five coefficient rows, so it
+    # holds four fifths of the segments' bytes less than the dense run, and its
+    # values more
+    st = gsqg.make_burst_initial(gsqg.BurstScenario(
+        triple=gsqg.oriented_config(1.0, THM_X),
+        background=tuple((2.0 + 0.8 * k + 0.3j * (k % 2), 0.5 - (k % 3) * 0.4)
+                         for k in range(14))), 2.5e-5)
+    cfg, at = gsqg.IntegratorConfig(rel_tol=1e-10), np.geomspace(1e-4, 1e-3, 120)
+    peaks, runs = [], []
+    for kw in ({}, {"at": at}):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            runs.append(gsqg.integrate_batch([st], 1e-3, cfg, **kw)[0])
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    dense, given = runs
+    segments = sum(seg.nbytes for seg in dense.segments)
+    assert len(dense.h) > 100 and given.segments == []
+    assert peaks[1] <= peaks[0] - 0.8 * segments + given.values.nbytes, (peaks, segments)
