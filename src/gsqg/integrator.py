@@ -50,15 +50,13 @@ MAX_STEPS = 1_000_000
 # distance (the kernel's own hard guard of 1e-12 x diameter is far below
 # anything reachable in finite float time along a collapse orbit).
 GUARD_FRACTION = 1e-6
-# pair values per block of rows that one array call takes, the rows that
-# `Trajectory.to_csv` formats and the runs of an `integrate_batch` pass (one
-# row per block once a row has more pairs); `eval` takes blocks of positions
+# pair values per block of rows that one array call takes: a study's batch of runs,
+# a CSV block and an `eval` block of times; `pair_rows` alone reads it
 PAIR_BLOCK = 256
 
 
 def pair_rows(n: int) -> int:
-    """Rows of n vortices to a block of PAIR_BLOCK pair values, at least one:
-    the runs of an `integrate_batch` pass and the rows of a CSV block."""
+    """Rows of n vortices to a block of PAIR_BLOCK pair values, at least one."""
     return max(1, PAIR_BLOCK // max(n * (n - 1) // 2, 1))
 
 
@@ -85,6 +83,12 @@ def _dense(r: np.ndarray, s: float) -> np.ndarray:
     return r[0] + s * (r[1] + s1 * (r[2] + s * (r[3] + s1 * r[4])))
 
 
+def _check_span(t: np.ndarray, t0: float, t1: float) -> None:
+    """Refuse times more than 1e-12 outside the span from t0 to t1."""
+    if not ((min(t0, t1) - 1e-12 <= t) & (t <= max(t0, t1) + 1e-12)).all():
+        raise DomainError(f"t={t} outside trajectory span [{t0}, {t1}]")
+
+
 @dataclass
 class Trajectory:
     """Accepted-step samples plus dense output of one integration run.
@@ -108,20 +112,18 @@ class Trajectory:
                            xi=self.xi, alpha=self.alpha)
 
     def eval(self, t) -> np.ndarray:
-        """Dense-output positions (t.shape + (n,), so empty for no t) at times t
-        inside the covered span, each from the first step covering it (the last
-        step if none does), so a step boundary belongs to the earlier step."""
+        """Dense-output positions (t.shape + (n,), so empty for no t) at times t in
+        the span, each from the first step k with (t - times[k]) / h[k] <= 1 + 1e-12
+        or else the last, so a step boundary belongs to the earlier step."""
         if not self.segments:
             raise ValueError("trajectory carries no dense output")
         t = np.asarray(t, dtype=float)
-        ts, lo, hi = t.reshape(-1, 1), self.times[0], self.times[-1]
-        if not ((min(lo, hi) - 1e-12 <= ts) & (ts <= max(lo, hi) + 1e-12)).all():
-            raise ValueError(f"t={t} outside trajectory span [{lo}, {hi}]")
-        n = self.positions.shape[1]
-        rows, z = max(1, PAIR_BLOCK // n), np.empty((len(ts), n), dtype=complex)
+        _check_span(t, self.times[0], self.times[-1])
+        ts, n = t.reshape(-1, 1), self.positions.shape[1]
+        rows, z = pair_rows(n), np.empty((len(ts), n), dtype=complex)
         for a in range(0, len(ts), rows):
             s = (ts[a:a + rows] - self.times[:-1]) / self.h
-            covers = (-1e-12 <= s) & (s <= 1.0 + 1e-12)
+            covers = s <= 1.0 + 1e-12
             k = np.where(covers.any(axis=1), np.argmax(covers, axis=1), -1)
             r = np.stack([self.segments[j] for j in k.tolist()], axis=1)
             z[a:a + rows] = _dense(r, s[np.arange(len(k)), k][:, None])
@@ -173,23 +175,22 @@ def integrate(state0: VortexState, t1: float,
               cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate the vortex system from state0.t to t1 (either direction).
 
-    Stops early with CollapseDetected when the minimum pairwise distance
-    falls below the guard radius (the crossing, located by bisection on the
-    dense output, is the last sample), or when the step size underflows
-    while that distance is below max(1e3 x guard radius, 1e-2 x initial
-    distance).  Stops with StepFailure when the step size underflows
-    without such a contraction, or when the step budget is exhausted.
-    """
+    Stops early with CollapseDetected when the minimum pairwise distance falls
+    below the guard radius (the crossing, located by bisection on the dense output,
+    is the last sample), or when the step size underflows while that distance is
+    below max(1e3 x guard radius, 1e-2 x initial distance).  Stops with StepFailure
+    when the step size underflows without such a contraction, or when the step
+    budget is exhausted.  Refuses a start state whose closest pair lies inside the
+    kernel guard, half its `dmin()`, with DomainError."""
     return integrate_batch([state0], t1, cfg)[0]
 
 
 @np.errstate(over="ignore")    # an error norm that overflows rejects its step
 def integrate_batch(states: list[VortexState], t1: float,
                     cfg: IntegratorConfig = IntegratorConfig(), at=None) -> list[Trajectory]:
-    """`integrate` of states sharing xi and alpha, each with the bits it has
-    alone, in lockstep batches of `pair_rows(n)` runs: a pass does the
-    array math of all live runs at once and the step control run by run.
-    Given times `at`, each run forms `eval(at)` step by step and keeps no segments."""
+    """`integrate` of states sharing xi and alpha, each with the bits it has alone, in
+    one lockstep batch: a pass does the array math of all live runs at once and the step
+    control run by run.  Given times `at`, each run forms `eval(at)` and keeps no segments."""
     if not np.isfinite(t1):
         raise DomainError(f"t1 must be finite, got {t1}")
     if any(st.t == t1 for st in states):
@@ -197,23 +198,30 @@ def integrate_batch(states: list[VortexState], t1: float,
     xi, alpha, c_alpha, n = states[0].xi.copy(), states[0].alpha, states[0].c_alpha, states[0].n
     if any(st.alpha != alpha or not np.array_equal(st.xi, xi) for st in states):
         raise DomainError("the states of a batch must share xi and alpha")
-    ts = [] if at is None else np.asarray(at, dtype=float).reshape(-1).tolist()
-    for st in states:       # eval's span check, and the order of integration
-        if not all(min(st.t, t1) - 1e-12 <= t <= max(st.t, t1) + 1e-12 for t in ts):
-            raise DomainError(f"t={np.asarray(at)} outside trajectory span [{st.t}, {t1}]")
-        if any((t1 - st.t) * (b - a) < 0.0 for a, b in zip(ts, ts[1:])):
-            raise DomainError("at must be sorted in the direction of integration")
-    if len(states) > (size := pair_rows(n)):
-        return (integrate_batch(states[:size], t1, cfg, at)
-                + integrate_batch(states[size:], t1, cfg, at))
-    out = runs = [_Run(st, t1, cfg, None if at is None else len(ts)) for st in states]
+    ts = np.asarray([] if at is None else at, dtype=float).reshape(-1)
+    for st in states:       # eval's span check, then the order of integration
+        _check_span(ts, st.t, t1)
+    ts = ts.tolist()
+    if any((t1 - st.t) * (b - a) < 0.0 for st in states for a, b in zip(ts, ts[1:])):
+        raise DomainError("at must be sorted in the direction of integration")
 
     def finish(r):      # a stopped run's times left within 1e-12 of its end: eval's last step
         while r.hs and r.p < len(ts) and r.sign * (ts[r.p] - r.times[-1]) <= 1e-12:
             r.values[r.p], r.p = _dense(r.last, (ts[r.p] - r.times[-2]) / r.hs[-1]), r.p + 1
+
+    def batch(runs, k):     # the live runs' RHS; per stage: tableau row, stages weighed, row
+        return (make_rhs(xi, alpha, c_alpha, [r.dmin * 0.5 for r in runs]),
+                [(a, k[:, :i], k[:, i]) for i, a in enumerate(_A, 1)])
+    out = runs = [_Run(st, t1, None if at is None else len(ts)) for st in states]
     # z is never written in place once read; stage buffer row 0 holds f(z)
     z, k = np.array([st.z for st in states]), np.empty((len(runs), 7, n), dtype=complex)
-    k[:, 0], b = [r.f0 for r in runs], 0     # b: the batch's size, 0 before the first
+    f, stages = batch(runs, k)
+    try:
+        k[:, 0] = f(z)[0]
+    except SingularityError as e:
+        raise DomainError(f"a start state lies inside the kernel guard: {e}") from None
+    for r, st, f0 in zip(runs, states, k[:, 0]):
+        r.h = r.sign * _initial_step(f0, st.z, t1 - st.t, cfg)
     # row j: live run j's h in every column (a float or (b, 1) array costs more per product)
     h = np.empty(z.shape, dtype=complex)
     while True:
@@ -238,13 +246,11 @@ def integrate_batch(states: list[VortexState], t1: float,
                 continue
             r.z = z[m]
             finish(r)
-        if len(live) < b or not b:
+        if len(live) < len(runs):
             if not live:
                 break
-            runs, z, k, h, b = [runs[m] for m in live], z[live], k[live], h[:len(live)], len(live)
-            f = make_rhs(xi, alpha, c_alpha, [r.dmin * 0.5 for r in runs])
-            rows = [k[:, i] for i in range(7)]
-            stages = list(zip(_A, [k[:, :i] for i in range(1, 7)], rows[1:]))
+            runs, z, k, h = [runs[m] for m in live], z[live], k[live], h[:len(live)]
+            f, stages = batch(runs, k)
         try:
             # after the last stage z1 is the end point of each step and md
             # its minimum pairwise distance
@@ -262,8 +268,8 @@ def integrate_batch(states: list[VortexState], t1: float,
         c = rcont.transpose(1, 0, 2)
         c[0] = z
         dz = np.subtract(z1, z, out=c[1])
-        c[2] = h * rows[0] - dz
-        c[3] = dz - h * rows[6] - c[2]
+        c[2] = h * k[:, 0] - dz
+        c[3] = dz - h * k[:, 6] - c[2]
         c[4] = h * (_D @ k)
         for m, (r, err) in enumerate(zip(runs, errs)):
             if not err <= 1.0:
@@ -295,7 +301,7 @@ def integrate_batch(states: list[VortexState], t1: float,
             while r.p < len(ts) and (s := (ts[r.p] - r.t) / r.h) <= 1.0 + 1e-12:
                 r.values[r.p], r.p = _dense(rcont[m], s), r.p + 1
             r.t = r.t + r.h
-            rows[0][m] = rows[6][m]     # FSAL, copied: a retried step rewrites row 6
+            k[m, 0] = k[m, 6]     # FSAL, copied: a retried step rewrites row 6
             r.times.append(r.t)
             # PI controller; a zero error takes its limit as err -> 0+, the largest growth
             fac = 0.9 * err ** (-0.7 / 5.0) * r.err_prev ** (0.4 / 5.0) if err > 0.0 else 10.0
@@ -312,12 +318,10 @@ def integrate_batch(states: list[VortexState], t1: float,
 class _Run:
     """Step control of one run of a lockstep batch, in Python floats."""
 
-    def __init__(self, st: VortexState, t1: float, cfg: IntegratorConfig, n_at: int | None):
+    def __init__(self, st: VortexState, t1: float, n_at: int | None):
         self.t, self.sign, self.err_prev = st.t, 1.0 if t1 > st.t else -1.0, 1.0
         self.d_init = st.min_distance()
         self.dmin = max(GUARD_FRACTION * self.d_init, st.dmin())
-        self.f0 = make_rhs(st.xi, st.alpha, st.c_alpha, self.dmin * 0.5)(st.z)[0]
-        self.h = self.sign * _initial_step(self.f0, st.z, t1 - st.t, cfg)
         self.times, self.hs, self.segments, self.rejected, self.singular = [st.t], [], [], 0, 0
         # status and its end z are set when it stops; last: its last step's dense output
         self.status = self.z = self.last = None

@@ -158,13 +158,12 @@ def max_pair_distance(z: np.ndarray):
     return np.abs(z[..., :, None] - z[..., None, :]).max(axis=(-2, -1), initial=0.0)
 
 
-def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guard):
-    """`rhs` and the minimum pairwise distance as a function of the positions
-    alone, for fixed intensities, exponent and guard: of positions (n,) with a
-    scalar guard, or of (b, n) with b guards, each row with the bits it has alone."""
+def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guards):
+    """`rhs` and the closest pairwise distance of each row of positions (b, n), for
+    fixed intensities, exponent and b guards, each row with the bits it has alone."""
     # 0-d arrays: a ufunc converts a scalar operand on every call
     xi_c, ic, p = xi.astype(complex), np.array(1j * c_alpha), np.array(alpha - 2.0)
-    n, guards = len(xi), np.ravel(guard).tolist()
+    n, guards = len(xi), list(guards)
     # one table per row for every call, diagonal 0: pairs j < k once, mirrored
     # by exact negation; 1-d flat indices into the raveled positions and tables
     i, k = np.triu_indices(n, 1)
@@ -189,19 +188,15 @@ def make_rhs(xi: np.ndarray, alpha: float, c_alpha: float, guard):
         v = np.divide(dist, d, out=d)
         flat[upper] = v
         flat[lower] = np.negative(v, out=v)
-        vel = np.conj(ic * (kern @ xi_c))
-        return (vel, closest) if z.ndim > 1 else (vel[0], closest[0])
+        return np.conj(ic * (kern @ xi_c)), closest
 
     return f
 
 
 def rhs(state: VortexState) -> np.ndarray:
-    """dz_j/dt for all vortices.
-
-    Raises SingularityError when any pairwise distance is below the
-    state's guard distance `state.dmin()`.
-    """
-    return make_rhs(state.xi, state.alpha, state.c_alpha, state.dmin())(state.z)[0]
+    """dz_j/dt for all vortices, `make_rhs` of a batch of one; raises
+    SingularityError when a pairwise distance is below `state.dmin()`."""
+    return make_rhs(state.xi, state.alpha, state.c_alpha, [state.dmin()])(state.z[None])[0][0]
 
 
 def make_conserved(xi: np.ndarray, alpha: float, c_alpha: float):

@@ -4,6 +4,8 @@ or a bypass must fail here, not first when the benchmark runs."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import gsqg
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -21,6 +23,16 @@ def test_benchmark_span_targets_resolve():
     assert spans.TARGETS
     for name, owner, attr, _ in spans.TARGETS:
         assert callable(getattr(owner, attr, None)), (name, owner, attr)
+
+
+def test_benchmark_step_count_is_the_accepted_steps():
+    # the span on `integrate` counts steps as len(segments): a run that kept no
+    # dense output would read 0 steps in the benchmark
+    spans = _spans_module()
+    st = gsqg.VortexState(t=0.0, z=np.array([0.5, -0.5, 0.3j]), xi=np.array([1.0, 1.0, -0.5]),
+                          alpha=1.5)
+    traj = gsqg.integrate(st, 0.5, gsqg.IntegratorConfig(rel_tol=1e-8))
+    assert spans._steps(None, traj) == len(traj.h) > 5
 
 
 def test_search_spans_are_reached():

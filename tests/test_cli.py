@@ -491,7 +491,7 @@ def test_streamed_csv_is_to_csv(tmp_path, n, t1, rel_tol):
     # runs of a few blocks of rows each (85 rows at N = 3, 42 at N = 4, 1 at N = 99)
     st = random_state(n, n, 1.5) if n < 99 else lattice_state(99, 1.0)
     traj = gsqg.integrate(st, t1, gsqg.IntegratorConfig(rel_tol=rel_tol))
-    assert len(traj.times) > 2 * max(1, gsqg.integrator.PAIR_BLOCK // (n * (n - 1) // 2))
+    assert len(traj.times) > 2 * gsqg.integrator.pair_rows(n)
     path = gsqg.cli._write_blocks(tmp_path / "traj.csv", traj.csv_blocks())
     assert path.read_bytes() == traj.to_csv().encode()
 

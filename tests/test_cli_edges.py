@@ -13,6 +13,7 @@ step failure.
 import contextlib
 import io
 import json
+import re
 
 import pytest
 
@@ -144,3 +145,25 @@ def test_unwritable_out_is_a_usage_error(tmp_path, inputs, command, case):
     code, err = _run(argv[command] + ["--out", str(out)])
     assert code == 1
     assert err.startswith(f"gsqg {command}: cannot write {path}: "), err
+
+
+@pytest.mark.parametrize("command", ["simulate", "burst"])
+def test_start_inside_the_kernel_guard_is_a_usage_error(tmp_path, command):
+    # a pair 1e-13 apart in a triple of unit size, and the reference triple
+    # (0.02 across) among a background reaching 1e12: the guard is 5e-13 x the
+    # diameter, so the first RHS call would raise; VortexState accepts both
+    path = tmp_path / "in.json"
+    if command == "simulate":
+        path.write_text(json.dumps({"alpha": 1.0, "positions": [[0, 0], [1e-13, 0], [1, 0]],
+                                    "intensities": [1, 1, -0.4]}))
+        argv = ["simulate", "--config", str(path), "--t0", "0", "--t1", "1"]
+    else:
+        path.write_text(gsqg.BurstScenario(triple=gsqg.oriented_config(1.0, THM_X),
+                                           background=((1, 1.0), (1e12, 1.0))).to_json())
+        argv = ["burst", "--scenario", str(path)]
+    out = tmp_path / "out"
+    code, err = _run(argv + ["--out", str(out)])
+    assert code == 1, err
+    assert re.fullmatch(rf"gsqg {command}: a start state lies inside the kernel guard: closest "
+                        r"pairwise distances \[[^]]+\] below guards \[[^]]+\]\n", err), err
+    assert not out.exists()

@@ -16,6 +16,7 @@ and says in CHANGES.md what changed and by how much.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import importlib.util
 import io
@@ -49,6 +50,25 @@ def _versions() -> dict:
     except (TypeError, KeyError):      # NumPy < 1.26 prints its config only
         blas = "unknown"
     return {"numpy": np.__version__, "blas": blas}
+
+
+def _host() -> dict:
+    """What else sets the output bits and is not recorded: the SIMD targets NumPy
+    dispatches to on this host, and the core its bundled OpenBLAS picked."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    except (ImportError, AttributeError):      # NumPy < 2
+        dispatch = "unknown"
+    try:
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        corename = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so")))) \
+            .scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    except (StopIteration, OSError, AttributeError):    # no bundled scipy-openblas
+        core = "unknown"
+    return {"numpy_dispatch": dispatch, "openblas_core": core}
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -96,7 +116,16 @@ def test_workload_outputs_keep_their_bytes(tmp_path):
         now = _versions()
         versions = ("" if now == golden["versions"] else
                     f"; recorded with {golden['versions']}, this run has {now}")
-        raise AssertionError(f"changed {changed}, missing {missing}, new {extra}{versions}")
+        raise AssertionError(f"changed {changed}, missing {missing}, new {extra}{versions}"
+                             f"; this host has {_host()}")
+
+
+def test_host_fingerprint_names_dispatch_targets_and_blas_core():
+    # read only when the outputs differ, so checked here on its own
+    host = _host()
+    assert host["numpy_dispatch"] == "unknown" or all(
+        isinstance(t, str) for t in host["numpy_dispatch"])
+    assert isinstance(host["openblas_core"], str) and host["openblas_core"]
 
 
 if __name__ == "__main__":

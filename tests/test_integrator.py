@@ -323,9 +323,9 @@ def test_eval_of_no_times_is_empty(shape):
 
 
 def _scan_index(traj, t):
-    """The step a linear scan picks: the first one covering t."""
+    """The step a linear scan picks: the first one that t does not lie past."""
     for k, (t0, h) in enumerate(zip(traj.times, traj.h)):
-        if -1e-12 <= (t - t0) / h <= 1.0 + 1e-12:
+        if (t - t0) / h <= 1.0 + 1e-12:
             return k
     return len(traj.segments) - 1
 
@@ -520,8 +520,6 @@ def test_batch_members_keep_the_bits_they_have_alone(case, monkeypatch):
         monkeypatch.setattr(gsqg.integrator, "GUARD_FRACTION", guard)
     if budget is not None:
         monkeypatch.setattr(gsqg.integrator, "MAX_STEPS", budget)
-    # one lockstep batch, whatever N
-    monkeypatch.setattr(gsqg.integrator, "PAIR_BLOCK", 10**5)
     states, cfg = make(), gsqg.IntegratorConfig(rel_tol=rel_tol)
     together = gsqg.integrate_batch(states, t1, cfg)
     alone = [gsqg.integrate(st, t1, cfg) for st in states]
@@ -546,23 +544,19 @@ def test_batch_members_keep_the_bits_they_have_alone(case, monkeypatch):
         assert [len(t.h) + t.rejected + t.singular for t in together[:2]] == [60, 60]
 
 
-def test_batches_split_by_pair_values(monkeypatch):
-    # runs of more than PAIR_BLOCK pair values go one batch at a time, each
-    # with the bits it has alone; their xi and alpha must match
-    states = _lattice_members(2)
-    calls = []
-    make = gsqg.integrator.make_rhs
+def test_one_rhs_closure_per_batch_and_one_per_shrink(monkeypatch):
+    # the batch's first call takes every run's first stage; when runs leave,
+    # one closure is built for the runs still live; xi and alpha must match
+    states, sizes, make = _both_ways((-0.8, 0.5, -0.2, 0.9)), [], gsqg.integrator.make_rhs
     monkeypatch.setattr(gsqg.integrator, "make_rhs",
-                        lambda *args: calls.append(np.size(args[3])) or make(*args))
-    cfg = gsqg.IntegratorConfig(rel_tol=1e-6)
-    together = gsqg.integrate_batch(states, 0.05, cfg)
-    # one start slope per run, then one batch RHS per run
-    assert calls == [1, 1, 1, 1]
-    for a, st in zip(together, states):
-        _same_run(a, gsqg.integrate(st, 0.05, cfg))
-    other = gsqg.VortexState(t=0.0, z=states[0].z, xi=-states[0].xi, alpha=1.0)
+                        lambda *args: sizes.append(len(args[3])) or make(*args))
+    together = gsqg.integrate_batch(states, 0.0, gsqg.IntegratorConfig(rel_tol=1e-8))
+    ends = [len(traj.h) + traj.rejected for traj in together]
+    assert sum(traj.singular for traj in together) == 0 and len(set(ends)) == 4
+    assert sizes == [4] + [sum(e > end for e in ends) for end in sorted(ends)[:-1]]
+    other = gsqg.VortexState(t=0.3, z=states[0].z, xi=-states[0].xi, alpha=1.5)
     with pytest.raises(gsqg.DomainError, match="share xi and alpha"):
-        gsqg.integrate_batch([states[0], other], 0.05, cfg)
+        gsqg.integrate_batch([states[0], other], 0.0)
 
 
 # ---------------------------------------------------------------- values at given times
@@ -589,21 +583,16 @@ def _same_run_at(got, dense, at):
 def test_values_at_given_times_are_eval_of_the_dense_run(run, thm_centered, thm_motion,
                                                          monkeypatch):
     # step boundaries, their neighbouring floats, interior points, both ends of
-    # the span and past them within the 1e-12 tolerance, each taken once as
-    # eval takes it; a collapse run reads NaN past its stop
+    # the span and past them within the 1e-12 tolerance (before t0 too), each
+    # taken once as eval takes it; a collapse run reads NaN past its stop
     dense = _run(run, thm_centered, thm_motion, monkeypatch)
     t0, t1 = dense.times[0], {"forward": 0.8, "backward": 0.0, "collapse": 0.5}[run]
     st = gsqg.VortexState(t=t0, z=dense.positions[0], xi=dense.xi, alpha=dense.alpha)
-    before = t0 - np.sign(t1 - t0) * 5e-13
-    at = _sorted_from([t for t in _probe_times(dense) if t != before] + [t1], t0, t1)
+    at = _sorted_from(_probe_times(dense) + [t1], t0, t1)
+    assert at[0] == t0 - np.sign(t1 - t0) * 5e-13
     got = gsqg.integrate_batch([st], t1, gsqg.IntegratorConfig(rel_tol=1e-8), at)[0]
     reached = _same_run_at(got, dense, at)
     assert reached.sum() > 3 * len(dense.times) and (run == "collapse") == (not reached.all())
-    # a time before the start, which no step covers, comes from the first step
-    # (eval, finding no covering step, takes the last one)
-    first = gsqg.integrate_batch([st], t1, gsqg.IntegratorConfig(rel_tol=1e-8), [before])[0]
-    assert first.values.tobytes() == _dense(dense.segments[0],
-                                            (before - t0) / dense.h[0])[None].tobytes()
 
 
 @pytest.mark.parametrize("case", list(BATCHES))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gsqg
 from gsqg import kernel
-from gsqg.integrator import PAIR_BLOCK, Status, Trajectory
+from gsqg.integrator import Status, Trajectory, pair_rows
 from gsqg.kernel import (DomainError, make_conserved, make_rhs, max_pair_distance,
                          min_pair_distance)
 
@@ -136,7 +136,7 @@ def test_velocity_singularity_guard():
     st_ = gsqg.VortexState(t=0.0, z=np.array([0.0, 1e-9], dtype=complex),
                            xi=np.array([1.0, 1.0]), alpha=1.0)
     with pytest.raises(gsqg.SingularityError):
-        make_rhs(st_.xi, st_.alpha, st_.c_alpha, 1e-6)(st_.z)
+        make_rhs(st_.xi, st_.alpha, st_.c_alpha, [1e-6])(st_.z[None])
 
 
 def plain_rhs(st_: gsqg.VortexState) -> np.ndarray:
@@ -185,7 +185,7 @@ def test_rhs_tables_reused_bitwise(n, alpha):
     # after a call that stopped at the guard; no result is a view of them
     st_ = lattice_state(n, alpha, seed=n)
     guard = 0.5 * st_.min_distance()
-    f = make_rhs(st_.xi, alpha, st_.c_alpha, guard)
+    f = make_rhs(st_.xi, alpha, st_.c_alpha, [guard])
     ref = _rhs_per_call_tables(st_.xi, alpha, st_.c_alpha, guard)
     rng = np.random.default_rng(n)
     zs = [st_.z + 0.05 * k * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
@@ -204,11 +204,11 @@ def test_rhs_tables_reused_bitwise(n, alpha):
             pinched = z.copy()
             pinched[1] = pinched[0] + 0.1 * guard
             with pytest.raises(gsqg.SingularityError):
-                f(pinched)
-        v, closest = f(z)
+                f(pinched[None])
+        v, closest = f(z[None])
         v_ref, closest_ref = ref(z)
-        assert np.array_equal(v.view(np.float64), v_ref.view(np.float64))
-        assert closest == closest_ref
+        assert np.array_equal(v[0].view(np.float64), v_ref.view(np.float64))
+        assert closest == [closest_ref]
         seen.append((v, v.copy()))
     for v, kept in seen:
         assert np.array_equal(v, kept)
@@ -220,10 +220,10 @@ def test_singularity_guard_threshold():
                            xi=np.array([1.0, 1.0, -0.5]), alpha=1.5)
     assert st_.min_distance() == pytest.approx(1e-3, rel=1e-12)
     with pytest.raises(gsqg.SingularityError):
-        make_rhs(st_.xi, st_.alpha, st_.c_alpha, 1.001e-3)(st_.z)
-    v, closest = make_rhs(st_.xi, st_.alpha, st_.c_alpha, 0.999e-3)(st_.z)
-    assert np.array_equal(gsqg.rhs(st_), v)     # below the guard of st_.dmin()
-    assert closest == st_.min_distance()
+        make_rhs(st_.xi, st_.alpha, st_.c_alpha, [1.001e-3])(st_.z[None])
+    v, closest = make_rhs(st_.xi, st_.alpha, st_.c_alpha, [0.999e-3])(st_.z[None])
+    assert np.array_equal(gsqg.rhs(st_), v[0])     # below the guard of st_.dmin()
+    assert closest == [st_.min_distance()]
 
 
 @pytest.mark.parametrize("n", [2, 4, 99])
@@ -237,14 +237,14 @@ def test_rhs_batch_rows_keep_their_bits_and_name_the_rows_below_guard(n):
     v, closest = make_rhs(st_.xi, 1.3, st_.c_alpha, guards)(zs)
     assert v.shape == (3, n) and len(closest) == 3
     for z, guard, row, c in zip(zs, guards, v, closest):
-        alone, c_alone = make_rhs(st_.xi, 1.3, st_.c_alpha, guard)(z)
-        assert row.tobytes() == alone.tobytes() and c == c_alone == min_pair_distance(z)
+        alone, (c_alone,) = make_rhs(st_.xi, 1.3, st_.c_alpha, [guard])(z[None])
+        assert row.tobytes() == alone[0].tobytes() and c == c_alone == min_pair_distance(z)
     # rows 0 and 2 below their guards, row 1 not
     with pytest.raises(gsqg.SingularityError) as err:
         make_rhs(st_.xi, 1.3, st_.c_alpha, [3 * guards[0], guards[1], 3 * guards[2]])(zs)
     assert err.value.members == [0, 2]
     with pytest.raises(gsqg.SingularityError) as err:
-        make_rhs(st_.xi, 1.3, st_.c_alpha, 3 * guards[0])(zs[0])
+        make_rhs(st_.xi, 1.3, st_.c_alpha, [3 * guards[0]])(zs[:1])
     assert err.value.members == [0]
 
 
@@ -285,7 +285,7 @@ def test_conserved_batch_rows_keep_their_bits(n, alpha):
     # equals the batch of one and the row-alone oracle bit for bit, and the
     # blocked CSV equals the per-value one
     rng = np.random.default_rng(n)
-    per_block = max(1, PAIR_BLOCK // max(n * (n - 1) // 2, 1))
+    per_block = pair_rows(n)
     rows = 2 * per_block + 7
     z = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     xi = rng.uniform(0.4, 1.6, n) * rng.choice([-1.0, 1.0], n)
