@@ -62,9 +62,9 @@ def _host() -> dict:
         dispatch = "unknown"
     try:
         libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-        corename = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so")))) \
-            .scipy_openblas_get_corename64_
-        corename.restype = ctypes.c_char_p
+        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
+        corename = lib.scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
         core = corename().decode()
     except (StopIteration, OSError, AttributeError):    # no bundled scipy-openblas
         core = "unknown"
