@@ -112,7 +112,7 @@ def make_burst_initial(s: BurstScenario, t_ini: float) -> VortexState:
     for a burst and t = -t_ini for a collapse."""
     if t_ini <= 0.0:
         raise DomainError("t_ini must be positive")
-    t = t_ini if s.motion.a_rate > 0.0 else -t_ini
+    t = t_ini if s.motion.classification() is Classification.BURST else -t_ini
     Z = zeta(s.motion, t)
     triple_pos = s.triple.a * Z
     spread = float(max_pair_distance(triple_pos))
@@ -152,7 +152,7 @@ def run_burst(s: BurstScenario, t_ini: float,
     A burst runs from t_ini out to the horizon; a collapse runs from
     -horizon in toward -t_ini (the spread then shrinks).
     """
-    if s.motion.a_rate < 0.0:
+    if s.motion.classification() is Classification.COLLAPSE:
         traj = integrate(make_burst_initial(s, s.horizon), -t_ini, cfg)
     else:
         traj = integrate(make_burst_initial(s, t_ini), s.horizon, cfg)
@@ -172,7 +172,7 @@ def convergence_study(s: BurstScenario,
     """
     if len(s.t_ini_sequence) < 3:
         raise DomainError("need at least three t_ini values")
-    if s.motion.a_rate < 0.0:
+    if s.motion.classification() is Classification.COLLAPSE:
         raise DomainError("convergence study is defined on the burst orientation")
     states = [make_burst_initial(s, t_ini) for t_ini in s.t_ini_sequence]
     grid = np.geomspace(s.t_ini_sequence[0], s.horizon, CAUCHY_GRID)

@@ -129,9 +129,6 @@ class Trajectory:
             z[a:a + rows] = _dense(r, s[np.arange(len(k)), k][:, None])
         return z.reshape(t.shape + (n,))
 
-    def min_distances(self) -> np.ndarray:
-        return min_pair_distance(self.positions)
-
     def csv_blocks(self):
         """The header, then rows made block by block as asked for: t, positions and
         conserved quantities at 17 significant digits, one conserved-quantity and one
@@ -338,7 +335,7 @@ def collapse_time_fit(traj: Trajectory) -> tuple[float, float]:
     log-log slope of d against (t* - t) estimates the exponent
     (1/(4-alpha) for the exact law).
     """
-    d = traj.min_distances()
+    d = min_pair_distance(traj.positions)
     t = traj.times
     if len(t) < 8:
         raise ValueError("too few samples to fit a collapse law")

@@ -39,6 +39,16 @@ class Classification(Enum):
     NOT_SELF_SIMILAR = "not_self_similar"
 
 
+def verdict(a_rate: float, residual: float) -> Classification:
+    """The one classification of a triple by its rates and residual; each test
+    fails on NaN, so NaN rates are not self-similar."""
+    if not residual <= SS_TOL:
+        return Classification.NOT_SELF_SIMILAR
+    if not abs(a_rate) > RATE_TOL:
+        return Classification.RELATIVE_EQUILIBRIUM
+    return Classification.BURST if a_rate > 0 else Classification.COLLAPSE
+
+
 def known_keys(obj: dict, known: set, what: str) -> dict:
     """obj, after refusing any key outside known, naming the keys."""
     if unknown := sorted(set(obj) - known):
@@ -92,9 +102,7 @@ class SelfSimilarMotion:
     alpha: float
 
     def classification(self) -> Classification:
-        if abs(self.a_rate) <= RATE_TOL:
-            return Classification.RELATIVE_EQUILIBRIUM
-        return Classification.BURST if self.a_rate > 0 else Classification.COLLAPSE
+        return verdict(self.a_rate, 0.0)
 
 
 # Array forms of the triple pipeline, vortex axis first: z[j] and xi[j]
@@ -145,8 +153,8 @@ def selfsimilar_rate(cfg: TripleConfig) -> tuple[float, float, float]:
 
     Evaluates q_j = (i c_alpha sum_k ...) / conj(a_j) for each vortex and
     returns the mean of q_j split as (a, b) = (Re, -Im), with
-    residual = max_j |q_j - mean|.  The configuration is self-similar when
-    the residual is below SS_TOL; requires a centered configuration.
+    residual = max_j |q_j - mean|, the inputs of `verdict`; requires a
+    centered configuration.
     """
     if np.any(cfg.a == 0.0):
         raise DomainError("vortex at the origin: q_j undefined")
@@ -158,10 +166,8 @@ def selfsimilar_rate(cfg: TripleConfig) -> tuple[float, float, float]:
 
 def classify(cfg: TripleConfig) -> Classification:
     """Classify a centered triple by the self-similarity relation."""
-    a_rate, b_rate, residual = selfsimilar_rate(cfg)
-    if residual > SS_TOL:
-        return Classification.NOT_SELF_SIMILAR
-    return SelfSimilarMotion(a_rate, b_rate, cfg.alpha).classification()
+    a_rate, _, residual = selfsimilar_rate(cfg)
+    return verdict(a_rate, residual)
 
 
 def zeta(motion: SelfSimilarMotion, t: float) -> complex:
@@ -170,12 +176,12 @@ def zeta(motion: SelfSimilarMotion, t: float) -> complex:
     Domain: t > 0 on the burst branch (a > 0), t < 0 on the collapse
     branch (a < 0), where |t| replaces t.
     """
-    a, b, alpha = motion.a_rate, motion.b_rate, motion.alpha
-    if abs(a) <= RATE_TOL:
+    a, b, alpha, kind = motion.a_rate, motion.b_rate, motion.alpha, motion.classification()
+    if kind is Classification.RELATIVE_EQUILIBRIUM:
         raise DomainError("zeta undefined for a relative equilibrium (a = 0)")
-    if a > 0 and t <= 0:
+    if kind is Classification.BURST and t <= 0:
         raise DomainError(f"burst branch needs t > 0, got t = {t}")
-    if a < 0 and t >= 0:
+    if kind is Classification.COLLAPSE and t >= 0:
         raise DomainError(f"collapse branch needs t < 0, got t = {t}")
     s = abs(t)
     mod = ((4.0 - alpha) * abs(a) * s) ** (1.0 / (4.0 - alpha))
@@ -186,10 +192,10 @@ def zeta(motion: SelfSimilarMotion, t: float) -> complex:
 def motion_from_config(cfg: TripleConfig) -> SelfSimilarMotion:
     """Build the SelfSimilarMotion whose shape coefficients are cfg.a.
 
-    cfg must be centered and genuinely self-similar (residual <= SS_TOL).
+    cfg must be centered and self-similar by `verdict`.
     """
     a_rate, b_rate, residual = selfsimilar_rate(cfg)
-    if residual > SS_TOL:
+    if verdict(a_rate, residual) is Classification.NOT_SELF_SIMILAR:
         raise DomainError(f"configuration not self-similar (residual {residual:.2e})")
     return SelfSimilarMotion(a_rate=a_rate, b_rate=b_rate, alpha=cfg.alpha)
 
@@ -198,6 +204,6 @@ def reference_time(motion: SelfSimilarMotion) -> float:
     """Time at which |Z| = 1, i.e. the trajectory passes through the shape
     coefficients themselves."""
     a, alpha = motion.a_rate, motion.alpha
-    if abs(a) <= RATE_TOL:
+    if motion.classification() is Classification.RELATIVE_EQUILIBRIUM:
         raise DomainError("reference time undefined for a = 0")
     return np.sign(a) / ((4.0 - alpha) * abs(a))

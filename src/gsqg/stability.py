@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (DMIN_FACTOR, DomainError, SingularityError, coupling_constant,
-                     max_pair_distance, min_pair_distance)
-from .selfsimilar import (RATE_TOL, SS_TOL, TripleConfig, center, pair_terms,
-                          selfsimilar_rate)
+from .kernel import DomainError, SingularityError, coupling_constant
+from .selfsimilar import (Classification, TripleConfig, center, pair_terms,
+                          selfsimilar_rate, verdict)
 
 EIG_TOL = 1e-8
 
@@ -75,11 +74,8 @@ class HypothesisReport:
                 and self.eigen_ok and self.distinct)
 
     def to_json(self) -> str:
-        def f(v):
-            return float(f"{v:.17g}")
-
         def c(v):
-            return [f(v.real), f(v.imag)]
+            return [float(v.real), float(v.imag)]
 
         obj = {
             "passed": self.passed,
@@ -88,11 +84,11 @@ class HypothesisReport:
             "eigen_ok": self.eigen_ok,
             "distinct": self.distinct,
             "details": self.details,
-            "a": f(self.a_rate),
-            "b": f(self.b_rate),
-            "c1": f(self.c1),
-            "c2": f(self.c2),
-            "mu": [f(m) for m in self.mu.roots] if self.mu.ok else None,
+            "a": float(self.a_rate),
+            "b": float(self.b_rate),
+            "c1": float(self.c1),
+            "c2": float(self.c2),
+            "mu": [float(m) for m in self.mu.roots] if self.mu.ok else None,
             "mu_failure": self.mu.failure,
             "L": {k: c(v) for k, v in zip(("L13", "L14", "L23", "L24"),
                                           self.matrix.off)} if self.matrix else None,
@@ -165,15 +161,15 @@ def mu_distinct(mu: np.ndarray) -> bool:
 def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
     """Full stability check of a candidate triple.
 
-    Pipeline: center -> self-similarity rates (residual <= SS_TOL and
-    a > 0 required) -> `l_terms`, `quartic_coefficients` and `quartic_mu2`
+    Pipeline: center -> self-similarity rates (a burst by `verdict`
+    required) -> `l_terms`, `quartic_coefficients` and `quartic_mu2`
     on a batch of one -> four distinct real mu, cross-checked against the
     eigenvalues of the assembled matrix by a general dense solver (LAPACK).
     """
     cen = center(cfg)
     a_rate, b_rate, residual = selfsimilar_rate(cen)
-    ss_ok = residual <= SS_TOL
-    a_pos = a_rate > RATE_TOL     # a relative equilibrium (a = 0) is not a burst
+    ss_ok = verdict(a_rate, residual) is not Classification.NOT_SELF_SIMILAR
+    a_pos = verdict(a_rate, 0.0) is Classification.BURST     # the rate alone
     if not (ss_ok and a_pos):
         detail = f"residual={residual:.3e}, a={a_rate:.6g}"
         return HypothesisReport(
@@ -182,8 +178,8 @@ def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
             eigen_ok=False, distinct=False, details=detail,
             a_rate=a_rate, b_rate=b_rate,
         )
-    dmin = float(min_pair_distance(cen.a))
-    if dmin < DMIN_FACTOR * max_pair_distance(cen.a):
+    st = cen.state()
+    if (dmin := st.min_distance()) < st.dmin():
         raise SingularityError(f"coincident vortices in linearization: |d|={dmin:.3e}")
     z = cen.a[:, None]
     L = l_terms(z, cen.xi[:, None], coupling_constant(cfg.alpha), pair_terms(z, cfg.alpha)[1])

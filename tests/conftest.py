@@ -57,6 +57,13 @@ def thm_motion(thm_centered) -> gsqg.SelfSimilarMotion:
     return gsqg.motion_from_config(thm_centered)
 
 
+@pytest.fixture(scope="session")
+def nan_triple(thm_centered) -> gsqg.TripleConfig:
+    """The centered reference triple scaled by 1e-160: every pair kernel
+    overflows, and the rates and the residual are all NaN."""
+    return gsqg.TripleConfig(a=thm_centered.a * 1e-160, xi=thm_centered.xi, alpha=1.0)
+
+
 def random_state(seed: int, n: int, alpha: float, min_sep: float = 0.35) -> gsqg.VortexState:
     """Well-separated random vortex state (rejection sampled)."""
     rng = np.random.default_rng(seed)

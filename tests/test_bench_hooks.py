@@ -1,5 +1,6 @@
-"""The benchmark in perfbench/ wraps package functions by name; a rename
-or a bypass must fail here, not first when the benchmark runs."""
+"""The benchmark in perfbench/ and the measuring scripts in tools/ wrap
+package functions by name; a rename or a bypass must fail here, not first
+when the benchmark or the script runs."""
 
 import importlib.util
 from pathlib import Path
@@ -7,15 +8,21 @@ from pathlib import Path
 import numpy as np
 
 import gsqg
+from gsqg import burstsim, cli
+from gsqg.integrator import Trajectory
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return _load("perfbench_spans", ROOT / "perfbench" / "spans.py")
 
 
 def test_benchmark_span_targets_resolve():
@@ -45,3 +52,22 @@ def test_search_spans_are_reached():
     m = spans.layer_metrics(tracer.spans)
     assert m["search.x_interval.calls"] == 1
     assert m["search.margin_grid.calls"] >= 1
+
+
+def test_margin_stage_targets_resolve():
+    # a renamed stage would crash tools/margin_stages.py when it wraps it
+    stages = _load("tools_margin_stages", ROOT / "tools" / "margin_stages.py").STAGES
+    assert stages
+    for stage, names in stages.items():
+        for name in names:
+            assert callable(getattr(gsqg.search, name, None)), (stage, name)
+
+
+def test_burst_peak_boundaries_are_all_wrapped():
+    # tools/burst_peaks.py skips a CSV or writer function this tree lacks, so
+    # a rename would silently drop a phase boundary
+    peaks = _load("tools_burst_peaks", ROOT / "tools" / "burst_peaks.py")
+    targets = [(owner, attr) for owner, attr, _ in peaks.wrappers(peaks.Phases())]
+    assert targets == [(burstsim, "integrate_batch"), (cli, "convergence_study"),
+                       (Trajectory, "to_csv"), (Trajectory, "csv_blocks"),
+                       (cli, "_write"), (cli, "_write_blocks")]

@@ -119,6 +119,13 @@ def test_scenario_refuses_a_relative_equilibrium():
         gsqg.BurstScenario(triple=eq, t_ini_sequence=(1e-4, 5e-5, 2.5e-5))
 
 
+def test_scenario_refuses_nan_rates(nan_triple):
+    # NaN rates are not self-similar, so no branch seeds or integrates them
+    with np.errstate(all="ignore"), pytest.raises(
+            DomainError, match=r"^configuration not self-similar \(residual nan\)$"):
+        gsqg.BurstScenario(triple=nan_triple, t_ini_sequence=(1e-4, 5e-5, 2.5e-5))
+
+
 def test_merged_intensity_bookkeeping(scenario):
     assert scenario.merged_intensity == float(np.sum(scenario.triple.xi))
 

@@ -175,6 +175,23 @@ def test_simulate_collapse_config_stopping_before_t_star(tmp_path, capsys):
     assert man["parameters"]["t_star"] is None
 
 
+def test_nan_rates_get_one_answer_from_simulate_and_burst(tmp_path, capsys, nan_triple):
+    cfg_path, spath = tmp_path / "tiny.json", tmp_path / "scenario.json"
+    cfg_path.write_text(nan_triple.to_json())
+    spath.write_text(json.dumps({"triple": json.loads(nan_triple.to_json()),
+                                 "t_ini": [1e-4, 5e-5, 2.5e-5], "horizon": 1e-3}))
+    out = tmp_path / "traj.csv"
+    with np.errstate(all="ignore"):     # the pair kernels overflow by construction
+        main(["simulate", "--config", str(cfg_path), "--t0", "0", "--t1", "1", "--out", str(out)])
+        capsys.readouterr()
+        code = main(["burst", "--scenario", str(spath), "--out", str(tmp_path / "runs")])
+    man = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+    assert man["parameters"]["classification"] == "not_self_similar"
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "gsqg burst: configuration not self-similar (residual nan)\n"
+
+
 def test_burst_command(tmp_path):
     cfg = gsqg.oriented_config(1.0, THM_X)
     scen = gsqg.BurstScenario(triple=cfg, background=((1.0 + 0j, 1.0),),

@@ -21,11 +21,15 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gsqg.cli
 
@@ -78,12 +82,13 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
-def output_hashes(work: Path) -> dict[str, str]:
-    """sha256 of each non-manifest output of one pass, keyed by workload and
+def output_hashes(work: Path, names: tuple[str, ...] | None = None) -> dict[str, str]:
+    """sha256 of each non-manifest output of one pass of the named workloads
+    (all of them and the guard collapse by default), keyed by workload and
     path; every command must exit 0 and pass its workload check."""
     wl = _workloads()
     hashes = {}
-    for name in wl.WORKLOADS + ("guard_collapse",):
+    for name in names or wl.WORKLOADS + ("guard_collapse",):
         in_dir, out_dir = work / name / "in", work / name / "out"
         if name == "guard_collapse":
             in_dir.mkdir(parents=True)
@@ -118,6 +123,32 @@ def test_workload_outputs_keep_their_bytes(tmp_path):
                     f"; recorded with {golden['versions']}, this run has {now}")
         raise AssertionError(f"changed {changed}, missing {missing}, new {extra}{versions}"
                              f"; this host has {_host()}")
+
+
+def test_sweep_bytes_hold_at_the_narrowest_dispatch(tmp_path):
+    # NumPy's baseline loops and OpenBLAS's Sandybridge kernels: the sweep
+    # CSVs, endpoints and configs must not depend on the CPU; the reports
+    # (LAPACK eigenvalues) and the orbits trajectories still do
+    host = _host()
+    if platform.machine() not in ("x86_64", "AMD64") or "unknown" in host.values():
+        pytest.skip(f"needs an x86-64 NumPy >= 2 with its bundled OpenBLAS, have {host}")
+    code = ("import json, sys\n"
+            "from pathlib import Path\n"
+            "import test_golden_outputs as g\n"
+            "hashes = g.output_hashes(Path(sys.argv[1]), ('sweep', 'orbits'))\n"
+            "print(json.dumps({'host': g._host(), 'sha256': hashes}))\n")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(host["numpy_dispatch"]),
+               OPENBLAS_CORETYPE="Sandybridge", PYTHONPATH=os.pathsep.join(
+                   [str(ROOT / "src"), str(ROOT / "tests")]))
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.splitlines()[-1])
+    assert got["host"] == {"numpy_dispatch": [], "openblas_core": "Sandybridge"}
+    want = {k: v for k, v in json.loads(GOLDEN.read_text())["sha256"].items()
+            if k.startswith("sweep/") and not k.endswith(".report.json")}
+    assert len(want) == 16 and len(got["sha256"]) == 34
+    assert {k: got["sha256"].get(k) for k in want} == want
 
 
 def test_host_fingerprint_names_dispatch_targets_and_blas_core():

@@ -9,6 +9,7 @@ import pytest
 
 import gsqg
 from gsqg.integrator import Status, Trajectory, _dense, _initial_step
+from gsqg.kernel import min_pair_distance
 
 from conftest import THM_X, lattice_state, random_state
 from oracles import csv_per_value
@@ -140,7 +141,7 @@ def test_collapse_final_sample_sits_at_guard_radius(thm_centered, thm_motion, mo
     dmin = 1e-4 * st.min_distance()
     traj = gsqg.integrate(st, 0.5, gsqg.IntegratorConfig(rel_tol=1e-10))
     assert traj.status is Status.COLLAPSE_DETECTED
-    assert traj.min_distances()[-1] == pytest.approx(dmin, rel=1e-6)
+    assert min_pair_distance(traj.positions)[-1] == pytest.approx(dmin, rel=1e-6)
 
 
 def test_collapse_fit_at_loose_tolerance(thm_centered, thm_motion):
@@ -159,7 +160,9 @@ def test_collapse_fit_needs_four_samples_before_t_star():
     # only the last three samples are usable and the fitted t* is not
     # preceded by enough of them
     d = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 1.0]) ** (1.0 / 3.0)
-    traj = SimpleNamespace(times=np.arange(8.0), alpha=1.0, min_distances=lambda: d)
+    # two vortices, one at the origin: the pair distance is d
+    traj = SimpleNamespace(times=np.arange(8.0), alpha=1.0,
+                           positions=np.stack([np.zeros(8), d], axis=1).astype(complex))
     with pytest.raises(ValueError, match="too few to fit"):
         gsqg.collapse_time_fit(traj)
 
@@ -296,7 +299,7 @@ def test_collapse_stop_rule(alpha, x, rel_tol, rule):
     guard = max(gsqg.integrator.GUARD_FRACTION * st.min_distance(), st.dmin())
     traj = gsqg.integrate(st, 1.0, gsqg.IntegratorConfig(rel_tol=rel_tol))
     assert traj.status is Status.COLLAPSE_DETECTED
-    last = traj.min_distances()[-1] / guard
+    last = min_pair_distance(traj.positions)[-1] / guard
     if rule == "guard":
         assert last == pytest.approx(1.0, rel=1e-6)
     else:
@@ -534,12 +537,12 @@ def test_batch_members_keep_the_bits_they_have_alone(case, monkeypatch):
         assert sum(traj.singular for traj in together) > 0
         for st, traj in zip(states[:2], together):
             # on the guard radius, not above it as after a step underflow
-            assert traj.min_distances()[-1] == pytest.approx(1e-4 * st.min_distance(),
-                                                             rel=1e-3)
+            assert min_pair_distance(traj.positions)[-1] == pytest.approx(
+                1e-4 * st.min_distance(), rel=1e-3)
     if case == "underflow":
         for st, traj in zip(states, together):
             guard = gsqg.integrator.GUARD_FRACTION * st.min_distance()
-            assert traj.min_distances()[-1] > 2.0 * guard
+            assert min_pair_distance(traj.positions)[-1] > 2.0 * guard
     if case == "budget":
         assert [len(t.h) + t.rejected + t.singular for t in together[:2]] == [60, 60]
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import gsqg
 from gsqg.kernel import DomainError, coupling_constant
-from gsqg.selfsimilar import Classification, pair_terms, vortex_rates
+from gsqg.selfsimilar import Classification, pair_terms, verdict, vortex_rates
 
 from conftest import THM_A, THM_B, random_state
 from oracles import pair_terms_mirrored, relative_motion_rate, vortex_rates_mirrored
@@ -193,6 +193,86 @@ def test_classify_generic_not_selfsimilar():
     st = random_state(21, 3, 1.5)
     cfg = gsqg.center(gsqg.TripleConfig(a=st.z, xi=st.xi, alpha=1.5))
     assert gsqg.classify(cfg) is Classification.NOT_SELF_SIMILAR
+
+
+# ---------------------------------------------------------------- verdict
+
+NSS, RE = Classification.NOT_SELF_SIMILAR, Classification.RELATIVE_EQUILIBRIUM
+BURST, COLLAPSE = Classification.BURST, Classification.COLLAPSE
+_SS, _RATE = gsqg.SS_TOL, gsqg.RATE_TOL
+_INF = np.inf
+
+# (a_rate, residual, verdict): NaN, +-inf, 0 and each threshold with the
+# floats on either side of it
+VERDICTS = [
+    (1.0, np.nan, NSS), (1.0, _INF, NSS), (1.0, -_INF, BURST), (1.0, 0.0, BURST),
+    (1.0, np.nextafter(_SS, 0.0), BURST), (1.0, _SS, BURST),
+    (1.0, np.nextafter(_SS, _INF), NSS), (-1.0, np.nextafter(_SS, _INF), NSS),
+    (np.nan, 0.0, RE), (np.nan, np.nan, NSS), (_INF, 0.0, BURST), (-_INF, 0.0, COLLAPSE),
+    (_INF, np.nan, NSS), (0.0, 0.0, RE), (-0.0, 0.0, RE), (0.0, _INF, NSS),
+    (np.nextafter(_RATE, 0.0), 0.0, RE), (_RATE, 0.0, RE),
+    (np.nextafter(_RATE, _INF), 0.0, BURST), (np.nextafter(-_RATE, 0.0), 0.0, RE),
+    (-_RATE, 0.0, RE), (np.nextafter(-_RATE, -_INF), 0.0, COLLAPSE),
+    (np.nextafter(_RATE, _INF), _SS, BURST), (np.nextafter(-_RATE, -_INF), _SS, COLLAPSE),
+]
+
+
+@pytest.mark.parametrize("a_rate, residual, expected", VERDICTS)
+def test_verdict_table(a_rate, residual, expected):
+    assert verdict(a_rate, residual) is expected
+
+
+class _PastPrerequisites(Exception):
+    pass
+
+
+@pytest.mark.parametrize("a_rate, residual, expected", VERDICTS)
+def test_every_reader_agrees_with_the_verdict(thm_centered, monkeypatch, a_rate, residual,
+                                             expected):
+    # each reader sees the table's rates in place of the reference triple's
+    monkeypatch.setattr(gsqg.selfsimilar, "selfsimilar_rate", lambda cfg: (a_rate, 0.3, residual))
+    monkeypatch.setattr(gsqg.stability, "selfsimilar_rate", lambda cfg: (a_rate, 0.3, residual))
+    assert gsqg.classify(thm_centered) is expected
+    if expected is NSS:
+        with pytest.raises(DomainError, match="not self-similar"):
+            gsqg.motion_from_config(thm_centered)
+    else:
+        assert gsqg.motion_from_config(thm_centered).classification() is verdict(a_rate, 0.0)
+    if residual == 0.0:
+        assert gsqg.SelfSimilarMotion(a_rate, 0.3, 1.0).classification() is expected
+
+    def past(*args):
+        raise _PastPrerequisites
+    monkeypatch.setattr(gsqg.stability, "l_terms", past)
+    try:
+        rep = gsqg.hypothesis_a_check(thm_centered)
+        ok = (rep.selfsimilar_ok, rep.a_positive)
+    except _PastPrerequisites:      # both prerequisites held
+        ok = (True, True)
+    assert ok == (expected is not NSS, verdict(a_rate, 0.0) is BURST)
+
+
+def test_nan_rates_are_not_self_similar(nan_triple):
+    with np.errstate(all="ignore"):     # the pair kernels overflow by construction
+        assert np.isnan(gsqg.selfsimilar_rate(nan_triple)).all()
+        assert gsqg.classify(nan_triple) is NSS
+        with pytest.raises(DomainError, match=r"not self-similar \(residual nan\)"):
+            gsqg.motion_from_config(nan_triple)
+        assert not gsqg.hypothesis_a_check(nan_triple).selfsimilar_ok
+
+
+@pytest.mark.xfail(strict=True, reason="SS_TOL, RATE_TOL, EIG_TOL and the floor of "
+                   "mu_distinct are absolute, while the rates scale as s^(alpha-4)")
+def test_verdict_is_scale_free(thm_centered):
+    # the reference burst scaled by s is the same motion with its clock
+    # rescaled; at 1e-3 the residual exceeds SS_TOL, at 1e3 the mu fail
+    # the distinctness floor, at 2000 the rate falls below RATE_TOL
+    wrong = []
+    for s in (1e-3, 1e3, 2000.0):
+        cfg = gsqg.TripleConfig(a=thm_centered.a * s, xi=thm_centered.xi, alpha=1.0)
+        if gsqg.classify(cfg) is not BURST or not gsqg.hypothesis_a_check(cfg).passed:
+            wrong.append(s)
+    assert wrong == []
 
 
 # ---------------------------------------------------------------- center

@@ -62,10 +62,10 @@ def test_l_matrix_rejects_coincident_points(thm_cfg, monkeypatch):
     a = gsqg.center(thm_cfg).a
     d = np.abs(a[:, None] - a[None, :])[np.triu_indices(3, 1)]
     ratio = d.min() / d.max()
-    monkeypatch.setattr(gsqg.stability, "DMIN_FACTOR", ratio * (1 + 1e-9))
+    monkeypatch.setattr(gsqg.kernel, "DMIN_FACTOR", ratio * (1 + 1e-9))
     with pytest.raises(gsqg.SingularityError, match="coincident"):
         gsqg.hypothesis_a_check(thm_cfg)
-    monkeypatch.setattr(gsqg.stability, "DMIN_FACTOR", ratio * (1 - 1e-9))
+    monkeypatch.setattr(gsqg.kernel, "DMIN_FACTOR", ratio * (1 - 1e-9))
     assert gsqg.hypothesis_a_check(thm_cfg).passed
 
 
