@@ -161,8 +161,8 @@ def mu_distinct(mu: np.ndarray) -> bool:
 def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
     """Full stability check of a candidate triple.
 
-    Pipeline: center -> self-similarity rates (a burst by `verdict`
-    required) -> `l_terms`, `quartic_coefficients` and `quartic_mu2`
+    Pipeline: center -> self-similarity rates (`verdict` must read a
+    burst) -> `l_terms`, `quartic_coefficients` and `quartic_mu2`
     on a batch of one -> four distinct real mu, cross-checked against the
     eigenvalues of the assembled matrix by a general dense solver (LAPACK).
     """

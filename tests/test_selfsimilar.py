@@ -249,7 +249,7 @@ def test_every_reader_agrees_with_the_verdict(thm_centered, monkeypatch, a_rate,
         ok = (rep.selfsimilar_ok, rep.a_positive)
     except _PastPrerequisites:      # both prerequisites held
         ok = (True, True)
-    assert ok == (expected is not NSS, verdict(a_rate, 0.0) is BURST)
+    assert ok == (expected is not NSS, bool(a_rate > _RATE))     # a_positive: the rate alone
 
 
 def test_nan_rates_are_not_self_similar(nan_triple):
