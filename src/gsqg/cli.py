@@ -21,12 +21,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .burstsim import BurstScenario, convergence_study
-from .integrator import IntegratorConfig, Status, collapse_time_fit, integrate
 from .kernel import DomainError, VortexState, check_alpha
-from .selfsimilar import Classification, TripleConfig, center, classify
-from .search import COARSE, REFINE_TOL, oriented_config, sweep, sweep_csv, x_interval
-from .stability import hypothesis_a_check
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,7 +83,10 @@ def _manifest(command: str, params: dict, outputs: list[Path], t0: float) -> Non
     _write(base.with_suffix(base.suffix + ".manifest.json"), json.dumps(man, indent=2))
 
 
+# each command imports only the modules it runs
 def cmd_find_config(args) -> int:
+    from .search import oriented_config, x_interval
+    from .stability import hypothesis_a_check
     t_start = time.monotonic()
     out = Path(args.out)
     check_alpha(args.alpha)     # a usage error, not a failed construction
@@ -120,12 +118,15 @@ def cmd_find_config(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .search import COARSE, REFINE_TOL, sweep, sweep_csv
     t_start = time.monotonic()
     lo, hi = args.alpha_min, args.alpha_max
     check_alpha(lo)
     check_alpha(hi)
-    res = sweep(lo, hi, alpha_step=args.alpha_step, coarse=args.x_coarse,
-                refine_tol=args.refine_tol, jobs=args.jobs)
+    coarse = COARSE if args.x_coarse is None else args.x_coarse
+    refine_tol = REFINE_TOL if args.refine_tol is None else args.refine_tol
+    res = sweep(lo, hi, alpha_step=args.alpha_step, coarse=coarse,
+                refine_tol=refine_tol, jobs=args.jobs)
     out = Path(args.out)
     outputs = [
         _write(out, sweep_csv(res)),
@@ -135,7 +136,7 @@ def cmd_sweep(args) -> int:
     ]
     _manifest("sweep", {
         "alpha_min": lo, "alpha_max": hi, "alpha_step": args.alpha_step,
-        "x_coarse": args.x_coarse, "refine_tol": args.refine_tol,
+        "x_coarse": coarse, "refine_tol": refine_tol,
         "jobs": args.jobs,
     }, outputs, t_start)
     print(f"alpha_minus = {res.alpha_minus}, alpha_plus = {res.alpha_plus}")
@@ -143,6 +144,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .integrator import IntegratorConfig, Status, collapse_time_fit, integrate
+    from .selfsimilar import Classification, TripleConfig, center, classify
     t_start = time.monotonic()
     cfg = _read_input("config", args.config, TripleConfig.from_json)
     cen = center(cfg)
@@ -165,6 +168,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_burst(args) -> int:
+    from .burstsim import BurstScenario, convergence_study
+    from .integrator import IntegratorConfig
     t_start = time.monotonic()
     scenario = _read_input("scenario", args.scenario, BurstScenario.from_json)
     out_dir = Path(args.out)
@@ -209,8 +214,9 @@ def build_parser() -> _Parser:
     sw.add_argument("--alpha-min", type=float, required=True)
     sw.add_argument("--alpha-max", type=float, required=True)
     sw.add_argument("--alpha-step", type=float, default=1e-3)
-    sw.add_argument("--x-coarse", type=float, default=COARSE)
-    sw.add_argument("--refine-tol", type=float, default=REFINE_TOL)
+    # None: search.COARSE and search.REFINE_TOL, read when the sweep runs
+    sw.add_argument("--x-coarse", type=float)
+    sw.add_argument("--refine-tol", type=float)
     sw.add_argument("--jobs", type=int, default=1, help="worker processes")
     sw.add_argument("--out", type=str, required=True)
     sw.set_defaults(func=cmd_sweep)

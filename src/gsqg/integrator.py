@@ -182,7 +182,7 @@ def integrate(state0: VortexState, t1: float,
     return integrate_batch([state0], t1, cfg)[0]
 
 
-@np.errstate(over="ignore")    # an error norm that overflows rejects its step
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing or NaN error norm rejects its step
 def integrate_batch(states: list[VortexState], t1: float,
                     cfg: IntegratorConfig = IntegratorConfig(), at=None) -> list[Trajectory]:
     """`integrate` of states sharing xi and alpha, each with the bits it has alone, in

@@ -106,7 +106,7 @@ def _y_solve_grid(xs: np.ndarray, alpha: float | np.ndarray,
     def gp(y):
         return 2.0 * y - (alpha - 2.0) * y ** (alpha - 3.0)
 
-    valid = (g(lo) < 0.0) & (g(hi) > 0.0)
+    valid = (g(lo) < 0.0) & (g(YMAX) > 0.0)     # g's y terms at YMAX: once per alpha
     y = 0.5 * (lo + hi)
     done = ~valid
     for _ in range(Y_MAX_ITER):

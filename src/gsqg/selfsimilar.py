@@ -148,6 +148,7 @@ def center(cfg: TripleConfig) -> TripleConfig:
                         xi=cfg.xi, alpha=cfg.alpha)
 
 
+@np.errstate(over="ignore", invalid="ignore")     # kernels that overflow give NaN rates
 def selfsimilar_rate(cfg: TripleConfig) -> tuple[float, float, float]:
     """Rates (a, b) of the self-similarity relation plus its residual.
 

@@ -68,6 +68,6 @@ def test_burst_peak_boundaries_are_all_wrapped():
     # a rename would silently drop a phase boundary
     peaks = _load("tools_burst_peaks", ROOT / "tools" / "burst_peaks.py")
     targets = [(owner, attr) for owner, attr, _ in peaks.wrappers(peaks.Phases())]
-    assert targets == [(burstsim, "integrate_batch"), (cli, "convergence_study"),
+    assert targets == [(burstsim, "integrate_batch"), (burstsim, "convergence_study"),
                        (Trajectory, "to_csv"), (Trajectory, "csv_blocks"),
                        (cli, "_write"), (cli, "_write_blocks")]

@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -175,21 +178,39 @@ def test_simulate_collapse_config_stopping_before_t_star(tmp_path, capsys):
     assert man["parameters"]["t_star"] is None
 
 
-def test_nan_rates_get_one_answer_from_simulate_and_burst(tmp_path, capsys, nan_triple):
+def _nan_commands(tmp_path, nan_triple) -> list[list[str]]:
+    """simulate and burst on the triple whose pair kernels overflow."""
     cfg_path, spath = tmp_path / "tiny.json", tmp_path / "scenario.json"
     cfg_path.write_text(nan_triple.to_json())
     spath.write_text(json.dumps({"triple": json.loads(nan_triple.to_json()),
                                  "t_ini": [1e-4, 5e-5, 2.5e-5], "horizon": 1e-3}))
-    out = tmp_path / "traj.csv"
-    with np.errstate(all="ignore"):     # the pair kernels overflow by construction
-        main(["simulate", "--config", str(cfg_path), "--t0", "0", "--t1", "1", "--out", str(out)])
-        capsys.readouterr()
-        code = main(["burst", "--scenario", str(spath), "--out", str(tmp_path / "runs")])
-    man = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+    return [["simulate", "--config", str(cfg_path), "--t0", "0", "--t1", "1",
+             "--out", str(tmp_path / "traj.csv")],
+            ["burst", "--scenario", str(spath), "--out", str(tmp_path / "runs")]]
+
+
+def test_nan_rates_get_one_answer_from_simulate_and_burst(tmp_path, capsys, nan_triple):
+    simulate, burst = _nan_commands(tmp_path, nan_triple)
+    main(simulate)
+    capsys.readouterr()
+    code = main(burst)
+    man = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
     assert man["parameters"]["classification"] == "not_self_similar"
     assert code == 1
     assert capsys.readouterr().err == \
         "gsqg burst: configuration not self-similar (residual nan)\n"
+
+
+def test_nan_rates_print_no_numpy_warning(tmp_path, nan_triple):
+    # the kernels overflow by construction; the rates and the integration
+    # ignore that once per call, so -W error turns no warning into a traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(gsqg.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    runs = [subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "gsqg.cli",
+                            *argv], env=env, capture_output=True, text=True, timeout=120)
+            for argv in _nan_commands(tmp_path, nan_triple)]
+    assert [(run.returncode, run.stderr) for run in runs] == [
+        (2, ""), (1, "gsqg burst: configuration not self-similar (residual nan)\n")]
 
 
 def test_burst_command(tmp_path):

@@ -86,10 +86,72 @@ def test_kept_names_exist_and_are_unreferenced():
     assert not set(KEPT_UNREFERENCED) & _package_uses(trees)
 
 
+# the names `gsqg` exports, the six library modules among them
+PUBLIC = [
+    "ALPHA_GUARD", "BurstDiagnostics", "BurstScenario", "Classification",
+    "ConservedQuantities", "DomainError", "EIG_TOL", "HypothesisReport", "IntegratorConfig",
+    "MuRoots", "RATE_TOL", "SS_TOL", "SelfSimilarMotion", "SingularityError",
+    "StabilityMatrix", "Status", "SweepRecord", "SweepResult", "Trajectory", "TripleConfig",
+    "VortexState", "burstsim", "cardano_discriminant", "cardano_y", "center", "classify",
+    "collapse_scenario", "collapse_time_fit", "conserved", "convergence_study",
+    "coupling_constant", "hypothesis_a_check", "integrate", "integrate_batch", "integrator",
+    "kernel", "make_burst_initial", "motion_from_config", "oriented_config",
+    "propagator_norm", "reference_time", "rhs", "run_burst", "search", "selfsimilar",
+    "selfsimilar_rate", "stability", "sweep", "sweep_csv", "x_interval", "y_from_x", "zeta",
+]
+MODULES = ("kernel", "integrator", "selfsimilar", "stability", "search", "burstsim")
+
+# the library modules each command loads; it loads no other
+SEARCH = {"kernel", "selfsimilar", "stability", "search"}
+LOADS = {
+    "find-config": SEARCH,
+    "sweep": SEARCH,
+    "simulate": {"kernel", "selfsimilar", "integrator"},
+    "burst": {"kernel", "selfsimilar", "integrator", "burstsim"},
+}
+
+
+def _fresh(code: str, *args: str, cwd=None) -> subprocess.Popen:
+    """A fresh interpreter that imports gsqg from this tree and runs code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _result(proc: subprocess.Popen):
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_gsqg_loads_no_module():
+    code = ("import json, sys\n"
+            "import gsqg\n"
+            "print(json.dumps([sorted(m for m in sys.modules if m.partition('.')[0] in\n"
+            "                         ('gsqg', 'numpy')),\n"
+            "                  [n for n in dir(gsqg) if not n.startswith('_')]]))\n")
+    loaded, names = _result(_fresh(code))
+    assert loaded == ["gsqg"]
+    assert names == PUBLIC
+
+
+def test_public_names_are_their_modules_objects():
+    assert sorted(gsqg.__all__) == PUBLIC
+    for name in PUBLIC:
+        value = getattr(gsqg, name)
+        home = sys.modules[f"gsqg.{gsqg._HOME[name]}"]
+        assert value is (home if name in MODULES else getattr(home, name)), name
+        # the table names the module that defines each class and function
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+
 def test_a_command_imports_neither_scipy_nor_a_process_pool(tmp_path):
-    # SciPy serves only propagator_norm, which imports scipy.linalg itself,
-    # and concurrent.futures only sweep --jobs > 1.  With sys.modules["scipy"]
-    # set to None an attempted import of SciPy raises.
+    # each command, in a fresh interpreter, loads the library modules of its
+    # row of LOADS and no other.  SciPy serves only propagator_norm, which
+    # imports scipy.linalg itself, and concurrent.futures only sweep
+    # --jobs > 1.  With sys.modules["scipy"] set to None an attempted import
+    # of SciPy raises.
     cfg = gsqg.oriented_config(1.0, 0.7019)
     (tmp_path / "c.json").write_text(cfg.to_json())
     (tmp_path / "s.json").write_text(gsqg.BurstScenario(
@@ -105,14 +167,11 @@ def test_a_command_imports_neither_scipy_nor_a_process_pool(tmp_path):
     code = ("import json, sys\n"
             "sys.modules['scipy'] = None\n"
             "import gsqg, gsqg.cli\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    status = gsqg.cli.main(argv)\n"
-            "    print('after', argv[0], status, sorted(m for m, v in sys.modules.items() if v is not None\n"
-            "                                  and m.partition('.')[0] in ('scipy', 'concurrent')))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
-                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    after = [line for line in run.stdout.splitlines() if line.startswith("after ")]
-    assert after == [f"after {argv[0]} 0 []" for argv in commands]
+            "status = gsqg.cli.main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([status, sorted(m for m, v in sys.modules.items() if v is not None\n"
+            "                                 and m.partition('.')[0] in\n"
+            "                                 ('gsqg', 'scipy', 'concurrent'))]))\n")
+    procs = [_fresh(code, json.dumps(argv), cwd=tmp_path) for argv in commands]
+    for argv, proc in zip(commands, procs):
+        expected = sorted(["gsqg", "gsqg.cli", *(f"gsqg.{m}" for m in LOADS[argv[0]])])
+        assert _result(proc) == [0, expected], argv[0]

@@ -655,6 +655,25 @@ def test_side_solve_of_a_mixed_grid_is_each_x_solved_alone(alpha, per_x):
     assert np.array_equal(y[~valid].view(np.int64), mid[~valid].view(np.int64))
 
 
+def test_side_solve_bracket_takes_g_at_ymax_once_per_alpha():
+    # the upper end of every bracket is YMAX, so its y terms are evaluated
+    # once per alpha; each x keeps the sign g gives at a grid of YMAX, at
+    # one alpha for the grid and at one alpha per x, as _refine passes it
+    def bracketed(xs, alpha):
+        g = _side_residual(xs, alpha)
+        return (g(np.maximum(1.0 - xs, EPS_Y)) < 0.0) & (g(np.full_like(xs, YMAX)) > 0.0)
+
+    alphas = [*np.linspace(0.05, 2.95, 24), np.random.default_rng(7).uniform(
+        0.05, 2.95, len(_DESK_GRID))]
+    unbracketed = []
+    with np.errstate(all="ignore"):
+        for alpha in alphas:
+            valid = _y_solve_grid(_DESK_GRID, alpha)[1]
+            assert np.array_equal(valid, bracketed(_DESK_GRID, alpha))
+            unbracketed.append(int((~valid).sum()))
+    assert 0 in unbracketed and max(unbracketed) > 0
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9, 2.5])
 def test_margin_grid_at_one_alpha_per_x_is_each_x_alone(alpha):
     xs, alphas = _MIXED_X, np.full(len(_MIXED_X), alpha)

@@ -3,9 +3,10 @@
     python3 tools/bench_pairs.py --parent REV --change REV --workload W \\
         [--seed S] [--pairs P] [--seconds T] [--work DIR] --out FILE
 
-Each revision is exported with `git archive` into a directory of the same
-name, DIR/a/tree and DIR/b/tree, because the path of a tree moves the
-peak_rss_mb reading.  Pair k runs the parent first when k is even and the
+Each revision is exported with `git archive` into DIR/parent and
+DIR/change, and each run moves its side's tree to DIR/tree and back, so
+both sides run from one path: the path of a tree moves the peak_rss_mb
+reading.  Pair k runs the parent first when k is even and the
 change first when k is odd; a run is `perfbench/run.py --trace 0` of the
 exported tree, unmodified.  FILE gets, per end-to-end metric, each side's
 runs, median and quartiles (inclusive method) and the pairs the change
@@ -27,6 +28,7 @@ DIR left over from an earlier invocation, named.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -79,6 +81,16 @@ def export(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
         t.extractall(dest, filter="data")
     return commit
+
+
+@contextlib.contextmanager
+def placed(tree: Path, at: Path):
+    """Move tree to at for the length of the block, and back after it."""
+    tree.rename(at)
+    try:
+        yield at
+    finally:
+        at.rename(tree)
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
@@ -134,14 +146,16 @@ def main(argv=None) -> int:
     p.add_argument("--work", type=Path, default=Path(".bench_pairs"))
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
-    trees = dict(zip(SIDES, (args.work / "a" / "tree", args.work / "b" / "tree")))
+    trees = {side: args.work / side for side in SIDES}
+    at = args.work / "tree"
     commits = {side: export(getattr(args, side), trees[side]) for side in SIDES}
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {side: [] for side in SIDES}
     passes = {side: [] for side in SIDES}
     for k in range(args.pairs):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            values, n = run(trees[side], args.workload, args.seed, args.seconds)
+            with placed(trees[side], at):
+                values, n = run(at, args.workload, args.seed, args.seconds)
             runs[side].append(values)
             passes[side].append(n)
     metrics = {}
@@ -156,7 +170,8 @@ def main(argv=None) -> int:
     rss = {side: [] for side in SIDES}
     for k in range(RSS_RUNS):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            rss[side].append(fixed_pass_rss(trees[side], args.workload, args.seed, count))
+            with placed(trees[side], at):
+                rss[side].append(fixed_pass_rss(at, args.workload, args.seed, count))
     args.out.write_text(json.dumps({
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "commits": commits, "metrics": metrics, "passes": passes,

@@ -106,7 +106,7 @@ def wrappers(ph: Phases) -> list[tuple[object, str, object]]:
     """(owner, attribute, wrapper) of each phase boundary this tree has."""
     out = [(burstsim, "integrate_batch",
             ph.around(burstsim.integrate_batch, "integration", "cauchy gaps")),
-           (cli, "convergence_study", ph.after(cli.convergence_study, "cauchy gaps"))]
+           (burstsim, "convergence_study", ph.after(burstsim.convergence_study, "cauchy gaps"))]
     for attr in ("to_csv", "csv_blocks"):
         if hasattr(integrator.Trajectory, attr):
             out.append((integrator.Trajectory, attr,
