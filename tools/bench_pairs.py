@@ -10,8 +10,9 @@ reading.  Pair k runs the parent first when k is even and the
 change first when k is odd; a run is `perfbench/run.py --trace 0` of the
 exported tree, unmodified.  FILE gets, per end-to-end metric, each side's
 runs, median and quartiles (inclusive method) and the pairs the change
-wins, each run's pass count, and the sha256 of every non-manifest output
-file of each side's last run.
+wins, each run's pass count, the medians of each run's raw (unnormalized)
+pass, set-up and reference_work seconds, and the sha256 of every
+non-manifest output file of each side's last run.
 
 A 30 s run keeps every pass's results, so its peak_rss_mb grows with the
 number of passes that fit in it, and a faster tree reads more memory.  So
@@ -93,8 +94,9 @@ def placed(tree: Path, at: Path):
         at.rename(tree)
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
-    """Metric values and untraced pass count of one benchmark run."""
+def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int, dict]:
+    """Metric values, untraced pass count and median raw times of one
+    benchmark run."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
@@ -105,7 +107,10 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int
     if not result["correct"]:
         sys.exit(f"bench_pairs: {tree} failed: {record['failures'][:3]}")
     values = {k: m["value"] for k, m in result["metrics"].items()}
-    return values, len(record["pass_seconds"]["untraced"])
+    untraced, probes = record["pass_seconds"]["untraced"], record["probe_seconds"]
+    raw = {"pass_s": statistics.median(untraced), "setup_s": statistics.median(probes["setup"]),
+           "reference_s": statistics.median(probes["reference"])}
+    return values, len(untraced), raw
 
 
 def fixed_pass_rss(tree: Path, workload: str, seed: int, count: int) -> float:
@@ -152,12 +157,14 @@ def main(argv=None) -> int:
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {side: [] for side in SIDES}
     passes = {side: [] for side in SIDES}
+    raw = {side: [] for side in SIDES}
     for k in range(args.pairs):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
             with placed(trees[side], at):
-                values, n = run(at, args.workload, args.seed, args.seconds)
+                values, n, times = run(at, args.workload, args.seed, args.seconds)
             runs[side].append(values)
             passes[side].append(n)
+            raw[side].append(times)
     metrics = {}
     for m in declared:
         name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
@@ -175,6 +182,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps({
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "commits": commits, "metrics": metrics, "passes": passes,
+        "raw_seconds": {side: {name: summary([t[name] for t in raw[side]])
+                               for name in raw[side][0]} for side in SIDES},
         "fixed_pass_rss_mb": {"passes": count, "hash_seed": 0,
                               **{side: summary(rss[side]) for side in SIDES}},
         "outputs": {**digests, "identical": digests["parent"] == digests["change"],
