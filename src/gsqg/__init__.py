@@ -14,8 +14,7 @@ _EXPORTS = {
     "selfsimilar": ("Classification", "SelfSimilarMotion", "TripleConfig", "center",
                     "classify", "motion_from_config", "reference_time", "selfsimilar_rate",
                     "zeta", "RATE_TOL", "SS_TOL"),
-    "stability": ("EIG_TOL", "HypothesisReport", "MuRoots", "StabilityMatrix",
-                  "hypothesis_a_check", "propagator_norm"),
+    "stability": ("EIG_TOL", "HypothesisReport", "hypothesis_a_check", "propagator_norm"),
     "search": ("SweepRecord", "SweepResult", "cardano_discriminant", "cardano_y",
                "oriented_config", "sweep", "sweep_csv", "x_interval", "y_from_x"),
     "burstsim": ("BurstDiagnostics", "BurstScenario", "collapse_scenario",

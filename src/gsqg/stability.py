@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import DomainError, SingularityError, coupling_constant
+from .kernel import DomainError, SingularityError, check_alpha, coupling_constant
 from .selfsimilar import (Classification, TripleConfig, center, pair_terms,
                           selfsimilar_rate, verdict)
 
@@ -35,42 +35,27 @@ EIG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class StabilityMatrix:
-    entries: np.ndarray     # 4x4 complex
-    a_rate: float
-    off: tuple[complex, complex, complex, complex]   # (L13, L14, L23, L24)
-
-
-@dataclass(frozen=True)
-class MuRoots:
-    """Roots of the eigenvalue quartic, or the reason there are none."""
-
-    roots: np.ndarray | None       # 4 reals, ascending, when successful
-    failure: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.roots is not None
-
-
-@dataclass(frozen=True)
 class HypothesisReport:
+    """One stability check; each field is the `to_json` key of its name
+    (`a_rate` and `b_rate` as "a" and "b", `matrix` as "L")."""
+
     selfsimilar_ok: bool
     a_positive: bool
-    mu: MuRoots
     eigen_ok: bool
     distinct: bool
     details: str
-    a_rate: float = np.nan
-    b_rate: float = np.nan
-    matrix: StabilityMatrix | None = None
+    a_rate: float
+    b_rate: float
     c1: float = np.nan
     c2: float = np.nan
+    mu: np.ndarray | None = None            # 4 reals, ascending
+    mu_failure: str | None = None           # why `mu` is None
+    matrix: np.ndarray | None = None        # the 4x4 complex L
     eigenvalues: np.ndarray | None = None
 
     @property
     def passed(self) -> bool:
-        return (self.selfsimilar_ok and self.a_positive and self.mu.ok
+        return (self.selfsimilar_ok and self.a_positive and self.mu is not None
                 and self.eigen_ok and self.distinct)
 
     def to_json(self) -> str:
@@ -88,10 +73,11 @@ class HypothesisReport:
             "b": float(self.b_rate),
             "c1": float(self.c1),
             "c2": float(self.c2),
-            "mu": [float(m) for m in self.mu.roots] if self.mu.ok else None,
-            "mu_failure": self.mu.failure,
+            "mu": [float(m) for m in self.mu] if self.mu is not None else None,
+            "mu_failure": self.mu_failure,
             "L": {k: c(v) for k, v in zip(("L13", "L14", "L23", "L24"),
-                                          self.matrix.off)} if self.matrix else None,
+                                          self.matrix[:2, 2:].flat)}
+            if self.matrix is not None else None,
             "eigenvalues": [c(e) for e in self.eigenvalues]
             if self.eigenvalues is not None else None,
         }
@@ -154,8 +140,8 @@ def quartic_mu2(b, c1, c2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def mu_distinct(mu: np.ndarray) -> bool:
-    gaps = np.diff(np.sort(mu))
-    return bool(np.all(gaps > 1e-9 * (1.0 + np.max(np.abs(mu)))))
+    """Whether the ascending roots `mu` are pairwise apart."""
+    return bool(np.all(np.diff(mu) > 1e-9 * (1.0 + np.max(np.abs(mu)))))
 
 
 def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
@@ -171,13 +157,10 @@ def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
     ss_ok = verdict(a_rate, residual) is not Classification.NOT_SELF_SIMILAR
     a_pos = verdict(a_rate, 0.0) is Classification.BURST     # the rate alone
     if not (ss_ok and a_pos):
-        detail = f"residual={residual:.3e}, a={a_rate:.6g}"
         return HypothesisReport(
-            selfsimilar_ok=ss_ok, a_positive=a_pos,
-            mu=MuRoots(None, failure="prerequisites failed"),
-            eigen_ok=False, distinct=False, details=detail,
-            a_rate=a_rate, b_rate=b_rate,
-        )
+            selfsimilar_ok=ss_ok, a_positive=a_pos, eigen_ok=False, distinct=False,
+            details=f"residual={residual:.3e}, a={a_rate:.6g}", a_rate=a_rate,
+            b_rate=b_rate, mu_failure="prerequisites failed")
     st = cen.state()
     if (dmin := st.min_distance()) < st.dmin():
         raise SingularityError(f"coincident vortices in linearization: |d|={dmin:.3e}")
@@ -185,47 +168,45 @@ def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
     L = l_terms(z, cen.xi[:, None], coupling_constant(cfg.alpha), pair_terms(z, cfg.alpha)[1])
     c1, c2 = quartic_coefficients(*L)
     disc, lo2, hi2 = (float(v[0]) for v in quartic_mu2(b_rate, c1, c2))
-    off = tuple(complex(v[0]) for v in L)
     D = np.diag([-a_rate - 1j * b_rate] * 2)
-    T = np.array(off).reshape(2, 2)
-    M = StabilityMatrix(np.block([[D, T], [T.conj(), D.conj()]]), a_rate, off)
-    eigs = np.linalg.eigvals(M.entries)
+    T = np.reshape(L, (2, 2))
+    M = np.block([[D, T], [T.conj(), D.conj()]])
+    eigs = np.linalg.eigvals(M)
+    mu = failure = None
     eig_ok = distinct = False
     # four distinct real mu exist exactly when disc > 0 and lo2 > 0
     if disc <= 0.0:
-        mu = MuRoots(None, failure=f"complex mu^2: c1^2 - 4 c2 = {disc:.6e} <= 0")
+        detail = failure = f"complex mu^2: c1^2 - 4 c2 = {disc:.6e} <= 0"
     elif lo2 <= 0.0:
-        mu = MuRoots(None, failure=f"negative mu^2: 2 b^2 - c1 - sqrt(disc) = {lo2:.6e} <= 0")
+        detail = failure = f"negative mu^2: 2 b^2 - c1 - sqrt(disc) = {lo2:.6e} <= 0"
     else:
         r = np.sqrt([lo2 / 2.0, hi2 / 2.0])
-        mu = MuRoots(np.array([-r[1], -r[0], r[0], r[1]]))
-    detail = mu.failure
-    if mu.ok:
-        # oracle agreement: eigenvalues must be -a + i mu_j
-        predicted = -a_rate + 1j * mu.roots
-        order_p = np.argsort(predicted.imag)
-        order_e = np.argsort(eigs.imag)
-        mismatch = float(np.max(np.abs(predicted[order_p] - eigs[order_e])))
+        mu = np.array([-r[1], -r[0], r[0], r[1]])
+        # oracle agreement: eigenvalues must be -a + i mu_j, mu ascending
+        mismatch = float(np.max(np.abs(-a_rate + 1j * mu - eigs[np.argsort(eigs.imag)])))
         eig_ok = bool(mismatch <= EIG_TOL and np.max(np.abs(eigs.real + a_rate)) <= EIG_TOL)
-        distinct = mu_distinct(mu.roots)
+        distinct = mu_distinct(mu)
         detail = f"max |eig - (-a + i mu)| = {mismatch:.3e}"
     return HypothesisReport(
-        selfsimilar_ok=True, a_positive=True, mu=mu, eigen_ok=eig_ok,
-        distinct=distinct, details=detail, a_rate=a_rate, b_rate=b_rate,
-        matrix=M, c1=float(c1[0]), c2=float(c2[0]), eigenvalues=eigs,
-    )
+        selfsimilar_ok=True, a_positive=True, eigen_ok=eig_ok, distinct=distinct,
+        details=detail, a_rate=a_rate, b_rate=b_rate, c1=float(c1[0]), c2=float(c2[0]),
+        mu=mu, mu_failure=failure, matrix=M, eigenvalues=eigs)
 
 
-def propagator_norm(M: StabilityMatrix, alpha: float, t: float) -> float:
-    """Operator 2-norm of exp((log t / ((4-alpha) a)) L) for t in (0, 1].
+def propagator_norm(M: np.ndarray, alpha: float, t: float) -> float:
+    """Operator 2-norm of exp((log t / ((4-alpha) a)) M) for t in (0, 1], with
+    M a report's 4x4 `matrix` and a = -Re M[0, 0], its `a_rate`.
 
     When every eigenvalue has real part -a the norm decays like
     t^(-1/(4-alpha)) up to a non-normality prefactor.
     """
+    check_alpha(alpha)
+    if np.shape(M) != (4, 4):
+        raise DomainError(f"propagator needs a 4x4 matrix, got shape {np.shape(M)}")
     if not 0.0 < t <= 1.0:
         raise DomainError(f"propagator defined for t in (0, 1], got {t}")
-    if M.a_rate == 0.0:
+    if (a := -M[0, 0].real) == 0.0:
         raise DomainError("propagator scaling undefined for a = 0")
     import scipy.linalg     # here: no command needs its ~6 MB and ~25 ms of import
-    tau = np.log(t) / ((4.0 - alpha) * M.a_rate)
-    return float(np.linalg.norm(scipy.linalg.expm(tau * M.entries), 2))
+    tau = np.log(t) / ((4.0 - alpha) * a)
+    return float(np.linalg.norm(scipy.linalg.expm(tau * M), 2))

@@ -90,8 +90,8 @@ def test_kept_names_exist_and_are_unreferenced():
 PUBLIC = [
     "ALPHA_GUARD", "BurstDiagnostics", "BurstScenario", "Classification",
     "ConservedQuantities", "DomainError", "EIG_TOL", "HypothesisReport", "IntegratorConfig",
-    "MuRoots", "RATE_TOL", "SS_TOL", "SelfSimilarMotion", "SingularityError",
-    "StabilityMatrix", "Status", "SweepRecord", "SweepResult", "Trajectory", "TripleConfig",
+    "RATE_TOL", "SS_TOL", "SelfSimilarMotion", "SingularityError",
+    "Status", "SweepRecord", "SweepResult", "Trajectory", "TripleConfig",
     "VortexState", "burstsim", "cardano_discriminant", "cardano_y", "center", "classify",
     "collapse_scenario", "collapse_time_fit", "conserved", "convergence_study",
     "coupling_constant", "hypothesis_a_check", "integrate", "integrate_batch", "integrator",

@@ -207,6 +207,44 @@ def test_scalar_margin_is_the_grid_margin_bitwise():
     assert reached[False] >= 100 and reached[True] >= 50 and passed >= 30
 
 
+def _ulps_from(x, k):
+    """The float k ulps above the positive float x (below for k < 0)."""
+    return float((np.float64(x).view(np.int64) + k).view(np.float64))
+
+
+@pytest.mark.parametrize("alpha", [0.98, 1.0, 1.5, 1.9, 2.05, 2.13])
+def test_closed_form_is_the_grid_margin_next_to_a_window_edge(alpha):
+    # `passed` is not asserted: within some 32 ulps of x_+ LAPACK's eigenvalues
+    # can lie further than EIG_TOL from -a + i mu, where the matrix is close to
+    # a Jordan block (ROADMAP item 11)
+    rec = gsqg.sweep(alpha, alpha, refine_tol=1e-300).records[0]
+    steps = [0] + [s * 2**j for j in range(21) for s in (1, -1)]
+    probes = 0
+    for x in {_ulps_from(edge, k) for edge in (rec.x_minus, rec.x_plus) for k in steps}:
+        if not 0.0 < x < 1.0:
+            continue
+        report = gsqg.hypothesis_a_check(gsqg.oriented_config(alpha, x))
+        grid = np.minimum(*_margin_grid(alpha, np.array([x])))[0]
+        if report.matrix is None:
+            # stopped before the quartic only where x_+ is the end of the x
+            # grid and the rate is below RATE_TOL (the strict xfail below)
+            assert report.a_rate <= gsqg.RATE_TOL and x > 1.0 - 1e-10, (alpha, x)
+            continue
+        assert (report.mu is not None) == (grid > 0.0), (alpha, x)
+        assert _report_margin(report).hex() == float(grid).hex(), (alpha, x)
+        probes += 1
+    assert probes >= 40
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "x_+ = 0.999999999999, the end of the x grid, at alpha = 2.1: both margin "
+    "components are positive, but the rate a = 2.6e-12 is below RATE_TOL, so "
+    "`verdict` reads a relative equilibrium and the check fails"))
+def test_edge_at_the_grid_end_passes_the_check():
+    rec = gsqg.x_interval(2.1)
+    assert gsqg.hypothesis_a_check(gsqg.oriented_config(2.1, rec.x_plus)).passed
+
+
 def _trial_and_flip(alpha, x):
     """The burst triple found by trial: the Im(a_3) < 0 branch, rebuilt on
     the other branch where its rate is negative.  None where the sides give

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import gsqg
 from gsqg.search import _margin_grid, _past_triangle, _reduced_triple, _y_solve_grid
 from gsqg.selfsimilar import centered, pair_terms
-from gsqg.stability import StabilityMatrix, l_terms, quartic_coefficients, quartic_mu2
+from gsqg.stability import l_terms, quartic_coefficients, quartic_mu2
 
 from conftest import THM_A
 from oracles import l_terms_each_use, quartic_coefficients_each_use
@@ -21,16 +21,15 @@ def make_matrix(L13, L14, L23, L24, a=0.5, b=2.0):
         [np.conj(L13), np.conj(L14), -a + 1j * b, 0],
         [np.conj(L23), np.conj(L24), 0, -a + 1j * b],
     ], dtype=complex)
-    return StabilityMatrix(entries=M, a_rate=a, off=(L13, L14, L23, L24))
+    return M
 
 
 # ---------------------------------------------------------------- L matrix
 
 def test_l_matrix_trace_and_structure(thm_centered, thm_report):
     a, b, _ = gsqg.selfsimilar_rate(thm_centered)
-    M = thm_report.matrix
-    E = M.entries
-    assert M.a_rate == a
+    E = thm_report.matrix
+    assert -E[0, 0].real == a
     assert np.trace(E) == pytest.approx(-4 * a, rel=1e-12)
     assert E[0, 0] == E[1, 1] == pytest.approx(-a - 1j * b)
     assert E[2, 2] == E[3, 3] == pytest.approx(-a + 1j * b)
@@ -110,13 +109,13 @@ def test_l_terms_on_the_desk_grid_are_the_ten_term_sum_bitwise(alpha):
 # ---------------------------------------------------------------- mu machinery
 
 def test_mu_coefficients_trivial():
-    c1, c2 = quartic_coefficients(*make_matrix(1.0, 0.0, 0.0, 1.0).off)
+    c1, c2 = quartic_coefficients(*make_matrix(1.0, 0.0, 0.0, 1.0)[:2, 2:].flat)
     assert (c1, c2) == (2.0, 1.0)
 
 
 def test_mu_coefficients_decoupled():
     L13, L24 = 0.7 - 0.2j, -1.1 + 0.4j
-    c1, c2 = quartic_coefficients(*make_matrix(L13, 0.0, 0.0, L24).off)
+    c1, c2 = quartic_coefficients(*make_matrix(L13, 0.0, 0.0, L24)[:2, 2:].flat)
     assert c1 == pytest.approx(abs(L13) ** 2 + abs(L24) ** 2)
     assert c2 == pytest.approx(abs(L13) ** 2 * abs(L24) ** 2)
 
@@ -130,31 +129,31 @@ def test_mu_roots_worked_example():
 
 def test_mu_roots_complex_failure():
     rep = gsqg.hypothesis_a_check(gsqg.oriented_config(1.0, 0.9))
-    assert rep.a_positive and not rep.mu.ok and not rep.passed
-    assert rep.mu.failure.startswith("complex mu^2: c1^2 - 4 c2 = ")
+    assert rep.a_positive and rep.mu is None and not rep.passed
+    assert rep.mu_failure.startswith("complex mu^2: c1^2 - 4 c2 = ")
 
 
 def test_mu_roots_negative_failure():
     rep = gsqg.hypothesis_a_check(gsqg.oriented_config(0.9, 0.7))
-    assert rep.a_positive and not rep.mu.ok and not rep.passed
-    assert rep.mu.failure.startswith("negative mu^2: 2 b^2 - c1 - sqrt(disc) = ")
+    assert rep.a_positive and rep.mu is None and not rep.passed
+    assert rep.mu_failure.startswith("negative mu^2: 2 b^2 - c1 - sqrt(disc) = ")
 
 
 # ---------------------------------------------------------------- eigenvalues
 
 def test_eigen4_cross_checks_mu_roots(thm_report):
-    assert thm_report.mu.ok
+    assert thm_report.mu is not None
     eigs = thm_report.eigenvalues
     assert np.max(np.abs(eigs.real + thm_report.a_rate)) <= 1e-8
-    assert np.allclose(np.sort(eigs.imag), np.sort(thm_report.mu.roots), atol=1e-8)
+    assert np.allclose(np.sort(eigs.imag), np.sort(thm_report.mu), atol=1e-8)
 
 
 def test_repeated_eigenvalues_flagged():
     # c1 = 2, c2 = 1 with b = 2: disc = 0, quartic (mu^2 - 3)^2
     M = make_matrix(1.0, 0.0, 0.0, 1.0, a=0.5, b=2.0)
-    disc, lo2, hi2 = quartic_mu2(2.0, *quartic_coefficients(*M.off))
+    disc, lo2, hi2 = quartic_mu2(2.0, *quartic_coefficients(*M[:2, 2:].flat))
     assert disc == 0.0 and lo2 == hi2      # the strict inequality disc > 0 fails
-    eigs = np.linalg.eigvals(M.entries)
+    eigs = np.linalg.eigvals(M)
     assert np.allclose(np.sort(eigs.imag), [-np.sqrt(3), -np.sqrt(3),
                                             np.sqrt(3), np.sqrt(3)], atol=1e-9)
     assert np.allclose(eigs.real, -0.5, atol=1e-12)
@@ -164,7 +163,7 @@ def test_repeated_eigenvalues_flagged():
 
 def test_hypothesis_passes_on_reference(thm_report):
     assert thm_report.passed
-    assert thm_report.mu.ok and len(thm_report.mu.roots) == 4
+    assert thm_report.mu is not None and len(thm_report.mu) == 4
     assert thm_report.a_rate == pytest.approx(THM_A, abs=1e-12)
 
 
@@ -198,11 +197,11 @@ def test_spectrum_conjugation_closed_and_trace(seed):
     L = rng.normal(size=4) + 1j * rng.normal(size=4)
     a, b = rng.uniform(0.05, 0.5), rng.uniform(-1, 1)
     M = make_matrix(*L, a=a, b=b)
-    eigs = np.linalg.eigvals(M.entries)
+    eigs = np.linalg.eigvals(M)
     # multiset closure under conjugation
     for lam in eigs:
         assert np.min(np.abs(np.conj(lam) - eigs)) <= 1e-10
-    assert np.trace(M.entries) == pytest.approx(-4 * a, rel=1e-10)
+    assert np.trace(M) == pytest.approx(-4 * a, rel=1e-10)
     assert np.sum(eigs) == pytest.approx(-4 * a, abs=1e-10)
 
 
@@ -220,7 +219,7 @@ def test_mu_eigen_agreement_on_sweep_sample():
     for alpha, x in pts[:220]:
         rep = gsqg.hypothesis_a_check(gsqg.oriented_config(alpha, x))
         assert rep.passed
-        predicted = np.sort(rep.mu.roots)
+        predicted = np.sort(rep.mu)
         from_eigs = np.sort(rep.eigenvalues.imag)
         worst = max(worst, float(np.max(np.abs(predicted - from_eigs))))
         worst = max(worst, float(np.max(np.abs(rep.eigenvalues.real + rep.a_rate))))
@@ -237,9 +236,9 @@ def test_intensity_scaling_homogeneity(thm_centered):
     rep1 = gsqg.hypothesis_a_check(scaled)
     assert rep1.a_rate == pytest.approx(lam * rep0.a_rate, rel=1e-12)
     assert rep1.b_rate == pytest.approx(lam * rep0.b_rate, rel=1e-12)
-    assert np.allclose(np.array(rep1.matrix.off), lam * np.array(rep0.matrix.off),
+    assert np.allclose(rep1.matrix[:2, 2:], lam * rep0.matrix[:2, 2:],
                        rtol=1e-12)
-    assert rep1.mu.ok == rep0.mu.ok
+    assert (rep1.mu is not None) == (rep0.mu is not None)
 
 
 # ---------------------------------------------------------------- symmetry properties
@@ -311,6 +310,17 @@ def test_intensity_scaling_scales_rates_and_quartic(alpha, u, lam):
 
 def test_propagator_identity_at_t1(thm_report):
     assert gsqg.propagator_norm(thm_report.matrix, 1.0, 1.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("alpha, matrix", [
+    (4.0, "reference"), (np.nan, "reference"), (5.0, "reference"), (2.0, "reference"),
+    (-1.0, "reference"), (1.0, None), (1.0, np.eye(2, dtype=complex))])
+def test_propagator_refuses_alpha_off_its_domain_and_a_matrix_not_4x4(thm_report, alpha,
+                                                                       matrix):
+    # None is the matrix of a report whose prerequisites failed
+    M = thm_report.matrix if isinstance(matrix, str) else matrix
+    with pytest.raises(gsqg.DomainError):
+        gsqg.propagator_norm(M, alpha, 0.5)
 
 
 def test_propagator_exact_power_for_normal_matrix():
