@@ -11,13 +11,13 @@ samples:
   image (conjugate positions, where the rate changes sign).  A point that
   `oriented_config` refuses (no side, no triangle) is skipped.
 - window: at 24 alphas across the stability window, 50 x drawn inside
-  the swept interval and, at each edge refined to adjacent floats, x moved
-  by 0 and up to +-40 ulps.
+  the swept interval and, at each edge refined to adjacent floats, 25 x
+  moved from it by a number of ulps drawn from -40 to 40.
 
 A check that raises is hashed as the exception's type name.  The import
 path picks the tree measured, so parent and change run the same script and
-compare digests; each sample's line also counts its reports and
-the reports that pass.  Standard library and NumPy only.
+compare digests; each sample's line also counts its reports and the
+reports that pass.  Standard library and NumPy only.
 """
 
 from __future__ import annotations
