@@ -216,7 +216,7 @@ def _ulps_from(x, k):
 def test_closed_form_is_the_grid_margin_next_to_a_window_edge(alpha):
     # `passed` is not asserted: within some 32 ulps inside an edge LAPACK's
     # eigenvalues can lie further than EIG_TOL from -a + i mu, where the matrix
-    # is close to a Jordan block (ROADMAP item 11)
+    # is close to a Jordan block (README: the caveats next to a window edge)
     rec = gsqg.sweep(alpha, alpha, refine_tol=1e-300).records[0]
     steps = [0] + [s * 2**j for j in range(21) for s in (1, -1)]
     probes = 0
