@@ -49,7 +49,6 @@ class HypothesisReport:
     c1: float = np.nan
     c2: float = np.nan
     mu: np.ndarray | None = None            # 4 reals, ascending
-    mu_failure: str | None = None           # why `mu` is None
     matrix: np.ndarray | None = None        # the 4x4 complex L
     eigenvalues: np.ndarray | None = None
 
@@ -57,6 +56,13 @@ class HypothesisReport:
     def passed(self) -> bool:
         return (self.selfsimilar_ok and self.a_positive and self.mu is not None
                 and self.eigen_ok and self.distinct)
+
+    @property
+    def mu_failure(self) -> str | None:
+        """Why `mu` is None: the quartic's failure is the `details`."""
+        if self.mu is not None:
+            return None
+        return self.details if self.matrix is not None else "prerequisites failed"
 
     def to_json(self) -> str:
         def c(v):
@@ -159,8 +165,7 @@ def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
     if not (ss_ok and a_pos):
         return HypothesisReport(
             selfsimilar_ok=ss_ok, a_positive=a_pos, eigen_ok=False, distinct=False,
-            details=f"residual={residual:.3e}, a={a_rate:.6g}", a_rate=a_rate,
-            b_rate=b_rate, mu_failure="prerequisites failed")
+            details=f"residual={residual:.3e}, a={a_rate:.6g}", a_rate=a_rate, b_rate=b_rate)
     st = cen.state()
     if (dmin := st.min_distance()) < st.dmin():
         raise SingularityError(f"coincident vortices in linearization: |d|={dmin:.3e}")
@@ -172,13 +177,12 @@ def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
     T = np.reshape(L, (2, 2))
     M = np.block([[D, T], [T.conj(), D.conj()]])
     eigs = np.linalg.eigvals(M)
-    mu = failure = None
-    eig_ok = distinct = False
+    mu, eig_ok, distinct = None, False, False
     # four distinct real mu exist exactly when disc > 0 and lo2 > 0
     if disc <= 0.0:
-        detail = failure = f"complex mu^2: c1^2 - 4 c2 = {disc:.6e} <= 0"
+        detail = f"complex mu^2: c1^2 - 4 c2 = {disc:.6e} <= 0"
     elif lo2 <= 0.0:
-        detail = failure = f"negative mu^2: 2 b^2 - c1 - sqrt(disc) = {lo2:.6e} <= 0"
+        detail = f"negative mu^2: 2 b^2 - c1 - sqrt(disc) = {lo2:.6e} <= 0"
     else:
         r = np.sqrt([lo2 / 2.0, hi2 / 2.0])
         mu = np.array([-r[1], -r[0], r[0], r[1]])
@@ -190,7 +194,7 @@ def hypothesis_a_check(cfg: TripleConfig) -> HypothesisReport:
     return HypothesisReport(
         selfsimilar_ok=True, a_positive=True, eigen_ok=eig_ok, distinct=distinct,
         details=detail, a_rate=a_rate, b_rate=b_rate, c1=float(c1[0]), c2=float(c2[0]),
-        mu=mu, mu_failure=failure, matrix=M, eigenvalues=eigs)
+        mu=mu, matrix=M, eigenvalues=eigs)
 
 
 def propagator_norm(M: np.ndarray, alpha: float, t: float) -> float:

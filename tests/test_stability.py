@@ -178,6 +178,7 @@ def test_hypothesis_fails_for_relative_equilibrium():
     cfg = gsqg.TripleConfig(a=w, xi=np.array([1.0, 1.0, 1.0]), alpha=1.5)
     rep = gsqg.hypothesis_a_check(cfg)
     assert not rep.passed and not rep.a_positive
+    assert rep.matrix is None and rep.mu_failure == "prerequisites failed"
 
 
 def test_report_json_has_intermediates(thm_report):
