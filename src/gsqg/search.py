@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import ALPHA_GUARD, DomainError, conserved, coupling_constant
+from .kernel import ALPHA_GUARD, DomainError, coupling_constant
 from .selfsimilar import TripleConfig, centered, pair_terms, vortex_rates
 from .stability import l_terms, quartic_coefficients, quartic_mu2
 
@@ -93,10 +93,10 @@ def _y_solve_grid(xs: np.ndarray, alpha: float | np.ndarray,
     """Safeguarded Newton for y(x) on a grid, at one alpha or one per x.
 
     Solves y^2 - y^(alpha-2) = x^(alpha-2) - x^2 on [max(1-x, EPS_Y), YMAX].
-    Returns (y, valid); invalid entries have no sign change in the bracket
-    (root below the triangle bound or beyond YMAX), count as solved from
-    the start and keep its midpoint.  K, if given, is the x^(alpha-2) - x^2
-    of xs.
+    Returns (y, valid): valid, the one rule for a side, marks a root that is
+    bracketed and solved to |g| <= Y_TOL.  An x without a bracket counts as
+    solved from the start and keeps its midpoint.  K, if given, is the
+    x^(alpha-2) - x^2 of xs.
     """
     xs = np.asarray(xs, dtype=float)
     g = _side_residual(xs, alpha, K)
@@ -122,21 +122,21 @@ def _y_solve_grid(xs: np.ndarray, alpha: float | np.ndarray,
             yn = y - step
         inside = (yn > lo) & (yn < hi) & np.isfinite(yn)
         y = np.where(done, y, np.where(inside, yn, 0.5 * (lo + hi)))
-    return y, valid
+    return y, valid & done
 
 
 @np.errstate(over="ignore")    # K overflows at a tiny x: no root, as for any infinite K
 def y_from_x(x: float, alpha: float) -> float:
     """Side length y solving x^(alpha-2) + y^(alpha-2) = x^2 + y^2 with
-    y > max(0, 1 - x), by safeguarded Newton with bisection fallback."""
+    y > max(0, 1 - x), by safeguarded Newton with bisection fallback: the
+    side solve of `_margin_grid`, refusing exactly the x its mask refuses."""
     if not 0.0 < x <= 1.0:
         raise DomainError(f"x must lie in (0, 1], got {x}")
     coupling_constant(alpha)
     y, valid = _y_solve_grid(np.array([x]), alpha)
     if not valid[0]:
-        raise NoRootError(
-            f"no sign change for y(x) in [max(1-x, {EPS_Y}), {YMAX}] at x={x}, alpha={alpha}"
-        )
+        raise NoRootError(f"no sign change for y(x) in [max(1-x, {EPS_Y}), {YMAX}], or no "
+                          f"Newton residual within {Y_TOL}, at x={x}, alpha={alpha}")
     return float(y[0])
 
 
@@ -144,14 +144,12 @@ def cardano_y(x: float) -> float:
     """Closed-form y(x) at alpha = 1 from the cubic y^3 + ((x^3-1)/x) y - 1 = 0.
 
     y = cbrt(1/2 + sqrt(D)) + cbrt(1/2 - sqrt(D)),
-    D = 1/4 - (1 - x^3)^3 / (27 x^3), valid for x in (1/2, 1] where D > 0.
+    D = 1/4 - (1 - x^3)^3 / (27 x^3), valid for x in (1/2, 1], where D
+    increases from 0.0515 (x -> 1/2) to 1/4.
     """
     if not 0.5 < x <= 1.0:
         raise DomainError(f"cardano_y requires x in (1/2, 1], got {x}")
-    D = cardano_discriminant(x)
-    if D <= 0.0:
-        raise DomainError(f"non-positive cubic discriminant D={D} at x={x}")
-    s = np.sqrt(D)
+    s = np.sqrt(cardano_discriminant(x))
     return float(np.cbrt(0.5 + s) + np.cbrt(0.5 - s))
 
 
@@ -184,9 +182,9 @@ def oriented_config(alpha: float, x: float) -> TripleConfig:
 
     The rate a flips sign with the imaginary branch of a_3, and the burst
     branch (a > 0) has Im(a_3) < 0 for alpha < 2; the sign flips across
-    alpha = 2 together with the coupling constant.  Checks that the sides
-    form a proper triangle, the side-length equation residual and the
-    H = L = 0 identity of the construction.
+    alpha = 2 together with the coupling constant.  On x in (0, 1) it
+    refuses exactly where the mask of `_margin_grid` does (no side from
+    `y_from_x`, no proper triangle); H = L = 0 holds to the solve's Y_TOL.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x}")
@@ -195,14 +193,7 @@ def oriented_config(alpha: float, x: float) -> TripleConfig:
     if not valid[0]:
         raise DomainError(f"sides x={x}, y={y} give no proper triangle "
                           "(y > 1 - x, positive height) with xi_3 > -2")
-    resid = abs(_side_residual(x, alpha)(y))
-    if resid > 1e-10 * max(1.0, x**2 + y**2):
-        raise DomainError(f"side-length equation violated (residual {resid:.2e})")
-    cfg = TripleConfig(a=z[:, 0], xi=xi[:, 0], alpha=alpha)
-    c = conserved(cfg.state())
-    if abs(c.H) > 1e-8 or abs(c.Lmom) > 1e-8:
-        raise DomainError(f"constructed configuration has H={c.H:.2e}, L={c.Lmom:.2e} != 0")
-    return cfg
+    return TripleConfig(a=z[:, 0], xi=xi[:, 0], alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +204,16 @@ def _margin_grid(alpha: float | np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Vectorized admissibility margin components (disc, lo2) on an x grid,
     as the rows of a (2, len(xs)) array, at one alpha or one alpha per x.
 
-    Both are positive exactly where the one-point check
-    `hypothesis_a_check(oriented_config(alpha, x))` passes; -inf marks
-    geometric rejection.  Every x that passes the triangle screen runs the
-    side solve and the stability pipeline, and the results are masked once,
-    at the scatter: an x without a bracket, a proper triangle or a finite
-    margin keeps -inf.  Every element depends on its own triple alone, so
-    the rows have the bits of `quartic_mu2` on that check's (b_rate, c1,
-    c2), in any batch.  One alpha per x computes c_alpha once per distinct
+    Both are positive exactly where the quartic of the one-point check
+    `hypothesis_a_check(oriented_config(alpha, x))` has four real roots mu,
+    though next to a window edge the check can still fail there (README: the
+    caveats on the check next to a window edge).  -inf marks geometric
+    rejection.  Every x that passes the triangle screen runs the side solve
+    and the stability pipeline, and the results are masked once, at the
+    scatter: an x that `oriented_config` refuses or without a finite margin
+    keeps -inf.  Every element depends on its own triple alone, so the rows
+    have the bits of `quartic_mu2` on that check's (b_rate, c1, c2) in any
+    batch (`l_terms`).  One alpha per x computes c_alpha once per distinct
     alpha; its powers skip NumPy's scalar fast paths (exponents -1 and 0.5
     at alpha = 1 and 2.5), which may move an element there by an ulp.
     """

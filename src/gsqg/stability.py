@@ -104,22 +104,25 @@ def l_terms(z: np.ndarray, xi: np.ndarray, c_alpha: float,
     or a3/a1 prefactors on the contributions routed through vortex 1.  The
     ten terms take seven distinct values; each is computed once and summed
     in the operand order of the ten-term form, so every element keeps its bits.
+    Here and in `quartic_coefficients` a complex product whose right operand
+    is a temporary is an `np.multiply` call: NumPy runs `a * temporary` as
+    `temporary *= a` from 16,384 elements on, with other bits.
     """
     pre = -1j * c_alpha / np.abs(z[0]) ** 2
     z1sq = z[0] ** 2
 
     def term(m, bracket):
-        return pre * np.conj(z1sq * m * bracket)
+        return np.multiply(pre, np.conj(z1sq * m * bracket))
 
     # terms dropped after their last use, r3 built after r2: a scan peaks in vortex_rates
     r2, t212, t101 = z[1] / z[0], term(xi[2], br[1, 2]), term(xi[1], br[0, 1])
     L13 = t212 + term(xi[0], br[0, 1]) + r2 * t101
-    L14 = t212 + r2 * term(xi[2], br[0, 2])
+    L14 = t212 + np.multiply(r2, term(xi[2], br[0, 2]))
     del r2, t212
     r3, t112 = z[2] / z[0], term(xi[1], br[1, 2])
     L23 = t112 + r3 * t101
     del t101
-    L24 = t112 + term(xi[0], br[0, 2]) + r3 * term(xi[1], br[0, 2])
+    L24 = t112 + term(xi[0], br[0, 2]) + np.multiply(r3, term(xi[1], br[0, 2]))
     return L13, L14, L23, L24
 
 
@@ -130,9 +133,9 @@ def quartic_coefficients(L13, L14, L23, L24) -> tuple[np.ndarray, np.ndarray]:
     c2 = |L13|^2 |L24|^2 + |L23|^2 |L14|^2 - 2 Re(L14 conj(L13) L23 conj(L24)).
     """
     s13, s24 = np.abs(L13) ** 2, np.abs(L24) ** 2
-    c1 = s13 + s24 + 2.0 * np.real(L23 * np.conj(L14))
+    c1 = s13 + s24 + 2.0 * np.real(np.multiply(L23, np.conj(L14)))
     c2 = (s13 * s24 + np.abs(L23) ** 2 * np.abs(L14) ** 2
-          - 2.0 * np.real(L14 * np.conj(L13) * L23 * np.conj(L24)))
+          - 2.0 * np.real(np.multiply(L14, np.conj(L13)) * L23 * np.conj(L24)))
     return c1, c2
 
 

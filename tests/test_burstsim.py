@@ -78,6 +78,19 @@ def test_separation_guard(thm_cfg):
         gsqg.make_burst_initial(s, 1.0)   # spread ~ O(1) exceeds rho_sep/2
 
 
+@pytest.mark.parametrize("t_ini", [0.0, -1e-4])
+def test_initial_state_refuses_a_non_positive_t_ini(scenario, t_ini):
+    with pytest.raises(DomainError, match="t_ini must be positive"):
+        gsqg.make_burst_initial(scenario, t_ini)
+
+
+def test_cauchy_study_needs_three_t_ini(thm_cfg):
+    s = gsqg.BurstScenario(triple=thm_cfg, background=(), t_ini_sequence=(1e-4, 5e-5),
+                           horizon=1e-3)
+    with pytest.raises(DomainError, match="at least three t_ini values"):
+        gsqg.convergence_study(s, CFG)
+
+
 def test_scenario_validation(thm_cfg):
     with pytest.raises(DomainError):
         gsqg.BurstScenario(triple=thm_cfg, background=((0.1 + 0j, 1.0),),

@@ -37,6 +37,18 @@ def test_find_config_negative_result(tmp_path, capsys):
     assert capsys.readouterr().err == "gsqg find-config: no admissible x at alpha=0.9\n"
 
 
+def test_find_config_constructs_at_a_small_alpha(tmp_path, capsys):
+    # H carries a factor 1 / c_alpha, about 2 pi / alpha: |H| = 2.1e-8 here, and
+    # the triple is built all the same; the check then fails on its quartic
+    out = tmp_path / "cfg.json"
+    assert main(["find-config", "--alpha", "1e-7", "--x", "0.8", "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("x = 0.8: hypothesis FAIL (negative mu^2")
+    cfg = gsqg.TripleConfig.from_json(out.read_text())
+    assert cfg.a.tobytes() == gsqg.oriented_config(1e-7, 0.8).a.tobytes()
+    report = json.loads(out.with_suffix(".report.json").read_text())
+    assert report["selfsimilar_ok"] and report["a_positive"] and report["mu"] is None
+
+
 def test_find_config_auto_midpoint(tmp_path):
     out = tmp_path / "cfg.json"
     assert main(["find-config", "--alpha", "1.5", "--auto", "--out", str(out)]) == 0

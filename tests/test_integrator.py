@@ -167,6 +167,24 @@ def test_collapse_fit_needs_four_samples_before_t_star():
         gsqg.collapse_time_fit(traj)
 
 
+def _pair_trajectory(d):
+    """Two vortices, one at the origin, whose pair distance runs through d
+    at the times 0, 1, 2, ..."""
+    d = np.asarray(d, dtype=float)
+    return SimpleNamespace(times=np.arange(float(len(d))), alpha=1.0,
+                           positions=np.stack([np.zeros(len(d)), d], axis=1).astype(complex))
+
+
+def test_collapse_fit_refuses_too_few_samples():
+    with pytest.raises(ValueError, match="too few samples to fit a collapse law"):
+        gsqg.collapse_time_fit(_pair_trajectory(np.linspace(1.0, 0.1, 7)))
+
+
+def test_collapse_fit_refuses_growing_distances():
+    with pytest.raises(ValueError, match="distances not shrinking"):
+        gsqg.collapse_time_fit(_pair_trajectory(np.linspace(0.1, 1.0, 12)))
+
+
 def test_relative_equilibrium_never_collapses():
     w = np.exp(2j * np.pi * np.arange(3) / 3)
     st = gsqg.VortexState(t=0.0, z=w, xi=np.array([1.0, 1.0, 1.0]), alpha=1.5)

@@ -425,6 +425,9 @@ def test_state_validation():
     with pytest.raises(DomainError):
         gsqg.VortexState(t=0.0, z=np.array([0.0, 1.0], dtype=complex),
                          xi=np.array([1.0, 0.0]), alpha=1.0)
+    for z, xi in (([0.0, 1.0, 1j], [1.0, 1.0]), ([[0.0, 1.0]], [[1.0, 1.0]])):
+        with pytest.raises(DomainError, match="1-d arrays of equal length"):
+            gsqg.VortexState(t=0.0, z=np.array(z, dtype=complex), xi=np.array(xi), alpha=1.0)
 
 
 @pytest.mark.parametrize("field,value", [("t", np.nan), ("z", np.inf),

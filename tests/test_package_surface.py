@@ -16,6 +16,7 @@ PACKAGE = Path(gsqg.__file__).parent
 # public names no package code calls, each kept for a reason outside it
 KEPT_UNREFERENCED = {
     "rhs": "the definition of the dynamics in the tests, and a traced span of the benchmark",
+    "conserved": "C, H and L of one state in the tests, and a traced span of the benchmark",
     "reference_time": "the benchmark's workloads place the collapse run with it",
     "propagator_norm": "acceptance criterion 8, the propagator decay",
     "cardano_y": "acceptance criteria 3 and 6, the closed-form side at alpha = 1",

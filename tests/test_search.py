@@ -3,16 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gsqg
 from gsqg import search
 from gsqg.cli import main
 from gsqg.kernel import DomainError, coupling_constant
-from gsqg.search import (EPS_Y, K_SECTION, YMAX, NoRootError, _margin_grid, _past_triangle,
-                         _reduced_triple, _refine, _side_constant, _side_residual,
-                         _y_solve_grid)
+from gsqg.search import (EPS_Y, K_SECTION, Y_TOL, YMAX, NoRootError, _margin_grid,
+                         _past_triangle, _reduced_triple, _refine, _side_constant,
+                         _side_residual, _y_solve_grid)
 from gsqg.selfsimilar import centered, pair_terms, vortex_rates
 from gsqg.stability import l_terms, quartic_coefficients, quartic_mu2
 
@@ -55,6 +55,12 @@ def test_y_no_root_error():
         gsqg.y_from_x(0.01, 1.0)
 
 
+@pytest.mark.parametrize("x", [0.0, -0.5, 1.5, np.nan])
+def test_y_refuses_x_outside_its_domain(x):
+    with pytest.raises(DomainError, match=r"x must lie in \(0, 1\]"):
+        gsqg.y_from_x(x, 1.0)
+
+
 # ---------------------------------------------------------------- cardano
 
 def test_cardano_reference_and_unit():
@@ -65,6 +71,13 @@ def test_cardano_reference_and_unit():
 def test_cardano_discriminant_bound():
     xs = np.arange(0.5 + 1e-5, 1.0, 1e-5)
     assert float(np.min(gsqg.cardano_discriminant(xs))) >= 0.0515
+
+
+def test_cardano_discriminant_positive_at_both_ends_of_its_domain():
+    # D increases on (1/2, 1], so its ends bound it: cardano_y needs no D <= 0 refusal
+    assert gsqg.cardano_discriminant(np.nextafter(0.5, 1.0)) == pytest.approx(0.0515, abs=1e-4)
+    assert gsqg.cardano_discriminant(1.0) == 0.25
+    assert np.isfinite(gsqg.cardano_y(np.nextafter(0.5, 1.0)))
 
 
 def test_cardano_domain():
@@ -105,6 +118,51 @@ def test_constructed_H_L_vanish():
         q = gsqg.conserved(cfg.state())
         H, L = q.H, q.Lmom
         assert abs(H) <= 1e-10 and abs(L) <= 1e-10
+
+
+# log-uniform below 1, where H carries a factor 1 / c_alpha of about 2 pi / alpha
+_MASK_ALPHA = st.one_of(
+    st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(1.0, 2.0 - gsqg.ALPHA_GUARD, exclude_max=True),
+    st.floats(2.0 + gsqg.ALPHA_GUARD, 3.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=_MASK_ALPHA, x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(alpha=1e-7, x=0.8)      # |H| = 2.1e-8 here, and 4.1e-2 at the next
+@example(alpha=1e-12, x=0.9)
+def test_oriented_config_refuses_exactly_where_the_masks_do(alpha, x):
+    # one rule for a triple: the side solve's mask and the proper-triangle
+    # mask, which `_margin_grid` applies.  A built triple meets H = L = 0 to
+    # the solve's residual: c_alpha H = -2 g(y) / (x^2 + y^2) with |g| <= Y_TOL,
+    # plus rounding relative to the terms of each sum
+    with np.errstate(all="ignore"):     # x^(alpha-2) overflows for tiny x
+        y, solved = _y_solve_grid(np.array([x]), alpha)
+        shaped = _reduced_triple(np.array([x]), y, 1)[2]
+    if not (solved & shaped)[0]:
+        with pytest.raises(DomainError):
+            gsqg.oriented_config(alpha, x)
+        return
+    cfg = gsqg.oriented_config(alpha, x)
+    assert (cfg.a[2].imag < 0.0) == (alpha < 2.0)
+    st_ = cfg.state()
+    q = gsqg.conserved(st_)
+    j, k = np.triu_indices(3, 1)
+    d = np.abs(cfg.a[j] - cfg.a[k])
+    pair = np.abs(cfg.xi[j] * cfg.xi[k])
+    eps = np.finfo(float).eps
+    y = float(y[0])
+    assert abs(st_.c_alpha * q.H) <= (2.0 * Y_TOL / (x * x + y * y)
+                                      + 16 * eps * np.sum(2.0 * pair * d ** (alpha - 2.0))), \
+        (alpha, x)
+    assert abs(q.Lmom) <= 16 * eps * np.sum(2.0 * pair * d**2), (alpha, x)
+
+
+def test_oriented_config_refuses_x_outside_its_domain():
+    # x = 1 has a side, y = 1, but its triple is equilateral: a relative equilibrium
+    for x in (0.0, -0.5, 1.0, np.nan):
+        with pytest.raises(DomainError, match=r"x must lie in \(0, 1\)"):
+            gsqg.oriented_config(1.0, x)
 
 
 def test_oriented_config_rejects_no_triangle():
@@ -605,6 +663,21 @@ def test_margin_grid_element_independent_of_batch(alpha, xs):
         assert np.array_equal(got.view(np.int64), alone.view(np.int64))
         compacts.add(bool(_screened_improper(alpha, xs).any()))
     assert compacts == {False, True}
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.13, "per_x"])
+def test_margin_grid_of_a_tiled_desk_grid_is_its_chunks_bitwise(alpha):
+    # 40,004 points, past the 16,384 complex values from which NumPy runs
+    # `a * (temporary)` in place as `temporary *= a`, with other bits:
+    # complex multiplication is not bitwise commutative
+    xs = np.tile(_DESK_GRID, 4)
+    if alpha == "per_x":    # as a refinement round passes it
+        alpha = np.random.default_rng(4).uniform(0.9, 1.99, len(xs))
+    chunks = [_margin_grid(alpha if np.ndim(alpha) == 0 else alpha[i:i + 1000],
+                           xs[i:i + 1000]) for i in range(0, len(xs), 1000)]
+    got = _margin_grid(alpha, xs)
+    assert np.array_equal(got.view(np.int64), np.column_stack(chunks).view(np.int64))
+    assert (got > 0.0).any()
 
 
 def _unmasked_margin_grid(alpha, xs):

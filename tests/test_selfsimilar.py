@@ -161,6 +161,19 @@ def test_zeta_domain_errors(thm_motion):
         gsqg.zeta(thm_motion, 0.0)     # at the singular time
     with pytest.raises(DomainError):
         gsqg.zeta(thm_motion, -1.0)    # wrong side for a burst
+    collapse = gsqg.SelfSimilarMotion(a_rate=-thm_motion.a_rate, b_rate=thm_motion.b_rate,
+                                      alpha=thm_motion.alpha)
+    for t in (0.0, 1.0):
+        with pytest.raises(DomainError, match="collapse branch needs t < 0"):
+            gsqg.zeta(collapse, t)
+    still = gsqg.SelfSimilarMotion(a_rate=0.0, b_rate=0.3, alpha=1.0)
+    with pytest.raises(DomainError, match="relative equilibrium"):
+        gsqg.zeta(still, 1.0)
+
+
+def test_reference_time_refuses_a_relative_equilibrium():
+    with pytest.raises(DomainError, match="a = 0"):
+        gsqg.reference_time(gsqg.SelfSimilarMotion(a_rate=0.0, b_rate=0.3, alpha=1.0))
 
 
 def test_trajectory_from_zeta_solves_the_dynamics(thm_centered, thm_motion):

@@ -324,6 +324,17 @@ def test_propagator_refuses_alpha_off_its_domain_and_a_matrix_not_4x4(thm_report
         gsqg.propagator_norm(M, alpha, 0.5)
 
 
+@pytest.mark.parametrize("t", [0.0, -0.5, 1.5, np.nan])
+def test_propagator_refuses_t_outside_the_unit_interval(thm_report, t):
+    with pytest.raises(gsqg.DomainError, match=r"t in \(0, 1\]"):
+        gsqg.propagator_norm(thm_report.matrix, 1.0, t)
+
+
+def test_propagator_refuses_a_zero_rate():
+    with pytest.raises(gsqg.DomainError, match="a = 0"):
+        gsqg.propagator_norm(make_matrix(0.1, 0.2, 0.3, 0.4, a=0.0, b=0.8), 1.0, 0.5)
+
+
 def test_propagator_exact_power_for_normal_matrix():
     # zero off-diagonal block: the matrix is normal with Re(eig) = -a
     M = make_matrix(0.0, 0.0, 0.0, 0.0, a=0.25, b=0.8)
