@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 import sys
-import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -34,7 +34,7 @@ def _code_lines(code) -> set[int]:
     nested functions included, module and class bodies not."""
     lines = set()
     for const in code.co_consts:
-        if hasattr(const, "co_lines"):
+        if isinstance(const, types.CodeType):
             if const.co_flags & 0x1:        # CO_OPTIMIZED: a function, not a class body
                 lines |= {line for _, _, line in const.co_lines() if line is not None}
             lines |= _code_lines(const)
@@ -42,22 +42,16 @@ def _code_lines(code) -> set[int]:
 
 
 def body_statements(path: Path) -> dict[int, ast.stmt]:
-    """First line of each function-body statement with bytecode, docstrings
-    excluded, to its statement."""
+    """First line of each function-body statement with bytecode, to its
+    statement (a docstring has no bytecode)."""
     source = path.read_text()
-    tree = ast.parse(source)
     code = _code_lines(compile(source, str(path), "exec"))
     found = {}
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        body = fn.body
-        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
-                and isinstance(body[0].value.value, str):
-            body = body[1:]
-        for stmt in (s for top in body for s in ast.walk(top) if isinstance(s, ast.stmt)):
-            if stmt.lineno in code:
-                found.setdefault(stmt.lineno, stmt)
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for stmt in (s for top in fn.body for s in ast.walk(top) if isinstance(s, ast.stmt)):
+                if stmt.lineno in code:
+                    found.setdefault(stmt.lineno, stmt)
     return found
 
 
@@ -66,24 +60,18 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     prefix = str(PACKAGE) + "/"
     ran: dict[str, set[int]] = {}
 
-    def local(frame, event, arg):
-        ran[frame.f_code.co_filename].add(frame.f_lineno)
-        return local
-
     def hook(frame, event, arg):
         name = frame.f_code.co_filename
         if not name.startswith(prefix):
-            return None
+            return None     # and no line events for the frame
         ran.setdefault(name, set()).add(frame.f_lineno)
-        return local
+        return hook
 
     sys.settrace(hook)
-    threading.settrace(hook)
     try:
         code = pytest.main(args)
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     return int(code), ran
 
 
